@@ -56,6 +56,7 @@ from .prover import (
     PROVED,
     Certificate,
     CongruenceFamily,
+    Plan,
     SpotCheckResult,
     certify,
     spot_check,

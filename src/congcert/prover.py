@@ -3,8 +3,16 @@
 A family sum over left residues = sum over right residues (mod ell^N) on the
 progression delta*n + r is verified for every n below period/delta; the
 decomposition plus the periodicity of the head A then extend the result to
-all n.  The coefficient sequence used for checking always comes from the
-original unreduced product, so rewrite bugs cannot leak into the verdict.
+all n.
+
+The finite check runs on A, not on the full product G.  Since G = A*B with
+B[0] = 1 and B supported on multiples of delta, the family difference of G at
+n is sum_k B[delta*k] * (difference of A at n-k): a unit-triangular
+combination of A's differences at n, n-1, ..., 0.  G and A therefore agree
+on the family below any bound, and first fail it at the same n.  G is still
+expanded for what a reader checks by hand: the sums reported in a witness
+(up to the witness index only, and guarded to fail first exactly there) and
+`spot_check`, which uses no decomposition or periodicity at all.
 """
 
 from __future__ import annotations
@@ -15,15 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import GFKind, build_spec, split_AB
+from .decompose import Decomposition, GFKind, build_spec, split_AB
 from .errors import (
     CertificateFailed,
+    CongcertError,
     EmptyMultiset,
     InvalidParameter,
+    RuleValidationFailed,
     SplitFailed,
 )
 from .periods import PartMultiset, kwong_period
-from .series import ModSeries, Modulus, series_from_spec
+from .series import ModSeries, Modulus, ProductSpec, series_from_spec
 
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -100,6 +110,120 @@ def _progression_sums(series: ModSeries, delta: int, residues, count: int) -> np
     return total % m
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What every family on one target, modulus and delta shares: the A*B
+    split, the check period and bound, and A's first `period` coefficients.
+
+    `head[n, r]` is A[delta*n + r]; a family holds below the bound exactly
+    when its column sums of `head` agree.  A plan whose split fails keeps the
+    error and certifies every family INAPPLICABLE."""
+
+    target: GFKind
+    modulus: Modulus
+    delta: int
+    spec: ProductSpec
+    decomposition: Decomposition | None = None
+    period: int | None = None
+    bound: int | None = None
+    head: np.ndarray | None = None
+    error: CongcertError | None = None
+
+    @classmethod
+    def build(
+        cls,
+        target: GFKind,
+        modulus: Modulus,
+        delta: int,
+        validation_length: int | None = None,
+    ) -> "Plan":
+        """Split the product into A*B at this modulus and delta, take the
+        minimal period of A's multiset lifted to a multiple of delta, and
+        expand A over one period."""
+        spec = build_spec(target)
+        try:
+            dec = split_AB(spec, modulus, delta, validation_length)
+            info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
+        except (SplitFailed, CertificateFailed, EmptyMultiset) as exc:
+            return cls(target, modulus, delta, spec, error=exc)
+        period = math.lcm(info.period, delta)
+        bound = period // delta
+        head = series_from_spec(dec.a_spec, modulus, period).array().reshape(bound, delta)
+        return cls(target, modulus, delta, spec, dec, period, bound, head)
+
+    def first_failure(self, family: CongruenceFamily) -> int | None:
+        """First n below the bound at which the family's sums over A differ,
+        or None when it holds on the whole range."""
+        self._require_matching(family)
+        if self.error is not None:
+            raise self.error
+        weights = np.zeros(self.delta, dtype=np.int64)
+        for a in family.left:
+            weights[a] += 1
+        for b in family.right:
+            weights[b] -= 1
+        diff = (self.head @ weights) % self.modulus.value
+        mismatch = np.flatnonzero(diff)
+        return int(mismatch[0]) if mismatch.size else None
+
+    def check(self, family: CongruenceFamily) -> Certificate:
+        """Certify the family: PROVED, COUNTEREXAMPLE with G's sums at the
+        first failing n, or INAPPLICABLE when the split failed."""
+        self._require_matching(family)
+        if self.error is not None:
+            return Certificate(
+                family=family,
+                target=self.target,
+                status=INAPPLICABLE,
+                reason=f"{type(self.error).__name__}: {self.error}",
+            )
+        dec = self.decomposition
+        n = self.first_failure(family)
+        if n is None:
+            return Certificate(
+                family=family,
+                target=self.target,
+                status=PROVED,
+                a_multiset=dec.a_multiset,
+                period_used=self.period,
+                check_bound=self.bound,
+                derivation=dec.derivation,
+            )
+        return Certificate(
+            family=family,
+            target=self.target,
+            status=COUNTEREXAMPLE,
+            a_multiset=dec.a_multiset,
+            period_used=self.period,
+            check_bound=self.bound,
+            witness=self._witness(family, n),
+            derivation=dec.derivation,
+        )
+
+    def _witness(self, family: CongruenceFamily, n: int) -> tuple:
+        """G's sums at n, from G expanded only to delta*(n+1).  G must agree
+        with the family below n and differ at n; anything else means A*B is
+        not G, and no verdict is given."""
+        lam = series_from_spec(self.spec, self.modulus, self.delta * (n + 1))
+        left = _progression_sums(lam, self.delta, family.left, n + 1)
+        right = _progression_sums(lam, self.delta, family.right, n + 1)
+        first = np.flatnonzero(left != right)
+        if not first.size or first[0] != n:
+            seen = f"first fails at n={int(first[0])}" if first.size else f"holds for n <= {n}"
+            raise RuleValidationFailed(
+                f"witness check for {family} on {self.target} mod {self.modulus}: "
+                f"A first fails at n={n} but G {seen}"
+            )
+        return (n, int(left[n]), int(right[n]))
+
+    def _require_matching(self, family: CongruenceFamily) -> None:
+        if family.delta != self.delta or family.modulus != self.modulus:
+            raise InvalidParameter(
+                f"family mod {family.modulus}, delta {family.delta} does not match "
+                f"the plan's mod {self.modulus}, delta {self.delta}"
+            )
+
+
 def certify(
     target: GFKind,
     family: CongruenceFamily,
@@ -107,51 +231,10 @@ def certify(
 ) -> Certificate:
     """Verify the family for all n below period/delta and certify it for all n.
 
-    Pipeline: build the product, split it into A*B at the family's modulus and
-    delta, take the minimal period of A's multiset, lift it to a multiple of
-    delta, expand the original product that far, and compare the progression
-    sums on the finite range.  A failed split or an empty head yields status
-    INAPPLICABLE; a failed comparison yields the first counterexample.
-    """
-    spec = build_spec(target)
-    modulus, delta = family.modulus, family.delta
-    try:
-        dec = split_AB(spec, modulus, delta, validation_length)
-        info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
-    except (SplitFailed, CertificateFailed, EmptyMultiset) as exc:
-        return Certificate(
-            family=family,
-            target=target,
-            status=INAPPLICABLE,
-            reason=f"{type(exc).__name__}: {exc}",
-        )
-    period = math.lcm(info.period, delta)
-    bound = period // delta
-    lam = series_from_spec(spec, modulus, period + delta)
-    left = _progression_sums(lam, delta, family.left, bound)
-    right = _progression_sums(lam, delta, family.right, bound)
-    mismatch = np.nonzero(left != right)[0]
-    if mismatch.size:
-        n = int(mismatch[0])
-        return Certificate(
-            family=family,
-            target=target,
-            status=COUNTEREXAMPLE,
-            a_multiset=dec.a_multiset,
-            period_used=period,
-            check_bound=bound,
-            witness=(n, int(left[n]), int(right[n])),
-            derivation=dec.derivation,
-        )
-    return Certificate(
-        family=family,
-        target=target,
-        status=PROVED,
-        a_multiset=dec.a_multiset,
-        period_used=period,
-        check_bound=bound,
-        derivation=dec.derivation,
-    )
+    Builds a one-off `Plan` for the family's modulus and delta and checks the
+    family on it.  A failed split or an empty head yields status
+    INAPPLICABLE; a failed comparison yields the first counterexample."""
+    return Plan.build(target, family.modulus, family.delta, validation_length).check(family)
 
 
 @dataclass(frozen=True)

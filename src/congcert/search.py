@@ -1,25 +1,22 @@
 """Bounded enumeration of candidate congruence families and batch
-certification against one shared coefficient expansion."""
+certification against one shared `Plan`."""
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-import numpy as np
-
-from .decompose import GFKind, build_spec, split_AB
+from .decompose import GFKind
 from .errors import InvalidParameter, SpaceTooLarge
-from .periods import kwong_period
-from .prover import (
-    PROVED,
-    Certificate,
-    CongruenceFamily,
-    _progression_sums,
-)
-from .series import Modulus, series_from_spec
+from .prover import PROVED, Certificate, CongruenceFamily, Plan
+from .series import Modulus
+
+# Unused here; bound so that perfbench/tracing.py, which wraps these
+# module-level names of this module, finds them.
+from .decompose import build_spec, split_AB  # noqa: F401
+from .periods import kwong_period  # noqa: F401
+from .series import series_from_spec  # noqa: F401
 
 DEFAULT_CANDIDATE_CAP = 10**6
 
@@ -144,42 +141,32 @@ def search_certified(
     space: SearchSpace,
     threads: int = 1,
     redundancy_filter: bool = False,
+    candidates: list | None = None,
 ) -> list:
     """Certify every candidate and return the PROVED certificates, sorted.
 
-    The decomposition, period, and coefficient expansion are computed once for
-    the whole space; candidates only index into the shared expansion.  A
-    target that does not decompose aborts the search (SplitFailed propagates).
+    One `Plan` serves the whole space: the decomposition, period, and A's
+    residue sums are computed once, and candidates only combine its columns.
+    `candidates` defaults to `enumerate_candidates(space)`.  A target that
+    does not decompose aborts the search (SplitFailed propagates).
     """
-    spec = build_spec(space.target)
-    modulus, delta = space.modulus, space.delta
-    dec = split_AB(spec, modulus, delta)
-    info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
-    period = math.lcm(info.period, delta)
-    bound = period // delta
-    lam = series_from_spec(spec, modulus, period + delta)
-    candidates = enumerate_candidates(space)
-
-    residue_sums = {
-        r: _progression_sums(lam, delta, (r,), bound) for r in range(delta)
-    }
-    m = modulus.value
+    modulus = space.modulus
+    plan = Plan.build(space.target, modulus, space.delta)
+    if plan.error is not None:
+        raise plan.error
+    if candidates is None:
+        candidates = enumerate_candidates(space)
+    dec = plan.decomposition
 
     def check(family):
-        left = sum(residue_sums[r] for r in family.left) % m
-        right = (
-            sum(residue_sums[r] for r in family.right) % m
-            if family.right
-            else np.zeros(bound, dtype=np.int64)
-        )
-        if np.array_equal(left, right):
+        if plan.first_failure(family) is None:
             return Certificate(
                 family=family,
                 target=space.target,
                 status=PROVED,
                 a_multiset=dec.a_multiset,
-                period_used=period,
-                check_bound=bound,
+                period_used=plan.period,
+                check_bound=plan.bound,
                 derivation=dec.derivation,
             )
         return None
@@ -194,6 +181,7 @@ def search_certified(
     proved.sort(key=lambda c: (len(c.family.left) + len(c.family.right), c.family.left, c.family.right))
 
     if redundancy_filter:
+        m = modulus.value
         kept, basis = [], []
         for cert in proved:
             vec = _family_vector(cert.family, m)

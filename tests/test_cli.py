@@ -341,3 +341,9 @@ class TestUsage:
             "status", "prime", "exponent", "delta", "family",
             "period", "check_bound", "witness", "derivation",
         }
+
+
+class TestRemovedKeys:
+    def test_window_key_rejected(self):
+        with pytest.raises(ParseError, match="unknown key 'window'"):
+            parse_instance_file(THREE_ROWED + "window = 3\n")

@@ -401,7 +401,6 @@ def _cmd_search(args, out) -> int:
     print(f"candidates: {len(candidates)}", file=out)
     certs = search_certified(
         space,
-        threads=args.threads or 1,
         redundancy_filter=args.filter_redundant,
         candidates=candidates,
     )
@@ -492,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--max-terms", type=int, dest="max_terms")
     p.add_argument("--cap", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--filter-redundant", action="store_true")
     p.add_argument("--json", action="store_true")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -69,6 +70,17 @@ class CongruenceFamily:
         object.__setattr__(self, "left", tuple(left))
         object.__setattr__(self, "right", tuple(right))
 
+    def weights(self) -> tuple:
+        """Signed residue counts, +1 per left residue and -1 per right one, as
+        a length-delta tuple: the family holds at n exactly when they weight
+        the coefficients at delta*n + r, r < delta, to a sum of 0 mod ell^N."""
+        counts = [0] * self.delta
+        for a in self.left:
+            counts[a] += 1
+        for b in self.right:
+            counts[b] -= 1
+        return tuple(counts)
+
     def __str__(self):
         lhs = "{" + ",".join(str(a) for a in self.left) + "}"
         rhs = "{" + ",".join(str(b) for b in self.right) + "}" if self.right else "0"
@@ -108,6 +120,44 @@ def _progression_sums(series: ModSeries, delta: int, residues, count: int) -> np
     for r in residues:
         total += data[base + r]
     return total % m
+
+
+def _first_failure_on_G(spec: ProductSpec, family: CongruenceFamily, count: int):
+    """(n, left_sum, right_sum) at the first n < count where the family fails
+    on the full product, expanded to delta*count coefficients; None if none."""
+    delta = family.delta
+    lam = series_from_spec(spec, family.modulus, delta * count)
+    left = _progression_sums(lam, delta, family.left, count)
+    right = _progression_sums(lam, delta, family.right, count)
+    mismatch = np.flatnonzero(left != right)
+    if not mismatch.size:
+        return None
+    n = int(mismatch[0])
+    return (n, int(left[n]), int(right[n]))
+
+
+def _row_generators(rows: np.ndarray, m: int) -> np.ndarray:
+    """At most rows.shape[1] rows generating the same Z/m module as `rows`,
+    for m a prime power.
+
+    Column by column, the pivot is the row whose entry x has the least
+    gcd(x, m).  In Z/m that entry divides every other entry of its column, so
+    subtracting multiples of the pivot row clears the column, the pivot's own
+    row included, without changing the module once the pivot is kept."""
+    rest = rows % m
+    pivots = []
+    for col in range(rows.shape[1]):
+        gcds = np.gcd(rest[:, col], m)
+        k = int(np.argmin(gcds))
+        g = int(gcds[k])
+        if g == m:
+            continue
+        pivot = rest[k].copy()
+        unit_inv = pow(int(pivot[col]) // g, -1, m)
+        rest -= np.outer(rest[:, col] // g * unit_inv % m, pivot)
+        rest %= m
+        pivots.append(pivot)
+    return np.array(pivots, dtype=np.int64).reshape(-1, rows.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +207,31 @@ class Plan:
         self._require_matching(family)
         if self.error is not None:
             raise self.error
-        weights = np.zeros(self.delta, dtype=np.int64)
-        for a in family.left:
-            weights[a] += 1
-        for b in family.right:
-            weights[b] -= 1
+        weights = np.array(family.weights(), dtype=np.int64)
         diff = (self.head @ weights) % self.modulus.value
         mismatch = np.flatnonzero(diff)
         return int(mismatch[0]) if mismatch.size else None
+
+    def holding(self, families) -> np.ndarray:
+        """For each family, whether it holds below the bound: `first_failure`
+        is None, for a whole sequence of families at once.
+
+        A family holds exactly when its weights (`CongruenceFamily.weights`)
+        annihilate every row of `head` mod m, hence every element of the rows'
+        Z/m module.  The rows are first reduced to at most delta generators of
+        that module, and every family is checked against each generator in
+        one matrix-vector product."""
+        if self.error is not None:
+            raise self.error
+        for family in families:
+            self._require_matching(family)
+        weights = chain.from_iterable(family.weights() for family in families)
+        w = np.fromiter(weights, np.int64, len(families) * self.delta).reshape(-1, self.delta)
+        m = self.modulus.value
+        holds = np.ones(len(families), dtype=bool)
+        for row in _row_generators(self.head, m):
+            holds &= (w @ row) % m == 0
+        return holds
 
     def check(self, family: CongruenceFamily) -> Certificate:
         """Certify the family: PROVED, COUNTEREXAMPLE with G's sums at the
@@ -204,17 +271,14 @@ class Plan:
         """G's sums at n, from G expanded only to delta*(n+1).  G must agree
         with the family below n and differ at n; anything else means A*B is
         not G, and no verdict is given."""
-        lam = series_from_spec(self.spec, self.modulus, self.delta * (n + 1))
-        left = _progression_sums(lam, self.delta, family.left, n + 1)
-        right = _progression_sums(lam, self.delta, family.right, n + 1)
-        first = np.flatnonzero(left != right)
-        if not first.size or first[0] != n:
-            seen = f"first fails at n={int(first[0])}" if first.size else f"holds for n <= {n}"
+        failure = _first_failure_on_G(self.spec, family, n + 1)
+        if failure is None or failure[0] != n:
+            seen = f"first fails at n={failure[0]}" if failure else f"holds for n <= {n}"
             raise RuleValidationFailed(
                 f"witness check for {family} on {self.target} mod {self.modulus}: "
                 f"A first fails at n={n} but G {seen}"
             )
-        return (n, int(left[n]), int(right[n]))
+        return failure
 
     def _require_matching(self, family: CongruenceFamily) -> None:
         if family.delta != self.delta or family.modulus != self.modulus:
@@ -254,14 +318,5 @@ def spot_check(target: GFKind, family: CongruenceFamily, n_max: int) -> SpotChec
     reasoning at all.  An independent sanity check beyond the certified bound."""
     if n_max < 1:
         raise InvalidParameter("n_max must be >= 1")
-    spec = build_spec(target)
-    delta = family.delta
-    lam = series_from_spec(spec, family.modulus, delta * n_max + delta)
-    count = n_max + 1
-    left = _progression_sums(lam, delta, family.left, count)
-    right = _progression_sums(lam, delta, family.right, count)
-    mismatch = np.nonzero(left != right)[0]
-    if mismatch.size:
-        n = int(mismatch[0])
-        return SpotCheckResult(family, target, n_max, (n, int(left[n]), int(right[n])))
-    return SpotCheckResult(family, target, n_max, None)
+    failure = _first_failure_on_G(build_spec(target), family, n_max + 1)
+    return SpotCheckResult(family, target, n_max, failure)

@@ -1,9 +1,12 @@
-"""Bounded enumeration of candidate congruence families and batch
-certification against one shared `Plan`."""
+"""Bounded enumeration of candidate congruence families, checked as linear
+algebra over Z/ell^N.  A family with weights w holds below the bound exactly
+when head @ w == 0 for A's head on one shared `Plan`, so all candidates are
+checked at once against the few generators of the head's row module.  The
+optional redundancy filter drops proved families implied by those kept."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -76,79 +79,47 @@ def enumerate_candidates(space: SearchSpace) -> list:
     return out
 
 
-def _implied(vector, basis, m, ell):
-    """Is the family vector in the Z/m span of already accepted vectors?
-    Gaussian elimination over Z/ell^N, pivoting on minimal ell-valuation."""
-    v = list(vector)
-    for pivot_col, pivot_row, pivot_val in basis:
-        c = v[pivot_col]
+def _insert_basis(vector, basis, m) -> bool:
+    """Reduce a family vector against the accepted pivot rows over Z/m, m a
+    prime power, and report whether it is new.
+
+    A vector that reduces to zero through every pivot is implied by the
+    accepted ones: it is rejected and the basis is unchanged.  A pivot whose
+    entry does not divide the vector's entry is skipped, and a vector that
+    skipped one is accepted even if its remainder is zero.  A nonzero
+    remainder joins the basis, pivoting on its entry of least gcd with m."""
+    v = [x % m for x in vector]
+    skipped = False
+    for col, row, g, unit_inv in basis:
+        c = v[col]
         if c == 0:
             continue
-        val = pivot_val
-        shift = 0
-        while val % ell == 0:
-            val //= ell
-            shift += 1
-        if c % ell**shift:
-            return False
-        mult = (c // ell**shift) * pow(val, -1, m) % m
-        for i in range(len(v)):
-            v[i] = (v[i] - mult * pivot_row[i]) % m
-    return all(x == 0 for x in v)
-
-
-def _insert_basis(vector, basis, m, ell):
-    v = list(vector)
-    for pivot_col, pivot_row, pivot_val in basis:
-        c = v[pivot_col]
-        if c == 0:
+        if c % g:
+            skipped = True
             continue
-        val = pivot_val
-        shift = 0
-        while val % ell == 0:
-            val //= ell
-            shift += 1
-        if c % ell**shift:
-            continue
-        mult = (c // ell**shift) * pow(val, -1, m) % m
-        for i in range(len(v)):
-            v[i] = (v[i] - mult * pivot_row[i]) % m
-    nonzero = [i for i, x in enumerate(v) if x != 0]
+        mult = (c // g) * unit_inv % m
+        v = [(x - mult * y) % m for x, y in zip(v, row)]
+    nonzero = [i for i, x in enumerate(v) if x]
     if not nonzero:
-        return
-    col = min(nonzero, key=lambda i: _val(v[i], ell))
-    basis.append((col, tuple(v), v[col]))
-
-
-def _val(x, ell):
-    v = 0
-    while x % ell == 0:
-        x //= ell
-        v += 1
-    return v
-
-
-def _family_vector(family, m):
-    vec = [0] * family.delta
-    for a in family.left:
-        vec[a] = (vec[a] + 1) % m
-    for b in family.right:
-        vec[b] = (vec[b] - 1) % m
-    return tuple(vec)
+        return skipped
+    col = min(nonzero, key=lambda i: math.gcd(v[i], m))
+    g = math.gcd(v[col], m)
+    basis.append((col, v, g, pow(v[col] // g, -1, m)))
+    return True
 
 
 def search_certified(
     space: SearchSpace,
-    threads: int = 1,
     redundancy_filter: bool = False,
     candidates: list | None = None,
 ) -> list:
     """Certify every candidate and return the PROVED certificates, sorted.
 
-    One `Plan` serves the whole space: the decomposition, period, and A's
-    residue sums are computed once, and candidates only combine its columns.
-    `candidates` defaults to `enumerate_candidates(space)`.  A target that
-    does not decompose aborts the search (SplitFailed propagates).
+    One `Plan` serves the whole space, and the matrix of all candidates'
+    weight vectors is multiplied with the generators of A's row module
+    (`Plan.holding`); a `Certificate` is built only for the families that
+    hold.  `candidates` defaults to `enumerate_candidates(space)`.  A target
+    that does not decompose aborts the search (SplitFailed propagates).
     """
     modulus = space.modulus
     plan = Plan.build(space.target, modulus, space.delta)
@@ -157,37 +128,23 @@ def search_certified(
     if candidates is None:
         candidates = enumerate_candidates(space)
     dec = plan.decomposition
-
-    def check(family):
-        if plan.first_failure(family) is None:
-            return Certificate(
-                family=family,
-                target=space.target,
-                status=PROVED,
-                a_multiset=dec.a_multiset,
-                period_used=plan.period,
-                check_bound=plan.bound,
-                derivation=dec.derivation,
-            )
-        return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, candidates))
-    else:
-        results = [check(f) for f in candidates]
-
-    proved = [c for c in results if c is not None]
+    holds = plan.holding(candidates)
+    proved = [
+        Certificate(
+            family=family,
+            target=space.target,
+            status=PROVED,
+            a_multiset=dec.a_multiset,
+            period_used=plan.period,
+            check_bound=plan.bound,
+            derivation=dec.derivation,
+        )
+        for family, ok in zip(candidates, holds)
+        if ok
+    ]
     proved.sort(key=lambda c: (len(c.family.left) + len(c.family.right), c.family.left, c.family.right))
 
     if redundancy_filter:
-        m = modulus.value
-        kept, basis = [], []
-        for cert in proved:
-            vec = _family_vector(cert.family, m)
-            if _implied(vec, basis, m, modulus.prime):
-                continue
-            _insert_basis(vec, basis, m, modulus.prime)
-            kept.append(cert)
-        proved = kept
+        basis = []
+        proved = [c for c in proved if _insert_basis(c.family.weights(), basis, modulus.value)]
     return proved

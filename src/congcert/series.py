@@ -344,7 +344,8 @@ def _mul_poly(arr, coeffs, m) -> None:
 
 def _div_poly(arr, coeffs, m) -> None:
     """Divide by an explicit polynomial via the causal recurrence (exact,
-    needs a unit constant term).  Only used for short validation lengths."""
+    needs a unit constant term).  Quadratic in the length: used for short
+    validation lengths and by `series_inverse`."""
     c0 = coeffs[0] % m
     try:
         inv0 = pow(c0, -1, m)
@@ -480,7 +481,8 @@ def series_mul(a: ModSeries, b: ModSeries) -> ModSeries:
     if m * m * n < (1 << 62):
         out = np.convolve(a.array()[:n], b.array()[:n])[:n] % m
         return ModSeries(modulus, out)
-    # exact big-int fallback; never hit for prime-power moduli within limits
+    # exact big-int fallback where int64 could overflow: for m = 10^9+7 that
+    # is every n >= 5
     xs, ys = a.coeffs[:n], b.coeffs[:n]
     out = [0] * n
     for i, x in enumerate(xs):
@@ -492,23 +494,10 @@ def series_mul(a: ModSeries, b: ModSeries) -> ModSeries:
 
 
 def series_inverse(a: ModSeries) -> ModSeries:
-    """Multiplicative inverse to the stored length via the causal recurrence."""
-    m = a.modulus.value
-    data = a.coeffs
-    try:
-        inv0 = pow(data[0], -1, m)
-    except ValueError:
-        raise NonUnitConstantTerm(
-            f"constant term {data[0]} is not invertible mod {m}"
-        ) from None
-    out = [0] * len(data)
-    out[0] = inv0
-    for k in range(1, len(data)):
-        s = 0
-        for i in range(1, k + 1):
-            if data[i]:
-                s += data[i] * out[k - i]
-        out[k] = (-inv0 * s) % m
+    """Multiplicative inverse to the stored length: 1 divided by a."""
+    out = np.zeros(a.length, dtype=np.int64)
+    out[0] = 1
+    _div_poly(out, a.coeffs, a.modulus.value)
     return ModSeries(a.modulus, out)
 
 

@@ -229,6 +229,10 @@ class TestSearchCommand:
         code, _ = run(["search", "--instance", instance_path(text)])
         assert code == 2
 
+    def test_threads_flag_removed(self, instance_path):
+        code, out = run(["search", "--instance", instance_path(TWO_ROWED_SEARCH), "--threads", "2"])
+        assert code == 2 and out == ""
+
 
 class TestOracleCommand:
     @pytest.mark.parametrize(

@@ -116,12 +116,6 @@ class TestSearchCertified:
         with pytest.raises(SplitFailed):
             search_certified(space)
 
-    def test_threaded_run_matches_sequential(self):
-        space = SearchSpace(GFKind.plane_rowed(3), MOD3, 3, 3)
-        assert [str(c.family) for c in search_certified(space)] == [
-            str(c.family) for c in search_certified(space, threads=4)
-        ]
-
 
 class TestSearchInvariants:
     def test_results_survive_spot_check_at_three_times_bound(self):
@@ -162,3 +156,80 @@ class TestRedundancyFilter:
     def test_default_reports_everything(self):
         space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2, allow_zero_right=False)
         assert len(search_certified(space)) == len(search_certified(space, redundancy_filter=False))
+
+
+BATCH_MODULI = (MOD2, MOD3, MOD5, MOD7, Modulus(2, 2), Modulus(2, 3), Modulus(3, 2))
+
+
+class TestBatchCheck:
+    def test_agrees_with_first_failure(self):
+        from congcert import Plan
+
+        total = held = 0
+        for rows in range(2, 10):
+            target = GFKind.plane_rowed(rows)
+            for modulus in BATCH_MODULI:
+                for delta in sorted({modulus.prime, modulus.value}):
+                    plan = Plan.build(target, modulus, delta)
+                    if plan.error is not None:
+                        continue
+                    families = enumerate_candidates(SearchSpace(target, modulus, delta, 4))
+                    batch = plan.holding(families)
+                    single = [plan.first_failure(f) is None for f in families]
+                    assert batch.tolist() == single, (rows, str(modulus), delta)
+                    total += len(families)
+                    held += sum(single)
+        # 14 spaces split; pinned so that the grid cannot shrink unnoticed
+        assert (total, held) == (1606, 46)
+
+    def test_candidate_of_another_modulus_rejected(self):
+        from congcert import CongruenceFamily, InvalidParameter
+
+        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2)
+        stray = CongruenceFamily(4, (3,), (), Modulus(2, 2))
+        with pytest.raises(InvalidParameter):
+            search_certified(space, candidates=enumerate_candidates(space) + [stray])
+
+    def test_empty_space(self):
+        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 1, allow_zero_right=False)
+        assert enumerate_candidates(space) == []
+        assert search_certified(space) == []
+        assert search_certified(space, redundancy_filter=True) == []
+
+
+# The kept lists of the benchmark's three sweep spaces, recorded before the
+# filter and the batch check were rewritten: (space, proved, kept).
+SWEEP_KEPT = [
+    (
+        SearchSpace(GFKind.plane_rowed(8), MOD2, 8, 6),
+        2825,
+        ["{5} == 0", "{6} == 0", "{7} == 0", "{0} == {4}", "{0} == {1,3}"],
+    ),
+    (SearchSpace(GFKind.plane_rowed(7), MOD7, 7, 6), 1, ["{2,3} == {4,5}"]),
+    (
+        SearchSpace(GFKind.overplane_rowed(4), Modulus(2, 2), 4, 7),
+        79,
+        [
+            "{1,1} == 0", "{2,2} == 0", "{3,3} == 0", "{1} == {2,3}", "{1,2} == {3}",
+            "{1,2,3} == 0", "{1,3} == {2}", "{1} == {2,2,2,3}", "{1} == {2,3,3,3}",
+            "{1,1,1} == {2,3}", "{1,1,1,2} == {3}", "{1,1,1,2,3} == 0", "{1,1,1,3} == {2}",
+            "{1,2} == {3,3,3}", "{1,2,2,2} == {3}", "{1,2,2,2,3} == 0", "{1,2,3,3,3} == 0",
+            "{1,3} == {2,2,2}", "{1,3,3,3} == {2}", "{0,0,0,0} == {1,2,3}",
+            "{0,0,0,0,1} == {2,3}", "{0,0,0,0,1,2} == {3}", "{0,0,0,0,1,3} == {2}",
+            "{0,0,0,0,2} == {1,3}", "{0,0,0,0,2,3} == {1}", "{0,0,0,0,3} == {1,2}",
+            "{1} == {2,2,2,2,2,3}", "{1} == {2,2,2,3,3,3}", "{1} == {2,3,3,3,3,3}",
+            "{1,1,1} == {2,2,2,3}", "{1,1,1} == {2,3,3,3}", "{1,1,1,1,1} == {2,3}",
+            "{1,1,1,1,1,2} == {3}", "{1,1,1,1,1,3} == {2}", "{1,1,1,2} == {3,3,3}",
+            "{1,1,1,2,2,2} == {3}", "{1,1,1,3} == {2,2,2}", "{1,1,1,3,3,3} == {2}",
+            "{1,2} == {3,3,3,3,3}", "{1,2,2,2} == {3,3,3}", "{1,2,2,2,2,2} == {3}",
+            "{1,3} == {2,2,2,2,2}", "{1,3,3,3} == {2,2,2}", "{1,3,3,3,3,3} == {2}",
+        ],
+    ),
+]
+
+
+class TestSweepKeptLists:
+    @pytest.mark.parametrize("space,proved,kept", SWEEP_KEPT, ids=["pl8 mod 2", "pl7 mod 7", "ovpl4 mod 4"])
+    def test_filtered_output_pinned(self, space, proved, kept):
+        assert len(search_certified(space)) == proved
+        assert [str(c.family) for c in search_certified(space, redundancy_filter=True)] == kept

@@ -139,6 +139,19 @@ class TestArithmetic:
         with pytest.raises(IndexOutOfRange):
             coefficient(s, -1)
 
+    def test_mul_big_modulus_matches_python_convolution(self):
+        # m*m*n >= 2^62 here, so this takes the exact big-int path
+        rng = random.Random(7)
+        m, n = BIG.value, 40
+        xs = [rng.randrange(m) for _ in range(n)]
+        ys = [rng.randrange(m) for _ in range(n)]
+        expected = [sum(xs[i] * ys[k - i] for i in range(k + 1)) % m for k in range(n)]
+        assert list(series_mul(ModSeries(BIG, xs), ModSeries(BIG, ys))) == expected
+
+    def test_inverse_non_unit_message(self):
+        with pytest.raises(NonUnitConstantTerm, match="constant term 3 is not invertible mod 9"):
+            series_inverse(ModSeries(Modulus(3, 2), [3, 1]))
+
 
 def random_spec(rng, max_factors=5):
     factors = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -541,10 +542,23 @@ def run_command(argv, out=None) -> int:
     except CongcertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        return 2
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`congcert search --json | head`): drop
+        # the unwritten rest so the interpreter's flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,19 +3,44 @@ plus symbolic products of factors (1 +- q^b)^e that expand into them.
 
 Coefficients are kept fully reduced in [0, m) inside int64 arrays; every
 pass reduces before the next, and cumulative sums are chunked whenever the
-worst-case partial sum could leave int64 range.  Factors are applied one
-unit of exponent at a time: multiplying or dividing by (1 +- q^b) is a
-single O(L) pass, so no binomial coefficient machinery is needed.
+worst-case partial sum could leave int64 range.
+
+Expansion to length L is exact and quasi-linear for the products that
+matter:
+
+- A tail of Euler shape, prod_{n>=start}(1 +- q^(sn))^e, is a power of
+  E(q^s) = prod_{n>=1}(1-q^(sn)) (using 1+x = (1-x^2)/(1-x)) times the
+  finite head it divides out.  E is sparse and is placed from the
+  pentagonal number theorem; E^e comes from repeated squaring, after a
+  Newton inversion g <- g(2 - Eg) when e < 0.
+- Explicit binomials and those finite heads are summed into one net
+  exponent per (sign, base), and each unit of it is one O(L) pass:
+  multiplying or dividing by (1 +- q^b).
+- Before either runs, an exponent divisible by ell^N moves to ell times its
+  base with exponent divided by ell, which agrees mod ell^N: so E^-10
+  mod 5 is taken as E(q^5)^-2, at a fifth of the length.
+- Products of series are float FFT convolutions (numpy.fft) rounded to
+  integers, exact because every output coefficient stays below 2^50: in
+  one pass while (m-1)^2 * L < 2^50, else over limbs of residues whose
+  width w satisfies (2^w-1)^2 * L < 2^50.  Each rounding is checked, and a
+  product that is not exact raises instead of returning a value.
+- Series inverses, and polynomial factors with negative exponents, use the
+  same Newton inversion.
+
+Tails with a base offset or an exponent that varies with n have no such
+closed form and are expanded from their factors.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    CongcertError,
     IndexOutOfRange,
     InvalidParameter,
     ModulusMismatch,
@@ -329,49 +354,14 @@ def _apply_binomial(arr, sign, base, exponent, m) -> None:
             _div_binomial(arr, sign, base, m)
 
 
-def _mul_poly(arr, coeffs, m) -> None:
+def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
+    if factor.exponent == 0:
+        return arr
     n = arr.size
-    src = arr.copy()
-    out = np.zeros(n, dtype=np.int64)
-    for pos, c in enumerate(coeffs):
-        c %= m
-        if c == 0 or pos >= n:
-            continue
-        out[pos:] += c * src[: n - pos]
-        out %= m
-    arr[:] = out
-
-
-def _div_poly(arr, coeffs, m) -> None:
-    """Divide by an explicit polynomial via the causal recurrence (exact,
-    needs a unit constant term).  Quadratic in the length: used for short
-    validation lengths and by `series_inverse`."""
-    c0 = coeffs[0] % m
-    try:
-        inv0 = pow(c0, -1, m)
-    except ValueError:
-        raise NonUnitConstantTerm(
-            f"constant term {coeffs[0]} is not invertible mod {m}"
-        ) from None
-    rest = [(j, coeffs[j] % m) for j in range(1, len(coeffs)) if coeffs[j] % m != 0]
-    a = arr.tolist()
-    out = [0] * len(a)
-    for k in range(len(a)):
-        s = a[k]
-        for j, cj in rest:
-            if j > k:
-                break
-            s -= cj * out[k - j]
-        out[k] = (s % m) * inv0 % m
-    arr[:] = out
-
-
-def _apply_poly(arr, factor: PolyFactor, m) -> None:
-    for _ in range(abs(factor.exponent)):
-        if factor.exponent > 0:
-            _mul_poly(arr, factor.coeffs, m)
-        else:
-            _div_poly(arr, factor.coeffs, m)
+    poly = np.array([c % m for c in factor.coeffs[:n]], dtype=np.int64)
+    if factor.exponent < 0:
+        poly = _inverse(poly, n, m, shown=factor.coeffs[0])
+    return _mul_mod(arr, _pow_mod(poly, abs(factor.exponent), m, n), m, n)
 
 
 def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
@@ -405,7 +395,9 @@ def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
     arr[:] = out
 
 
-def _apply_tail(arr, tail: TailFamily, m, fold_threshold=None) -> None:
+def _apply_tail(arr, tail: TailFamily, m) -> None:
+    """Tails without Euler shape: a base offset, or an exponent that varies
+    with n."""
     length = arr.size
     if tail.exp_scale != 0:
         # Exponent varies with n: expand factor by factor (used only at the
@@ -417,9 +409,7 @@ def _apply_tail(arr, tail: TailFamily, m, fold_threshold=None) -> None:
         return
 
     e = tail.exp_offset
-    threshold = fold_threshold
-    if threshold is None:
-        threshold = max(32, math.isqrt(length))
+    threshold = max(32, math.isqrt(length))
     n = tail.start
     while tail.base(n) < min(threshold, length):
         _apply_binomial(arr, tail.sign, tail.base(n), e, m)
@@ -439,23 +429,253 @@ def _apply_tail(arr, tail: TailFamily, m, fold_threshold=None) -> None:
             _fold_parts(arr, 2 * step, 2 * first, m, distinct=False)
 
 
+def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
+    """Record an Euler-shaped tail (no offset, constant exponent e) as powers
+    of E(q^s) = prod_{n>=1}(1-q^(sn)) and the finite head it divides out:
+
+        prod_{n>=start}(1-q^(sn))^e = E(q^s)^e * prod_{n<start}(1-q^(sn))^-e
+        prod_{n>=start}(1+q^(sn))^e = (E(q^2s)/E(q^s))^e * prod_{n<start}(1+q^(sn))^-e
+
+    the second because 1+x = (1-x^2)/(1-x).  E(q^s) is keyed (-1, s), as
+    the product of the factors (1-q^(sn))."""
+    s, e = tail.scale, tail.exp_offset
+    if tail.base(tail.start) >= length:
+        return
+    if tail.sign < 0:
+        euler[(-1, s)] = euler.get((-1, s), 0) + e
+    else:
+        euler[(-1, 2 * s)] = euler.get((-1, 2 * s), 0) + e
+        euler[(-1, s)] = euler.get((-1, s), 0) - e
+    for n in range(1, tail.start):
+        key = (tail.sign, s * n)
+        binomials[key] = binomials.get(key, 0) - e
+
+
 def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSeries:
-    """Expand a factor product to its first `length` coefficients mod m."""
+    """Expand a factor product to its first `length` coefficients mod m.
+
+    Binomial factors, and the finite heads that Euler-shaped tails divide
+    out, are first summed into one net exponent per (sign, base), and both
+    they and the powers of E(q^s) are reduced by `_frobenius`.  The powers
+    of E(q^s) form the starting series, and every other factor is applied
+    to it in turn."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
     m = modulus.value
-    arr = np.zeros(length, dtype=np.int64)
-    arr[0] = 1 % m
+    binomials = {}  # (sign, base) -> net exponent
+    euler = {}  # (-1, s) -> net exponent of E(q^s)
+    others = []
     for factor in spec.factors:
         if isinstance(factor, BinomialFactor):
-            _apply_binomial(arr, factor.sign, factor.base, factor.exponent, m)
-        elif isinstance(factor, PolyFactor):
-            _apply_poly(arr, factor, m)
-        elif isinstance(factor, TailFamily):
-            _apply_tail(arr, factor, m)
+            key = (factor.sign, factor.base)
+            binomials[key] = binomials.get(key, 0) + factor.exponent
+        elif isinstance(factor, TailFamily) and factor.exp_scale == 0 and factor.offset == 0:
+            _add_euler_tail(factor, length, binomials, euler)
+        elif isinstance(factor, (PolyFactor, TailFamily)):
+            others.append(factor)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
+    arr = _euler_product(_frobenius(euler, modulus), length, m)
+    for factor in others:
+        if isinstance(factor, PolyFactor):
+            arr = _apply_poly(arr, factor, m)
+        else:
+            _apply_tail(arr, factor, m)
+    for (sign, base), e in _frobenius(binomials, modulus).items():
+        _apply_binomial(arr, sign, base, e, m)
     return ModSeries(modulus, arr)
+
+
+def _frobenius(exponents: dict, modulus: Modulus) -> dict:
+    """Net exponents keyed by (sign, base), with every (1 +- q^b)^(ell^N c)
+    replaced by (1 +- q^(ell*b))^(ell^(N-1) c) for as long as that applies.
+
+    The two agree mod ell^N at every index: (1 +- x)^ell = 1 +- x^ell mod ell,
+    and A = B mod ell^j implies A^ell = B^ell mod ell^(j+1).  Bases only
+    grow, so visiting them in increasing order merges every moved exponent
+    before its base is reduced in turn."""
+    ell, unit = modulus.prime, modulus.value
+    net = dict(exponents)
+    heap = list(net)
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        key = heapq.heappop(heap)
+        e = net.pop(key)
+        if e % unit:
+            out[key] = e
+        elif e:
+            moved = (key[0], key[1] * ell)
+            if moved not in net:
+                heapq.heappush(heap, moved)
+            net[moved] = net.get(moved, 0) + e // ell
+    return out
+
+
+def _euler_product(euler: dict, length: int, m: int) -> np.ndarray:
+    """prod over s of E(q^s)^e, keyed (-1, s), to `length` coefficients
+    mod m: each power is taken at length ceil(length/s), then spread to
+    stride s."""
+    arr = None
+    for (_, s), e in euler.items():
+        if s >= length:
+            continue
+        power = _euler_power(e, -(-length // s), m)
+        if s > 1:
+            spread = np.zeros(length, dtype=np.int64)
+            spread[::s] = power
+            power = spread
+        arr = power if arr is None else _mul_mod(arr, power, m, length)
+    if arr is None:
+        arr = np.zeros(length, dtype=np.int64)
+        arr[0] = 1 % m
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# exact products, inverses and powers of Euler's product
+
+
+def _euler(n: int, m: int) -> np.ndarray:
+    """E = prod_{k>=1}(1-q^k) to n coefficients mod m, placed from the
+    pentagonal number theorem: E = sum over k in Z of (-1)^k q^(k(3k-1)/2)."""
+    out = np.zeros(n, dtype=np.int64)
+    out[0] = 1
+    k = np.arange(1, math.isqrt(n) + 2, dtype=np.int64)
+    signs = np.where(k % 2 == 1, -1, 1)
+    for exps in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+        keep = exps < n
+        out[exps[keep]] = signs[keep]
+    return out % m
+
+
+def _euler_power(e: int, n: int, m: int) -> np.ndarray:
+    """E^e to n coefficients mod m, for any nonzero integer e."""
+    base = _euler(n, m)
+    if e < 0:
+        base = _inverse(base, n, m, shown=1)
+    return _pow_mod(base, abs(e), m, n)
+
+
+def _pow_mod(f: np.ndarray, e: int, m: int, n: int) -> np.ndarray:
+    """f^e to n coefficients mod m by repeated squaring, e >= 1."""
+    result = None
+    while True:
+        if e & 1:
+            result = f if result is None else _mul_mod(result, f, m, n)
+        e >>= 1
+        if not e:
+            return result
+        f = _mul_mod(f, f, m, n)
+
+
+def _inverse(f: np.ndarray, n: int, m: int, shown) -> np.ndarray:
+    """1/f to n coefficients mod m by Newton iteration g <- g(2 - fg), which
+    doubles the number of correct coefficients each step: if fg = 1 + q^k t
+    then f g(2 - fg) = 1 - q^2k t^2.  `shown` is the constant term as the
+    caller wrote it, for the error message."""
+    try:
+        inv0 = pow(int(f[0]) % m, -1, m)
+    except ValueError:
+        raise NonUnitConstantTerm(f"constant term {shown} is not invertible mod {m}") from None
+    g = np.zeros(n, dtype=np.int64)
+    g[0] = inv0
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        t = _mul_mod(f[:k2], g[:k], m, k2)[k:]
+        g[k:k2] = -_mul_mod(g[:k], t, m, k2 - k) % m
+        k = k2
+    return g
+
+
+# A float64 FFT product rounds to the exact integers while every output
+# coefficient stays below this in absolute value.
+_FFT_EXACT_LIMIT = 1 << 50
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: sizes numpy.fft transforms fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _limb_width(m: int, terms: int) -> int:
+    """Bits per limb that keep a sum of `terms` limb products below
+    _FFT_EXACT_LIMIT; 0 when whole residues already do (one limb)."""
+    if (m - 1) ** 2 * terms < _FFT_EXACT_LIMIT:
+        return 0
+    width = 1
+    while ((2 << width) - 1) ** 2 * terms < _FFT_EXACT_LIMIT:
+        width += 1
+    return width
+
+
+def _limbs(x: np.ndarray, m: int, width: int) -> list:
+    """The residues x as int64 limbs with sum_i limb_i * 2^(width*i) = x
+    (mod m): centred into (-m/2, m/2], then, when width > 0, split into
+    balanced digits in [-2^(width-1), 2^(width-1)).  Both halve the
+    magnitudes the limb bound allows for."""
+    x = np.where(x > m // 2, x - m, x)
+    if width == 0:
+        return [x]
+    half = 1 << (width - 1)
+    limbs = []
+    for _ in range(-(-(m.bit_length() + 1) // width) - 1):
+        low = ((x + half) & ((1 << width) - 1)) - half
+        limbs.append(low)
+        x = (x - low) >> width
+    limbs.append(x)
+    return limbs
+
+
+def _convolve(x: np.ndarray, y: np.ndarray, size: int, keep: int) -> np.ndarray:
+    """First `keep` coefficients of the integer convolution x*y, by one
+    float FFT product of length `size`, rounded only after checking that
+    every output is below 2^52 and lies less than 1/4 from an integer."""
+    fy = np.fft.rfft(y, size)
+    fy *= fy if y is x else np.fft.rfft(x, size)
+    raw = np.fft.irfft(fy, size)[:keep]
+    del fy
+    exact = np.rint(raw)
+    raw -= exact  # now the rounding error
+    # from 2^52 on every float is an integer: nothing left to check
+    if np.abs(raw).max() >= 0.25 or np.abs(exact).max() >= 2.0**52:
+        raise CongcertError(
+            f"FFT product lost exactness (length {keep}); the limb bound does not hold"
+        )
+    return exact.astype(np.int64)
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
+    """First n coefficients of a*b mod m, exactly, for residue arrays a, b:
+    one exact convolution per pair of limbs."""
+    square = a is b
+    a, b = a[:n], b[:n]
+    size = _fft_size(a.size + b.size - 1)
+    keep = min(n, size)
+    width = _limb_width(m, min(a.size, b.size))
+    limbs_a = _limbs(a, m, width)
+    limbs_b = limbs_a if square else _limbs(b, m, width)
+    out = np.zeros(n, dtype=np.int64)
+    for i, x in enumerate(limbs_a):
+        for j, y in enumerate(limbs_b):
+            part = _convolve(x, y, size, keep)
+            part %= m
+            part *= pow(2, width * (i + j), m)
+            out[:keep] += part
+            out %= m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,29 +696,13 @@ def series_add(a: ModSeries, b: ModSeries) -> ModSeries:
 
 def series_mul(a: ModSeries, b: ModSeries) -> ModSeries:
     modulus = _common_modulus(a, b)
-    m = modulus.value
     n = min(a.length, b.length)
-    if m * m * n < (1 << 62):
-        out = np.convolve(a.array()[:n], b.array()[:n])[:n] % m
-        return ModSeries(modulus, out)
-    # exact big-int fallback where int64 could overflow: for m = 10^9+7 that
-    # is every n >= 5
-    xs, ys = a.coeffs[:n], b.coeffs[:n]
-    out = [0] * n
-    for i, x in enumerate(xs):
-        if x == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] = (out[i + j] + x * ys[j]) % m
-    return ModSeries(modulus, out)
+    return ModSeries(modulus, _mul_mod(a.array(), b.array(), modulus.value, n))
 
 
 def series_inverse(a: ModSeries) -> ModSeries:
     """Multiplicative inverse to the stored length: 1 divided by a."""
-    out = np.zeros(a.length, dtype=np.int64)
-    out[0] = 1
-    _div_poly(out, a.coeffs, a.modulus.value)
-    return ModSeries(a.modulus, out)
+    return ModSeries(a.modulus, _inverse(a.array(), a.length, a.modulus.value, shown=a[0]))
 
 
 def coefficient(a: ModSeries, n: int) -> int:

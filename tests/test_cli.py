@@ -312,6 +312,16 @@ class TestCommittedInstances:
         assert code == 0, out
         assert "COUNTEREXAMPLE" not in out
 
+    def test_eleven_rowed_counterexample(self):
+        import os
+
+        path = os.path.join(self.INSTANCE_DIR, "eleven_rowed_mod11.cfg")
+        code, out = run(["certify", "--instance", path, "--json"])
+        assert code == 1
+        (doc,) = json.loads(out)
+        assert doc["status"] == "COUNTEREXAMPLE"
+        assert doc["witness"] == {"n": 0, "left_sum": 1, "right_sum": 0}
+
     def test_committed_search_instance(self):
         import os
 
@@ -351,3 +361,40 @@ class TestRemovedKeys:
     def test_window_key_rejected(self):
         with pytest.raises(ParseError, match="unknown key 'window'"):
             parse_instance_file(THREE_ROWED + "window = 3\n")
+
+
+class TestResourceFailures:
+    def test_memory_error_exits_two_with_message(self, monkeypatch, capsys, instance_path):
+        import congcert.cli as cli
+
+        def exhausted(args, out):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "certify", exhausted)
+        code, out = run(["certify", "--instance", instance_path(THREE_ROWED)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: out of memory in certify\n"
+
+    def test_broken_pipe_exits_two(self, instance_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = instance_path(TWO_ROWED_SEARCH)
+        assert run_command(["search", "--instance", path, "--json"], out=ClosedPipe()) == 2
+
+    def test_main_with_closed_stdout_exits_two_without_traceback(self, instance_path):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "congcert.cli", "search", "--json",
+                "--instance", instance_path(TWO_ROWED_SEARCH)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err and "Exception ignored" not in err

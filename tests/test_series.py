@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from congcert import (
     BinomialFactor,
+    CongcertError,
     IndexOutOfRange,
     InvalidParameter,
     ModSeries,
@@ -249,3 +251,142 @@ class TestImmutability:
         s = unit_series(MOD3, 5)
         with pytest.raises(AttributeError):
             s.modulus = MOD2
+
+
+def _factor_by_factor(tail, modulus, length):
+    """The tail expanded one explicit factor (1 +- q^b)^e at a time, one pass
+    per unit of exponent, by plain numpy shifts."""
+    m = modulus.value
+    c = np.zeros(length, dtype=np.int64)
+    c[0] = 1
+    n = tail.start
+    while tail.base(n) < length:
+        b, sign, e = tail.base(n), tail.sign, tail.exp_offset
+        for _ in range(abs(e)):
+            if e > 0:
+                c[b:] = (c[b:] + sign * c[: length - b]) % m
+            else:
+                for k in range(b, length, b):
+                    hi = min(k + b, length)
+                    c[k:hi] = (c[k:hi] - sign * c[k - b : hi - b]) % m
+        n += 1
+    return c.tolist()
+
+
+def _pentagonal(count):
+    """Generalised pentagonal numbers k(3k-1)/2 for k = 1, -1, 2, -2, ..."""
+    out = []
+    k = 1
+    while len(out) < count:
+        out += [k * (3 * k - 1) // 2, k * (3 * k + 1) // 2]
+        k += 1
+    return out[:count]
+
+
+def _python_convolution_at(xs, ys, k):
+    return sum(map(int.__mul__, xs[: k + 1], reversed(ys[: k + 1])))
+
+
+KERNEL_MODULI = [
+    MOD2,
+    Modulus(2, 3),
+    MOD3,
+    Modulus(3, 2),
+    MOD5,
+    Modulus(7, 1),
+    Modulus(2, 30),
+    BIG,
+]
+
+
+class TestEulerKernel:
+    """Euler-shaped tails (no offset, constant exponent) go through powers of
+    E = prod(1-q^n); the reference expands the same tail factor by factor."""
+
+    def check(self, tail, modulus, length):
+        got = list(expand([tail], modulus, length))
+        assert got == _factor_by_factor(tail, modulus, length), f"{tail} mod {modulus} len {length}"
+
+    def random_tail(self, rng):
+        return TailFamily(
+            sign=rng.choice([1, -1]),
+            start=rng.randint(1, 7),
+            exp_offset=rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4]),
+            scale=rng.randint(1, 4),
+        )
+
+    def test_random_tails_match_explicit_factors(self):
+        rng = random.Random(404)
+        for _ in range(120):
+            length = rng.choice([rng.randint(1, 60), rng.randint(1, 600), rng.randint(1, 3000)])
+            self.check(self.random_tail(rng), rng.choice(KERNEL_MODULI), length)
+
+    def test_short_and_pentagonal_lengths(self):
+        rng = random.Random(405)
+        lengths = [1, 2] + [p + d for p in _pentagonal(12) for d in (-1, 0, 1) if p + d >= 1]
+        for length in lengths:
+            self.check(self.random_tail(rng), rng.choice(KERNEL_MODULI), length)
+
+    def test_jacobi_cube_identity(self):
+        # E^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), here through the limb path
+        length = 10**5
+        want = [0] * length
+        k = 0
+        while k * (k + 1) // 2 < length:
+            want[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1) % BIG.value
+            k += 1
+        got = expand([TailFamily(sign=-1, start=1, exp_offset=3)], BIG, length)
+        assert list(got) == want
+
+    def test_inverse_euler_is_partition_numbers(self):
+        length = 2000
+        pentagonal = _pentagonal(80)  # the generalised ones below 2,000 and a few more
+        p = [1] + [0] * (length - 1)
+        for n in range(1, length):
+            for j, g in enumerate(pentagonal):
+                if g > n:
+                    break
+                p[n] += p[n - g] if j % 4 < 2 else -p[n - g]
+        for modulus in (MOD2, Modulus(3, 2), BIG):
+            got = expand([TailFamily(sign=-1, start=1, exp_offset=-1)], modulus, length)
+            assert list(got) == [c % modulus.value for c in p]
+
+    @pytest.mark.parametrize(
+        "rows,prime,length,digest,total",
+        [
+            (9, 3, 45369, "b3b5cf11bbb0bc6d", 45449),
+            (10, 5, 63005, "69fb39fd62ca150f", 126637),
+        ],
+    )
+    def test_ladder_prefix_digests(self, rows, prime, length, digest, total):
+        # recorded with the factor-by-factor kernel that preceded the Euler route
+        import hashlib
+
+        from congcert import GFKind, build_spec
+
+        s = series_from_spec(build_spec(GFKind.plane_rowed(rows)), Modulus(prime, 1), length)
+        data = s.array().astype("<i8")
+        assert hashlib.sha256(data.tobytes()).hexdigest()[:16] == digest
+        assert int(data.sum()) == total
+
+
+class TestExactProduct:
+    @pytest.mark.parametrize("modulus", [BIG, Modulus(2, 30)], ids=str)
+    def test_limb_path_matches_python_convolution(self, modulus):
+        rng = random.Random(modulus.value)
+        n = 1 << 16
+        xs = [rng.randrange(modulus.value) for _ in range(n)]
+        ys = [rng.randrange(modulus.value) for _ in range(n)]
+        got = series_mul(ModSeries(modulus, xs), ModSeries(modulus, ys))
+        for k in rng.sample(range(n), 200) + [0, n - 1]:
+            assert got[k] == _python_convolution_at(xs, ys, k) % modulus.value, k
+
+    def test_guard_rejects_inexact_rounding(self, monkeypatch):
+        # lift the limb bound: one float pass over 30-bit residues cannot be exact
+        import congcert.series as series
+
+        monkeypatch.setattr(series, "_FFT_EXACT_LIMIT", 1 << 80)
+        rng = random.Random(3)
+        xs = [rng.randrange(BIG.value) for _ in range(4096)]
+        with pytest.raises(CongcertError, match="lost exactness"):
+            series_mul(ModSeries(BIG, xs), ModSeries(BIG, xs[::-1]))

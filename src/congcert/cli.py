@@ -32,7 +32,7 @@ from .oracles import (
 )
 from .periods import PartMultiset, empirical_min_period, kwong_period
 from .prover import COUNTEREXAMPLE, INAPPLICABLE, CongruenceFamily, Plan, spot_check
-from .search import SearchSpace, enumerate_candidates, search_certified
+from .search import DEFAULT_CANDIDATE_CAP, SearchSpace, enumerate_candidates, search_certified
 from .series import (
     BinomialFactor,
     Modulus,
@@ -312,22 +312,28 @@ def _exit_code(certs) -> int:
     return 0
 
 
+def _given(*values):
+    """The first value that is not None: an explicit 0 is given, not unset."""
+    return next((v for v in values if v is not None), None)
+
+
 def _load_instance(path: str) -> InstanceFile:
     with open(path, encoding="utf-8") as handle:
         return parse_instance_file(handle.read())
 
 
 def _cmd_period(args, out) -> int:
+    if args.window < 2:
+        raise SemanticError("--window must be >= 2")
     multiset = PartMultiset.parse(args.multiset)
     info = kwong_period(multiset, args.prime, args.power)
     print(info.period, file=out)
     if args.empirical:
         modulus = Modulus(args.prime, args.power)
-        window = args.window or 3
         series = series_from_spec(
-            multiset.to_product_spec(), modulus, window * info.period
+            multiset.to_product_spec(), modulus, args.window * info.period
         )
-        observed = empirical_min_period(series, info.period, window)
+        observed = empirical_min_period(series, info.period, args.window)
         print(f"empirical minimal period: {observed}", file=out)
         if observed != info.period:
             return 1
@@ -339,12 +345,11 @@ def _cmd_expand(args, out) -> int:
         instance = _load_instance(args.instance)
         target, modulus = instance.target, instance.modulus
     else:
-        if not (args.target and args.prime and args.power):
+        if args.target is None or args.prime is None:
             raise SemanticError("expand needs --instance or --target/--prime/--power")
         target = _parse_target(args.target, 0)
         modulus = Modulus(args.prime, args.power)
-    length = args.length or 32
-    series = series_from_spec(build_spec(target), modulus, length)
+    series = series_from_spec(build_spec(target), modulus, args.length)
     print(",".join(str(c) for c in series), file=out)
     return 0
 
@@ -370,7 +375,7 @@ def _cmd_spot_check(args, out) -> int:
     instance = _load_instance(args.instance)
     if not instance.families:
         raise SemanticError("instance declares no families to check")
-    n_max = args.n_max or instance.n_max
+    n_max = _given(args.n_max, instance.n_max)
     if n_max is None:
         raise SemanticError("spot-check needs --n-max or an n_max key")
     failed = False
@@ -387,7 +392,7 @@ def _cmd_spot_check(args, out) -> int:
 
 def _cmd_search(args, out) -> int:
     instance = _load_instance(args.instance)
-    max_terms = args.max_terms or instance.max_terms
+    max_terms = _given(args.max_terms, instance.max_terms)
     if max_terms is None:
         raise SemanticError("search needs --max-terms or a max_terms key")
     space = SearchSpace(
@@ -396,7 +401,7 @@ def _cmd_search(args, out) -> int:
         delta=instance.delta,
         max_terms=max_terms,
         allow_zero_right=instance.allow_zero_right,
-        candidate_cap=args.cap or instance.cap or 10**6,
+        candidate_cap=_given(args.cap, instance.cap, DEFAULT_CANDIDATE_CAP),
     )
     candidates = enumerate_candidates(space)
     print(f"candidates: {len(candidates)}", file=out)
@@ -426,13 +431,13 @@ def _cmd_oracle(args, out) -> int:
             raise SemanticError("oracle multiset needs --multiset")
         value = count_partitions_multiset(args.n, PartMultiset.parse(args.multiset))
     elif counter == "maxpart":
-        value = count_partitions_max_part(args.n, args.m or args.n)
+        value = count_partitions_max_part(args.n, _given(args.m, args.n))
     elif counter == "plane_rowed":
-        value = count_plane_partitions_rowed(args.n, args.r or args.n, args.c)
+        value = count_plane_partitions_rowed(args.n, _given(args.r, args.n), args.c)
     elif counter == "overpartitions":
         value = count_overpartitions(args.n)
     elif counter == "overplane_rowed":
-        value = count_plane_overpartitions_rowed(args.n, args.k or args.n)
+        value = count_plane_overpartitions_rowed(args.n, _given(args.k, args.n))
     else:
         raise SemanticError(f"unknown counter {counter!r}")
     print(value, file=out)
@@ -443,7 +448,9 @@ def _cmd_table(args, out) -> int:
     instance = _load_instance(args.instance)
     if not instance.families:
         raise SemanticError("instance declares no families to tabulate")
-    rows = args.rows or 6
+    rows = args.rows
+    if rows < 1:
+        raise SemanticError("--rows must be >= 1")
     delta, modulus = instance.delta, instance.modulus
     series = series_from_spec(
         build_spec(instance.target), modulus, delta * rows + delta
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--empirical", action="store_true", help="confirm on the expanded series")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=int, default=3)
 
     p = sub.add_parser("expand", help="print series coefficients")
     p.add_argument("--instance")

@@ -16,7 +16,7 @@ the whole decomposition, since it would mean an unsound rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -284,6 +284,18 @@ def _reduce_binomial(sign, base, exponent, modulus):
     return (new_base, new_exp) if changed else None
 
 
+def _reduce_tail(tail: TailFamily, modulus: Modulus) -> TailFamily | None:
+    """`_reduce_binomial` on a constant-exponent tail: the exponent divided by
+    a power of ell that multiplies every base.  None when no rewrite applies."""
+    if tail.exp_scale != 0:
+        return None
+    red = _reduce_binomial(tail.sign, 1, tail.exp_offset, modulus)
+    if red is None:
+        return None
+    ratio, exponent = red  # from base 1, the new base is the power of ell
+    return replace(tail, exp_offset=exponent, scale=tail.scale * ratio, offset=tail.offset * ratio)
+
+
 def reduce_spec(spec: ProductSpec, modulus: Modulus, validation_length: int | None = None):
     """Rewrite a product into a congruent one mod ell^N: exponent-divisibility
     reductions on every factor, then collapse of plus-sign numerators with
@@ -309,27 +321,12 @@ def reduce_spec(spec: ProductSpec, modulus: Modulus, validation_length: int | No
 
     new_tails = []
     for tail in ws.tails:
-        red = None
-        if tail.exp_scale == 0:
-            red = _reduce_binomial(tail.sign, 0, tail.exp_offset, modulus)
-        if red is None:
+        moved = _reduce_tail(tail, modulus)
+        if moved is None:
             new_tails.append(tail)
             continue
-        # exponent rewrite scales every base in the family uniformly
-        factor_ratio = (
-            abs(tail.exp_offset) // abs(red[1]) if red[1] != 0 else 0
-        )
-        new_tail = TailFamily(
-            sign=tail.sign,
-            start=tail.start,
-            exp_offset=red[1],
-            scale=tail.scale * factor_ratio,
-            offset=tail.offset * factor_ratio,
-        )
-        ws.apply_rule(
-            f"power-reduce: {tail} -> {new_tail} (mod {modulus})", [tail], [new_tail]
-        )
-        new_tails.append(new_tail)
+        ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
+        new_tails.append(moved)
     ws.tails = new_tails
 
     for (sign, base), e in sorted(list(ws.binomials.items()), key=lambda kv: kv[0][1]):
@@ -578,25 +575,14 @@ def split_AB(
         classify_minus(base, e)
 
     for tail in ws.tails:
-        if tail.scale % delta == 0 and tail.offset % delta == 0:
+        if _structurally_supported(tail, delta):
             b_factors.append(tail)
             continue
-        red = _reduce_binomial(tail.sign, 0, tail.exp_offset, modulus)
-        if red is not None:
-            ratio = abs(tail.exp_offset) // abs(red[1])
-            moved = TailFamily(
-                sign=tail.sign,
-                start=tail.start,
-                exp_offset=red[1],
-                scale=tail.scale * ratio,
-                offset=tail.offset * ratio,
-            )
-            if moved.scale % delta == 0 and moved.offset % delta == 0:
-                ws.apply_rule(
-                    f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved]
-                )
-                b_factors.append(moved)
-                continue
+        moved = _reduce_tail(tail, modulus)
+        if moved is not None and _structurally_supported(moved, delta):
+            ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
+            b_factors.append(moved)
+            continue
         raise SplitFailed(f"tail {tail} cannot be supported on {delta}Z")
 
     for poly in ws.polys:

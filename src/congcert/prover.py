@@ -18,7 +18,6 @@ expanded for what a reader checks by hand: the sums reported in a witness
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -45,9 +44,11 @@ INAPPLICABLE = "INAPPLICABLE"
 class CongruenceFamily:
     """sum of lambda(delta*n + a) over left == sum over right, mod ell^N.
 
-    Construction canonicalizes: residues sorted, entries common to both sides
-    cancelled, and the lexicographically smaller side stored on the left
-    (an empty right side stays right; it encodes "== 0")."""
+    Construction keeps only the signed residue counts (`weights`: +1 per left
+    residue, -1 per right one), so common residues cancel.  The positive
+    counts give one side and the negative counts the other, each ascending;
+    the lexicographically smaller side is stored on the left (an empty right
+    side stays right; it encodes "== 0")."""
 
     delta: int
     left: tuple
@@ -57,29 +58,24 @@ class CongruenceFamily:
     def __post_init__(self):
         if self.delta < 1:
             raise InvalidParameter("delta must be >= 1")
-        left = sorted(int(a) for a in self.left)
-        right = sorted(int(b) for b in self.right)
-        for r in left + right:
-            if not 0 <= r < self.delta:
-                raise InvalidParameter(f"residue {r} outside [0, {self.delta})")
-        left, right = _cancel_common(left, right)
+        left, right = [], []
+        for r, c in enumerate(_signed_counts(self.delta, self.left, self.right)):
+            if c > 0:
+                left += [r] * c
+            elif c < 0:
+                right += [r] * -c
+        left, right = tuple(left), tuple(right)
         if not left and not right:
             raise InvalidParameter("family is trivial after cancellation")
-        if right and (not left or tuple(right) < tuple(left)):
+        if right and (not left or right < left):
             left, right = right, left
-        object.__setattr__(self, "left", tuple(left))
-        object.__setattr__(self, "right", tuple(right))
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def weights(self) -> tuple:
-        """Signed residue counts, +1 per left residue and -1 per right one, as
-        a length-delta tuple: the family holds at n exactly when they weight
-        the coefficients at delta*n + r, r < delta, to a sum of 0 mod ell^N."""
-        counts = [0] * self.delta
-        for a in self.left:
-            counts[a] += 1
-        for b in self.right:
-            counts[b] -= 1
-        return tuple(counts)
+        """Signed residue counts as a length-delta tuple: the family holds at n
+        exactly when they weight the coefficients at delta*n + r to 0 mod ell^N."""
+        return tuple(_signed_counts(self.delta, self.left, self.right))
 
     def __str__(self):
         lhs = "{" + ",".join(str(a) for a in self.left) + "}"
@@ -87,10 +83,17 @@ class CongruenceFamily:
         return f"{lhs} == {rhs}"
 
 
-def _cancel_common(left, right):
-    cl, cr = Counter(left), Counter(right)
-    common = cl & cr
-    return sorted((cl - common).elements()), sorted((cr - common).elements())
+def _signed_counts(delta: int, left, right) -> list:
+    """+1 per left residue and -1 per right one at index r < delta.  A residue
+    outside [0, delta) is rejected, the least one of the left side first."""
+    counts = [0] * delta
+    for side, step in ((left, 1), (right, -1)):
+        for r in map(int, side):
+            if not 0 <= r < delta:
+                least = min(r for r in map(int, side) if not 0 <= r < delta)
+                raise InvalidParameter(f"residue {least} outside [0, {delta})")
+            counts[r] += step
+    return counts
 
 
 @dataclass(frozen=True)

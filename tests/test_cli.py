@@ -322,6 +322,30 @@ class TestCommittedInstances:
         assert doc["status"] == "COUNTEREXAMPLE"
         assert doc["witness"] == {"n": 0, "left_sum": 1, "right_sum": 0}
 
+    def test_numerator_head_instance(self):
+        import os
+
+        path = os.path.join(self.INSTANCE_DIR, "numerator_head_mod3.cfg")
+        code, out = run(["certify", "--instance", path, "--json"])
+        assert code == 1
+        proved, failed = json.loads(out)
+        assert (proved["family"], proved["status"]) == ("{0} == {2}", "PROVED")
+        assert (proved["period"], proved["check_bound"]) == (6, 2)
+        assert proved["derivation"] == ["expand: (1-q^1)^6 -> (1+q^3+q^6) (mod 3)"]
+        assert (failed["family"], failed["status"]) == ("{1} == 0", "COUNTEREXAMPLE")
+        assert failed["witness"] == {"n": 1, "left_sum": 1, "right_sum": 0}
+
+    def test_unsupported_numerator_is_inapplicable(self, instance_path):
+        path = instance_path(
+            "prime = 2\nexponent = 1\ndelta = 2\n"
+            "target = raw: (1-q^1)^1 (1-q^3)^-1\nfamily = {0} == {1}\n"
+        )
+        code, out = run(["certify", "--instance", path, "--json"])
+        assert code == 2
+        (doc,) = json.loads(out)
+        assert doc["status"] == "INAPPLICABLE"
+        assert doc["reason"] == "SplitFailed: numerator (1-q^1)^1 is not supported on 2Z"
+
     def test_committed_search_instance(self):
         import os
 
@@ -398,3 +422,55 @@ class TestResourceFailures:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+class TestExplicitZero:
+    """0 is a value, not "unset": each is rejected with exit 2 and a message."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["expand", "--target", "plane_rowed(4)", "--prime", "2", "--length", "0"],
+             "length must be >= 1"),
+            (["table", "--rows", "0"], "--rows must be >= 1"),
+            (["search", "--max-terms", "2", "--cap", "0"], "SpaceTooLarge: more than 0 candidates"),
+            (["search", "--max-terms", "0"], "max_terms must be >= 1"),
+            (["spot-check", "--n-max", "0"], "n_max must be >= 1"),
+            (["oracle", "--counter", "maxpart", "--n", "5", "--m", "0"], "max_part must be >= 1"),
+            (["oracle", "--counter", "plane_rowed", "--n", "5", "--r", "0"],
+             "max_rows must be >= 1"),
+            (["oracle", "--counter", "overplane_rowed", "--n", "5", "--k", "0"],
+             "max_rows must be >= 1"),
+            (["period", "--multiset", "1,2", "--prime", "2", "--empirical", "--window", "0"],
+             "--window must be >= 2"),
+        ],
+        ids=["length", "rows", "cap", "max-terms", "n-max", "m", "r", "k", "window"],
+    )
+    def test_flag(self, argv, message, capsys, instance_path):
+        if argv[0] in ("table", "search", "spot-check"):
+            argv = argv[:1] + ["--instance", instance_path(THREE_ROWED)] + argv[1:]
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "key,argv,message",
+        [
+            ("cap", ["search", "--max-terms", "2"], "SpaceTooLarge: more than 0 candidates"),
+            ("max_terms", ["search"], "max_terms must be >= 1"),
+            ("n_max", ["spot-check"], "n_max must be >= 1"),
+        ],
+    )
+    def test_instance_key(self, key, argv, message, capsys, instance_path):
+        path = instance_path(THREE_ROWED + f"{key} = 0\n")
+        code, out = run(argv[:1] + ["--instance", path] + argv[1:])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_unset_flags_keep_their_defaults(self, instance_path):
+        code, out = run(["expand", "--target", "plane_rowed(2)", "--prime", "2"])
+        assert code == 0 and len(out.split(",")) == 32
+        code, out = run(["table", "--instance", instance_path(THREE_ROWED)])
+        assert code == 0 and out.count("\n") == 2 * (2 + 6)
+        code, out = run(["oracle", "--counter", "maxpart", "--n", "5"])
+        assert (code, out) == (0, "7\n")

@@ -81,6 +81,20 @@ class TestReduceSpec:
         assert isinstance(poly, PolyFactor)
         assert {i: c for i, c in enumerate(poly.coeffs) if c} == {0: 1, 12: 2, 24: 1}
 
+    @pytest.mark.parametrize(
+        "sign,modulus,want",
+        [
+            (-1, MOD2, "prod_{n>=3}(1-q^4n+4)^-3"),
+            (-1, MOD4, "prod_{n>=3}(1-q^2n+2)^-6"),
+            (1, MOD3, "prod_{n>=3}(1+q^3n+3)^-4"),
+        ],
+    )
+    def test_tail_power_scales_every_base(self, sign, modulus, want):
+        tail = TailFamily(sign=sign, start=3, exp_offset=-12, offset=1)
+        spec, deriv = reduce_spec(ProductSpec((tail,)), modulus)
+        assert [str(f) for f in spec.factors] == [want]
+        assert deriv == (f"power-reduce: {tail} -> {want} (mod {modulus})",)
+
     def test_every_step_preserves_the_series(self):
         cases = [
             (ProductSpec((BinomialFactor(-1, 2, -6), BinomialFactor(1, 3, 9))), MOD3),
@@ -167,6 +181,44 @@ class TestSplit:
         spec = ProductSpec((BinomialFactor(-1, 4, -1),))
         with pytest.raises(SplitFailed):
             split_AB(spec, MOD2, 4)
+
+
+class TestSplitBranches:
+    """Branches of split_AB that the committed targets never reach."""
+
+    def test_unsupported_numerator_fails(self):
+        spec = ProductSpec((BinomialFactor(-1, 1, 1), BinomialFactor(-1, 3, -1)))
+        with pytest.raises(SplitFailed) as exc:
+            split_AB(spec, MOD2, 2)
+        assert str(exc.value) == "numerator (1-q^1)^1 is not supported on 2Z"
+
+    def test_numerator_collapses_onto_the_progression(self):
+        dec = split_AB(
+            ProductSpec((BinomialFactor(-1, 1, 6), BinomialFactor(-1, 2, -1))), MOD3, 3
+        )
+        assert str(dec.a_multiset) == "2"
+        assert str(dec.a_spec) == "(1-q^2)^-1"
+        assert str(dec.b_spec) == "(1+q^3+q^6)"
+        assert dec.derivation == ("expand: (1-q^1)^6 -> (1+q^3+q^6) (mod 3)",)
+
+    def test_supported_tail_goes_straight_to_B(self):
+        tail = TailFamily(sign=-1, start=1, exp_offset=-1, scale=2)
+        dec = split_AB(ProductSpec((BinomialFactor(-1, 1, -1), tail)), MOD2, 2)
+        assert dec.a_multiset == PartMultiset.parse("1")
+        assert dec.b_spec.factors == (tail,)
+        assert dec.derivation == ()
+
+    def test_supported_polynomial_goes_to_B(self):
+        spec = ProductSpec((BinomialFactor(-1, 1, -1), PolyFactor((1, 0, 1))))
+        dec = split_AB(spec, MOD2, 2)
+        assert dec.b_spec.factors == (PolyFactor((1, 0, 1)),)
+        assert dec.a_multiset == PartMultiset.parse("1")
+
+    def test_unsupported_polynomial_fails(self):
+        spec = ProductSpec((BinomialFactor(-1, 1, -1), PolyFactor((1, 1))))
+        with pytest.raises(SplitFailed) as exc:
+            split_AB(spec, MOD2, 2)
+        assert str(exc.value) == "polynomial (1+q^1) is not supported on 2Z"
 
 
 class TestBCertificate:

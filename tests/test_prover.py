@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from congcert import (
@@ -65,6 +68,51 @@ class TestFamilyCanonicalization:
     def test_rejects_fully_cancelled(self):
         with pytest.raises(InvalidParameter):
             CongruenceFamily(3, (1,), (1,), MOD3)
+
+    @staticmethod
+    def reference(delta, left, right):
+        """Canonical (left, right) by sorting, multiset cancellation and the
+        side swap, or the InvalidParameter message."""
+        left, right = sorted(left), sorted(right)
+        for r in left + right:
+            if not 0 <= r < delta:
+                return f"residue {r} outside [0, {delta})"
+        cl, cr = Counter(left), Counter(right)
+        common = cl & cr
+        left, right = sorted((cl - common).elements()), sorted((cr - common).elements())
+        if not left and not right:
+            return "family is trivial after cancellation"
+        if right and (not left or right < left):
+            left, right = right, left
+        return tuple(left), tuple(right)
+
+    def test_matches_sort_cancel_swap_reference(self):
+        rng = random.Random(20261018)
+        outcomes = Counter()
+        for _ in range(20000):
+            delta = rng.randint(1, 9)
+            # mostly in range; now and then one residue just outside it
+            low, high = (-2, delta + 1) if rng.random() < 0.1 else (0, delta - 1)
+            left = [rng.randint(low, high) for _ in range(rng.randint(0, 5))]
+            right = [rng.randint(low, high) for _ in range(rng.randint(0, 5))]
+            want = self.reference(delta, left, right)
+            try:
+                fam = CongruenceFamily(delta, tuple(left), tuple(right), MOD3)
+            except InvalidParameter as exc:
+                assert str(exc) == want, (delta, left, right)
+                outcomes[want.split()[0]] += 1
+                continue
+            assert (fam.left, fam.right) == want, (delta, left, right)
+            counts = [0] * delta
+            for r in want[0]:
+                counts[r] += 1
+            for r in want[1]:
+                counts[r] -= 1
+            assert fam.weights() == tuple(counts)
+            assert fam == CongruenceFamily(delta, fam.left, fam.right, MOD3)
+            outcomes["ok"] += 1
+        # every branch is exercised
+        assert min(outcomes["ok"], outcomes["residue"], outcomes["family"]) > 500, outcomes
 
 
 class TestCertifyRegressions:

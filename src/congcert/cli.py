@@ -129,15 +129,16 @@ def _parse_target(value: str, line_no: int) -> GFKind:
     if not m:
         raise ParseError(f"line {line_no}: bad target {value!r}")
     name, args = m.group(1), m.group(2)
-    if name == "multiset":
-        if not args:
-            raise SemanticError(f"line {line_no}: multiset target needs entries")
-        return GFKind.from_multiset(PartMultiset.parse(args))
-    params = tuple(int(a) for a in args.split(",")) if args else ()
+    if name == "multiset" and not args:
+        raise SemanticError(f"line {line_no}: multiset target needs entries")
     try:
-        return GFKind(name, params)
+        if name == "multiset":
+            return GFKind.from_multiset(PartMultiset.parse(args))
+        return GFKind(name, tuple(int(a) for a in args.split(",")) if args else ())
     except InvalidParameter as exc:
         raise SemanticError(f"line {line_no}: {exc}") from None
+    except ValueError:  # int() of a parameter
+        raise ParseError(f"line {line_no}: {name} parameters must be integers, got {args!r}") from None
 
 
 def _parse_residues(text: str):

@@ -33,6 +33,7 @@ from .series import (
     PolyFactor,
     ProductSpec,
     TailFamily,
+    frobenius_step,
     series_from_spec,
 )
 
@@ -261,39 +262,23 @@ def _binomial_poly(sign: int, base: int, exponent: int, modulus: Modulus) -> Pol
     return PolyFactor(tuple(coeffs))
 
 
-def _reduce_binomial(sign, base, exponent, modulus):
-    """Exponent-divisibility rewrites of a single binomial power.
-
-    Goal modulus ell (exponent 1): (1 +- q^j)^(ell^v * w) is congruent to
-    (1 +- q^(j*ell^v))^w, taking v maximal.  Goal modulus ell^N with N >= 2:
-    while ell^N divides e, replace (j, e) by (j*ell, e/ell).  Returns the
-    reduced (base, exponent) or None when no rewrite applies.
-    """
-    ell, N = modulus.prime, modulus.exponent
-    if N == 1:
-        v = ord_prime(abs(exponent), ell)
-        if v == 0:
-            return None
-        return base * ell**v, exponent // ell**v
-    new_base, new_exp = base, exponent
-    changed = False
-    while new_exp % ell**N == 0:
-        new_base *= ell
-        new_exp //= ell
-        changed = True
-    return (new_base, new_exp) if changed else None
-
-
-def _reduce_tail(tail: TailFamily, modulus: Modulus) -> TailFamily | None:
-    """`_reduce_binomial` on a constant-exponent tail: the exponent divided by
-    a power of ell that multiplies every base.  None when no rewrite applies."""
-    if tail.exp_scale != 0:
+def _power_reduce(factor, modulus: Modulus):
+    """`frobenius_step` applied to a binomial, or to a constant-exponent
+    tail, for as long as it applies: each step divides the exponent by ell
+    and multiplies the base (for a tail, every base) by ell.  None when no
+    step applies."""
+    tail = isinstance(factor, TailFamily)
+    if tail and factor.exp_scale != 0:
         return None
-    red = _reduce_binomial(tail.sign, 1, tail.exp_offset, modulus)
-    if red is None:
+    start = (1, factor.exp_offset) if tail else (factor.base, factor.exponent)
+    base, exponent = start
+    while (step := frobenius_step(base, exponent, modulus)) is not None:
+        base, exponent = step
+    if base == start[0]:
         return None
-    ratio, exponent = red  # from base 1, the new base is the power of ell
-    return replace(tail, exp_offset=exponent, scale=tail.scale * ratio, offset=tail.offset * ratio)
+    if tail:  # from base 1, the new base is the power of ell
+        return replace(factor, exp_offset=exponent, scale=factor.scale * base, offset=factor.offset * base)
+    return replace(factor, base=base, exponent=exponent)
 
 
 def reduce_spec(spec: ProductSpec, modulus: Modulus, validation_length: int | None = None):
@@ -309,24 +294,20 @@ def reduce_spec(spec: ProductSpec, modulus: Modulus, validation_length: int | No
     ws.load(spec)
 
     for (sign, base), e in sorted(ws.binomials.items(), key=lambda kv: kv[0][1]):
-        red = _reduce_binomial(sign, base, e, modulus)
-        if red is None:
-            continue
-        new_base, new_e = red
         before = BinomialFactor(sign, base, e)
-        after = BinomialFactor(sign, new_base, new_e)
+        after = _power_reduce(before, modulus)
+        if after is None:
+            continue
         ws.apply_rule(f"power-reduce: {before} -> {after} (mod {modulus})", [before], [after])
         ws.add_binomial(sign, base, -e)
-        ws.add_binomial(sign, new_base, new_e)
+        ws.add_binomial(sign, after.base, after.exponent)
 
     new_tails = []
     for tail in ws.tails:
-        moved = _reduce_tail(tail, modulus)
-        if moved is None:
-            new_tails.append(tail)
-            continue
-        ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
-        new_tails.append(moved)
+        moved = _power_reduce(tail, modulus)
+        if moved is not None:
+            ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
+        new_tails.append(moved or tail)
     ws.tails = new_tails
 
     for (sign, base), e in sorted(list(ws.binomials.items()), key=lambda kv: kv[0][1]):
@@ -434,13 +415,7 @@ def split_AB(
                 explicit.append(BinomialFactor(tail.sign, tail.base(n), tail.exp_offset))
                 n += 1
             if explicit:
-                moved = TailFamily(
-                    sign=tail.sign,
-                    start=n,
-                    exp_offset=tail.exp_offset,
-                    scale=tail.scale,
-                    offset=tail.offset,
-                )
+                moved = replace(tail, start=n)
                 ws.apply_rule(
                     f"peel: {tail} -> {' '.join(str(f) for f in explicit)} * {moved}",
                     [tail],
@@ -487,21 +462,8 @@ def split_AB(
         if tail.sign < 0:
             minus_tails.append(tail)
             continue
-        e = tail.exp_offset
-        doubled = TailFamily(
-            sign=-1,
-            start=tail.start,
-            exp_offset=e,
-            scale=2 * tail.scale,
-            offset=2 * tail.offset,
-        )
-        inverse = TailFamily(
-            sign=-1,
-            start=tail.start,
-            exp_offset=-e,
-            scale=tail.scale,
-            offset=tail.offset,
-        )
+        doubled = replace(tail, sign=-1, scale=2 * tail.scale, offset=2 * tail.offset)
+        inverse = replace(tail, sign=-1, exp_offset=-tail.exp_offset)
         ws.apply_rule(
             f"plus-to-minus: {tail} -> {doubled} * {inverse}",
             [tail],
@@ -545,14 +507,13 @@ def split_AB(
     a_parts = {}
 
     def classify_minus(base, e):
+        before = BinomialFactor(-1, base, e)
         if base % delta == 0:
-            b_factors.append(BinomialFactor(-1, base, e))
+            b_factors.append(before)
             return
-        red = _reduce_binomial(-1, base, e, modulus)
+        after = _power_reduce(before, modulus)
         pure_power = abs(e) == ell ** ord_prime(abs(e), ell)
-        if red is not None and red[0] % delta == 0 and (N > 1 or pure_power):
-            before = BinomialFactor(-1, base, e)
-            after = BinomialFactor(-1, red[0], red[1])
+        if after is not None and after.base % delta == 0 and (N > 1 or pure_power):
             ws.apply_rule(
                 f"power-reduce: {before} -> {after} (mod {modulus})", [before], [after]
             )
@@ -563,8 +524,7 @@ def split_AB(
             return
         poly = _poly_support_ok(-1, base, e, modulus, delta, validation_length)
         if poly is not None:
-            factor = BinomialFactor(-1, base, e)
-            ws.apply_rule(f"expand: {factor} -> {poly} (mod {modulus})", [factor], [poly])
+            ws.apply_rule(f"expand: {before} -> {poly} (mod {modulus})", [before], [poly])
             b_factors.append(poly)
             return
         raise SplitFailed(f"numerator (1-q^{base})^{e} is not supported on {delta}Z")
@@ -578,7 +538,7 @@ def split_AB(
         if _structurally_supported(tail, delta):
             b_factors.append(tail)
             continue
-        moved = _reduce_tail(tail, modulus)
+        moved = _power_reduce(tail, modulus)
         if moved is not None and _structurally_supported(moved, delta):
             ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
             b_factors.append(moved)

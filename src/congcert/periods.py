@@ -45,11 +45,13 @@ class PartMultiset:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if ":" in chunk:
-                v, mult = chunk.split(":", 1)
-                pairs.append((int(v), int(mult)))
-            else:
-                pairs.append((int(chunk), 1))
+            v, colon, mult = chunk.partition(":")
+            try:
+                pairs.append((int(v), int(mult) if colon else 1))
+            except ValueError:
+                raise InvalidParameter(
+                    f"multiset entry {chunk!r} is not 'v' or 'v:mult' with integers"
+                ) from None
         if not pairs:
             raise InvalidParameter(f"empty multiset text {text!r}")
         return cls(tuple(pairs))

@@ -33,7 +33,7 @@ from .errors import (
     SplitFailed,
 )
 from .periods import PartMultiset, kwong_period
-from .series import ModSeries, Modulus, ProductSpec, series_from_spec
+from .series import Modulus, ProductSpec, series_from_spec
 
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -114,24 +114,18 @@ class Certificate:
         return self.status == PROVED
 
 
-def _progression_sums(series: ModSeries, delta: int, residues, count: int) -> np.ndarray:
-    """Vector of sum over residues of lambda(delta*n + r), n = 0..count-1."""
-    m = series.modulus.value
-    data = series.array()
-    total = np.zeros(count, dtype=np.int64)
-    base = delta * np.arange(count, dtype=np.int64)
-    for r in residues:
-        total += data[base + r]
-    return total % m
-
-
 def _first_failure_on_G(spec: ProductSpec, family: CongruenceFamily, count: int):
     """(n, left_sum, right_sum) at the first n < count where the family fails
-    on the full product, expanded to delta*count coefficients; None if none."""
-    delta = family.delta
-    lam = series_from_spec(spec, family.modulus, delta * count)
-    left = _progression_sums(lam, delta, family.left, count)
-    right = _progression_sums(lam, delta, family.right, count)
+    on the full product, expanded to delta*count coefficients; None if none.
+    G is read as a (count, delta) matrix, like A in `Plan.first_failure`: the
+    left sums weight it by the positive counts of `weights`, the right sums
+    by the negative ones."""
+    m = family.modulus.value
+    lam = series_from_spec(spec, family.modulus, family.delta * count).array()
+    lam = lam.reshape(count, family.delta)
+    weights = np.array(family.weights(), dtype=np.int64)
+    left = (lam @ np.maximum(weights, 0)) % m
+    right = (lam @ np.maximum(-weights, 0)) % m
     mismatch = np.flatnonzero(left != right)
     if not mismatch.size:
         return None

@@ -44,6 +44,8 @@ class SearchSpace:
             raise InvalidParameter("delta must be >= 1")
         if self.max_terms < 1:
             raise InvalidParameter("max_terms must be >= 1")
+        if self.candidate_cap < 0:
+            raise InvalidParameter("candidate_cap must be >= 0")
 
 
 def enumerate_candidates(space: SearchSpace) -> list:

@@ -13,12 +13,13 @@ matter:
   finite head it divides out.  E is sparse and is placed from the
   pentagonal number theorem; E^e comes from repeated squaring, after a
   Newton inversion g <- g(2 - Eg) when e < 0.
-- Explicit binomials and those finite heads are summed into one net
-  exponent per (sign, base), and each unit of it is one O(L) pass:
-  multiplying or dividing by (1 +- q^b).
+- Explicit binomials, those finite heads and the explicit factors of
+  other tails are summed into one net exponent per (sign, base), and each
+  unit of it is one O(L) pass: multiplying or dividing by (1 +- q^b).
 - Before either runs, an exponent divisible by ell^N moves to ell times its
-  base with exponent divided by ell, which agrees mod ell^N: so E^-10
-  mod 5 is taken as E(q^5)^-2, at a fifth of the length.
+  base with exponent divided by ell (`frobenius_step`, the one statement of
+  that rule), which agrees mod ell^N: so E^-10 mod 5 is taken as
+  E(q^5)^-2, at a fifth of the length.
 - Products of series are float FFT convolutions (numpy.fft) rounded to
   integers, exact because every output coefficient stays below 2^50: in
   one pass while (m-1)^2 * L < 2^50, else over limbs of residues whose
@@ -28,14 +29,16 @@ matter:
   same Newton inversion.
 
 Tails with a base offset or an exponent that varies with n have no such
-closed form and are expanded from their factors.
+closed form.  Their explicit factors join the net exponents: all of them
+below L when the exponent varies, else those below sqrt(L); the rest of a
+constant-exponent tail is folded by number of parts (`_fold_parts`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -395,40 +398,6 @@ def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
     arr[:] = out
 
 
-def _apply_tail(arr, tail: TailFamily, m) -> None:
-    """Tails without Euler shape: a base offset, or an exponent that varies
-    with n."""
-    length = arr.size
-    if tail.exp_scale != 0:
-        # Exponent varies with n: expand factor by factor (used only at the
-        # short lengths where these products are ever evaluated).
-        n = tail.start
-        while tail.base(n) < length:
-            _apply_binomial(arr, tail.sign, tail.base(n), tail.exponent(n), m)
-            n += 1
-        return
-
-    e = tail.exp_offset
-    threshold = max(32, math.isqrt(length))
-    n = tail.start
-    while tail.base(n) < min(threshold, length):
-        _apply_binomial(arr, tail.sign, tail.base(n), e, m)
-        n += 1
-    first = tail.base(n)
-    if first >= length:
-        return
-    step = tail.scale
-    for _ in range(abs(e)):
-        if tail.sign < 0 and e < 0:
-            _fold_parts(arr, step, first, m, distinct=False)
-        elif e > 0:
-            _fold_parts(arr, step, first, m, distinct=True, factor_sign=tail.sign)
-        else:
-            # (1+q^B)^-1 = (1-q^B) / (1-q^(2B)) termwise over the progression
-            _fold_parts(arr, step, first, m, distinct=True, factor_sign=-1)
-            _fold_parts(arr, 2 * step, 2 * first, m, distinct=False)
-
-
 def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
     """Record an Euler-shaped tail (no offset, constant exponent e) as powers
     of E(q^s) = prod_{n>=1}(1-q^(sn)) and the finite head it divides out:
@@ -454,11 +423,12 @@ def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
 def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSeries:
     """Expand a factor product to its first `length` coefficients mod m.
 
-    Binomial factors, and the finite heads that Euler-shaped tails divide
-    out, are first summed into one net exponent per (sign, base), and both
-    they and the powers of E(q^s) are reduced by `_frobenius`.  The powers
-    of E(q^s) form the starting series, and every other factor is applied
-    to it in turn."""
+    Binomial factors, the finite heads that Euler-shaped tails divide out,
+    and the explicit factors of other tails are first summed into one net
+    exponent per (sign, base), and both they and the powers of E(q^s) are
+    reduced by `_frobenius`.  The powers of E(q^s) form the starting series;
+    polynomial factors and what is left of the tails are applied to it in
+    turn, then the net binomials."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
     m = modulus.value
@@ -471,7 +441,11 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
             binomials[key] = binomials.get(key, 0) + factor.exponent
         elif isinstance(factor, TailFamily) and factor.exp_scale == 0 and factor.offset == 0:
             _add_euler_tail(factor, length, binomials, euler)
-        elif isinstance(factor, (PolyFactor, TailFamily)):
+        elif isinstance(factor, TailFamily):
+            folded = _add_explicit_tail(factor, length, binomials)
+            if folded is not None:
+                others.append(folded)
+        elif isinstance(factor, PolyFactor):
             others.append(factor)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
@@ -480,35 +454,73 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
         if isinstance(factor, PolyFactor):
             arr = _apply_poly(arr, factor, m)
         else:
-            _apply_tail(arr, factor, m)
+            _fold_tail(arr, factor, m)
     for (sign, base), e in _frobenius(binomials, modulus).items():
         _apply_binomial(arr, sign, base, e, m)
     return ModSeries(modulus, arr)
 
 
-def _frobenius(exponents: dict, modulus: Modulus) -> dict:
-    """Net exponents keyed by (sign, base), with every (1 +- q^b)^(ell^N c)
-    replaced by (1 +- q^(ell*b))^(ell^(N-1) c) for as long as that applies.
+def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None:
+    """Record a tail without Euler shape (a base offset, or an exponent that
+    varies with n) as net binomial exponents: every factor below `length`
+    if the exponent varies, else those below max(32, sqrt(length)), and
+    return the rest for `_fold_tail` (None when it is all above `length`)."""
+    bound = length if tail.exp_scale else min(max(32, math.isqrt(length)), length)
+    n = tail.start
+    while tail.base(n) < bound:
+        key = (tail.sign, tail.base(n))
+        binomials[key] = binomials.get(key, 0) + tail.exponent(n)
+        n += 1
+    if tail.base(n) >= length:
+        return None
+    return replace(tail, start=n)
 
-    The two agree mod ell^N at every index: (1 +- x)^ell = 1 +- x^ell mod ell,
-    and A = B mod ell^j implies A^ell = B^ell mod ell^(j+1).  Bases only
-    grow, so visiting them in increasing order merges every moved exponent
-    before its base is reduced in turn."""
-    ell, unit = modulus.prime, modulus.value
+
+def _fold_tail(arr, tail: TailFamily, m) -> None:
+    """Multiply arr by a constant-exponent tail whose first base is at least
+    sqrt(len(arr)), one `_fold_parts` pass per unit of the exponent."""
+    step, first, e = tail.scale, tail.base(tail.start), tail.exp_offset
+    for _ in range(abs(e)):
+        if tail.sign < 0 and e < 0:
+            _fold_parts(arr, step, first, m, distinct=False)
+        elif e > 0:
+            _fold_parts(arr, step, first, m, distinct=True, factor_sign=tail.sign)
+        else:
+            # (1+q^B)^-1 = (1-q^B) / (1-q^(2B)) termwise over the progression
+            _fold_parts(arr, step, first, m, distinct=True, factor_sign=-1)
+            _fold_parts(arr, 2 * step, 2 * first, m, distinct=False)
+
+
+def frobenius_step(base: int, exponent: int, modulus: Modulus):
+    """(ell*base, exponent/ell) when ell^N divides a nonzero exponent, else
+    None: (1 +- q^b)^(ell^N c) = (1 +- q^(ell*b))^(ell^(N-1) c) mod ell^N at
+    every index, because (1 +- x)^ell = 1 +- x^ell mod ell, and A = B mod
+    ell^j implies A^ell = B^ell mod ell^(j+1)."""
+    if exponent == 0 or exponent % modulus.value:
+        return None
+    return base * modulus.prime, exponent // modulus.prime
+
+
+def _frobenius(exponents: dict, modulus: Modulus) -> dict:
+    """Net exponents keyed by (sign, base), with `frobenius_step` applied for
+    as long as it applies; zero exponents are dropped.  Bases only grow, so
+    visiting them in increasing order merges every moved exponent before its
+    base is reduced in turn."""
     net = dict(exponents)
     heap = list(net)
     heapq.heapify(heap)
     out = {}
     while heap:
-        key = heapq.heappop(heap)
-        e = net.pop(key)
-        if e % unit:
-            out[key] = e
-        elif e:
-            moved = (key[0], key[1] * ell)
+        sign, base = heapq.heappop(heap)
+        e = net.pop((sign, base))
+        step = frobenius_step(base, e, modulus)
+        if step is not None:
+            moved = (sign, step[0])
             if moved not in net:
                 heapq.heappush(heap, moved)
-            net[moved] = net.get(moved, 0) + e // ell
+            net[moved] = net.get(moved, 0) + step[1]
+        elif e:
+            out[(sign, base)] = e
     return out
 
 

@@ -474,3 +474,41 @@ class TestExplicitZero:
         assert code == 0 and out.count("\n") == 2 * (2 + 6)
         code, out = run(["oracle", "--counter", "maxpart", "--n", "5"])
         assert (code, out) == (0, "7\n")
+
+
+class TestNonIntegerInput:
+    """A parameter that is not an integer is a usage error (exit 2) naming
+    the bad entry, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            ("plane_rowed(x)", "line 4: plane_rowed parameters must be integers, got 'x'"),
+            ("multiset(1,x)", "line 4: multiset entry 'x' is not 'v' or 'v:mult' with integers"),
+        ],
+    )
+    def test_instance_target(self, target, message, capsys, instance_path):
+        path = instance_path(f"prime = 2\nexponent = 1\ndelta = 2\ntarget = {target}\n")
+        code, out = run(["certify", "--instance", path])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["period", "--multiset", "a", "--prime", "2"],
+             "multiset entry 'a' is not 'v' or 'v:mult' with integers"),
+            (["oracle", "--counter", "multiset", "--n", "3", "--multiset", "1:x"],
+             "multiset entry '1:x' is not 'v' or 'v:mult' with integers"),
+        ],
+        ids=["period", "oracle"],
+    )
+    def test_multiset_flag(self, argv, message, capsys):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_cap(self, capsys, instance_path):
+        code, out = run(["search", "--instance", instance_path(TWO_ROWED_SEARCH), "--cap", "-1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: candidate_cap must be >= 0\n"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congcert import (
     BinomialFactor,
@@ -325,3 +327,100 @@ class TestDerivationSoundness:
             series_from_spec(dec.b_spec, MOD2, 200),
         )
         assert list(combined) == brute_expand(spec, 200, 2)
+
+
+def _split_grid():
+    """Named targets and offset tails of either sign over a few moduli and
+    deltas: between them they reach every split rewrite (peel, ratio,
+    plus-to-minus, expand, power-reduce of binomials and of tails)."""
+    targets = [GFKind.plane_rowed(r) for r in (2, 3, 4, 5, 6)]
+    targets += [GFKind.overplane_rowed(k) for k in (2, 3, 4)]
+    targets += [GFKind.maxpart(4), GFKind.plane_box(2, 3), GFKind.plane_head(4)]
+    targets += [GFKind.partitions(), GFKind.overpartitions(), GFKind.plane()]
+    head = (BinomialFactor(-1, 1, -1), BinomialFactor(-1, 2, -1), BinomialFactor(1, 1, 2))
+    for sign in (1, -1):
+        for e in (-4, -9, 2):
+            tail = TailFamily(sign=sign, start=2, exp_offset=e, offset=1)
+            targets.append(GFKind.from_raw(ProductSpec(head + (tail,))))
+    for prime, power in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
+        modulus = Modulus(prime, power)
+        for target in targets:
+            for delta in sorted({2, prime, prime**power, 2 * prime}):
+                yield target, modulus, delta
+
+
+def _split_record(target, modulus, delta):
+    from congcert import CongcertError
+
+    try:
+        dec = split_AB(build_spec(target), modulus, delta)
+    except CongcertError as exc:
+        return f"{target} mod {modulus} delta {delta}: {type(exc).__name__}: {exc}"
+    return (
+        f"{target} mod {modulus} delta {delta}: A {dec.a_spec!r} B {dec.b_spec!r} "
+        f"head {dec.a_multiset} length {dec.validation_length} " + " | ".join(dec.derivation)
+    )
+
+
+class TestSplitDigest:
+    def test_split_grid_digest(self):
+        # recorded before the exponent-divisibility rewrite was shared
+        # between series and decompose; any change to a spec, head,
+        # derivation or error message on this grid changes the digest
+        import hashlib
+
+        records = [_split_record(*case) for case in _split_grid()]
+        assert len(records) == 280
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
+        assert digest == "5964b0403764db10"
+
+
+_FROBENIUS_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5]
+
+
+@st.composite
+def _powered_factor(draw):
+    """A binomial or an offset tail, either sign, with an exponent c*ell^j for
+    j up to N: divisible by ell^N about half the time."""
+    modulus = draw(st.sampled_from(_FROBENIUS_MODULI))
+    exponent = draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) * modulus.prime ** draw(
+        st.integers(0, modulus.exponent)
+    )
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return BinomialFactor(sign, draw(st.integers(1, 6)), exponent), modulus
+    scale, start = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    offset = draw(st.integers(0, 3))
+    return TailFamily(sign=sign, start=start, exp_offset=exponent, scale=scale, offset=offset), modulus
+
+
+class TestFrobeniusRule:
+    """The exponent-divisibility rewrite is an identity mod ell^N, checked
+    on a 40-term prefix against the dense integer expansion of `_brute`
+    rather than `series_from_spec`, which applies the same rule."""
+
+    LENGTH = 40
+
+    def _same(self, before, after, modulus):
+        m = modulus.value
+        lhs = brute_expand(ProductSpec((before,)), self.LENGTH, m)
+        assert lhs == brute_expand(ProductSpec((after,)), self.LENGTH, m), (before, after)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_powered_factor())
+    def test_step_and_power_reduce_are_identities(self, drawn):
+        from congcert.decompose import _power_reduce
+        from congcert.series import frobenius_step
+
+        factor, modulus = drawn
+        exponent = factor.exponent if isinstance(factor, BinomialFactor) else factor.exp_offset
+        divisible = exponent % modulus.value == 0
+        if isinstance(factor, BinomialFactor):
+            step = frobenius_step(factor.base, exponent, modulus)
+            assert (step is not None) == divisible
+            if step is not None:
+                self._same(factor, BinomialFactor(factor.sign, *step), modulus)
+        reduced = _power_reduce(factor, modulus)
+        assert (reduced is not None) == divisible
+        if reduced is not None:
+            self._same(factor, reduced, modulus)

@@ -76,6 +76,12 @@ class TestEnumeration:
         with pytest.raises(SpaceTooLarge):
             enumerate_candidates(space)
 
+    def test_negative_cap_rejected(self):
+        from congcert import InvalidParameter
+
+        with pytest.raises(InvalidParameter, match="candidate_cap must be >= 0"):
+            SearchSpace(GFKind.plane_rowed(2), MOD2, 2, 2, candidate_cap=-1)
+
 
 class TestSearchCertified:
     def test_two_rowed_search_finds_the_known_family(self):

@@ -83,7 +83,7 @@ class InstanceFile:
     cap: int | None = None
 
 
-def _parse_raw_spec(text: str, line_no: int) -> ProductSpec:
+def _parse_raw_spec(text: str, where: str) -> ProductSpec:
     factors = []
     pos = 0
     text = text.strip()
@@ -103,7 +103,7 @@ def _parse_raw_spec(text: str, line_no: int) -> ProductSpec:
                     TailFamily(sign=sign, start=start, exp_offset=exponent, scale=scale, offset=offset)
                 )
             except InvalidParameter as exc:
-                raise SemanticError(f"line {line_no}: {exc}") from None
+                raise SemanticError(f"{where}: {exc}") from None
             pos = m.end()
             continue
         m = _FACTOR_RE.match(text, pos)
@@ -112,33 +112,33 @@ def _parse_raw_spec(text: str, line_no: int) -> ProductSpec:
             try:
                 factors.append(BinomialFactor(sign, int(m.group(2)), int(m.group(3))))
             except InvalidParameter as exc:
-                raise SemanticError(f"line {line_no}: {exc}") from None
+                raise SemanticError(f"{where}: {exc}") from None
             pos = m.end()
             continue
-        raise ParseError(f"line {line_no}: cannot parse factor at ...{text[pos:pos+24]!r}")
+        raise ParseError(f"{where}: cannot parse factor at ...{text[pos:pos+24]!r}")
     if not factors:
-        raise ParseError(f"line {line_no}: empty raw product")
+        raise ParseError(f"{where}: empty raw product")
     return ProductSpec(tuple(factors))
 
 
-def _parse_target(value: str, line_no: int) -> GFKind:
+def _parse_target(value: str, where: str) -> GFKind:
     value = value.strip()
     if value.startswith("raw:"):
-        return GFKind.from_raw(_parse_raw_spec(value[4:], line_no))
+        return GFKind.from_raw(_parse_raw_spec(value[4:], where))
     m = _TARGET_RE.match(value)
     if not m:
-        raise ParseError(f"line {line_no}: bad target {value!r}")
+        raise ParseError(f"{where}: bad target {value!r}")
     name, args = m.group(1), m.group(2)
     if name == "multiset" and not args:
-        raise SemanticError(f"line {line_no}: multiset target needs entries")
+        raise SemanticError(f"{where}: multiset target needs entries")
     try:
         if name == "multiset":
             return GFKind.from_multiset(PartMultiset.parse(args))
         return GFKind(name, tuple(int(a) for a in args.split(",")) if args else ())
     except InvalidParameter as exc:
-        raise SemanticError(f"line {line_no}: {exc}") from None
+        raise SemanticError(f"{where}: {exc}") from None
     except ValueError:  # int() of a parameter
-        raise ParseError(f"line {line_no}: {name} parameters must be integers, got {args!r}") from None
+        raise ParseError(f"{where}: {name} parameters must be integers, got {args!r}") from None
 
 
 def _parse_residues(text: str):
@@ -192,7 +192,7 @@ def parse_instance_file(text: str) -> InstanceFile:
     delta = parsed["delta"]
     if delta < 1:
         raise SemanticError("delta must be >= 1")
-    target = _parse_target(values["target"][1], values["target"][0])
+    target = _parse_target(values["target"][1], f"line {values['target'][0]}")
     try:
         build_spec(target)  # existence / arity / parameter-range check
     except InvalidParameter as exc:
@@ -291,11 +291,23 @@ def certificate_doc(cert) -> dict:
     return doc
 
 
+def _json_docs(certs) -> str:
+    """The JSON that `certify --json` and `search --json` print: each
+    certificate's `certificate_doc`, whose key set is fixed, followed by its
+    degree bound."""
+    docs = [certificate_doc(c) | {"degree_bound": c.degree_bound} for c in certs]
+    return json.dumps(docs, indent=2)
+
+
 def _print_certificate(cert, out):
     print(f"family {cert.family}  [target {cert.target}, mod {cert.family.modulus}]", file=out)
     if cert.a_multiset is not None:
         print(f"  head multiset: {cert.a_multiset}", file=out)
-        print(f"  period {cert.period_used}  check bound {cert.check_bound}", file=out)
+        print(
+            f"  period {cert.period_used}  check bound {cert.check_bound}"
+            f"  degree bound {cert.degree_bound}",
+            file=out,
+        )
     if cert.status == COUNTEREXAMPLE:
         n, ls, rs = cert.witness
         print(f"  status {cert.status} at n={n}: left {ls} != right {rs}", file=out)
@@ -348,7 +360,7 @@ def _cmd_expand(args, out) -> int:
     else:
         if args.target is None or args.prime is None:
             raise SemanticError("expand needs --instance or --target/--prime/--power")
-        target = _parse_target(args.target, 0)
+        target = _parse_target(args.target, "--target")
         modulus = Modulus(args.prime, args.power)
     series = series_from_spec(build_spec(target), modulus, args.length)
     print(",".join(str(c) for c in series), file=out)
@@ -365,7 +377,7 @@ def _cmd_certify(args, out) -> int:
     )
     certs = [plan.check(fam) for fam in instance.families]
     if args.json:
-        print(json.dumps([certificate_doc(c) for c in certs], indent=2), file=out)
+        print(_json_docs(certs), file=out)
     else:
         for cert in certs:
             _print_certificate(cert, out)
@@ -412,7 +424,7 @@ def _cmd_search(args, out) -> int:
         candidates=candidates,
     )
     if args.json:
-        print(json.dumps([certificate_doc(c) for c in certs], indent=2), file=out)
+        print(_json_docs(certs), file=out)
     else:
         print(f"proved: {len(certs)}", file=out)
         for cert in certs:

@@ -1,9 +1,22 @@
 """Finite-check certification of arithmetic-progression congruence families.
 
 A family sum over left residues = sum over right residues (mod ell^N) on the
-progression delta*n + r is verified for every n below period/delta; the
-decomposition plus the periodicity of the head A then extend the result to
-all n.
+progression delta*n + r is verified for every n below a check bound; the
+decomposition G = A*B then extends the result to all n.  Either of two
+bounds suffices, and the check runs to the smaller:
+
+- period/delta, from the periodicity of the head A (Kwong's period);
+- the degree bound K = floor(deg N / delta) + 1 of A's rational section.
+  A = prod (1-q^b)^(-e_b), and each 1/(1-q^b) is
+  (1 + q^b + ... + q^(L_b - b)) / (1 - q^(L_b)) with L_b = lcm(b, delta),
+  so A = N(q)/D(q^delta) for a polynomial N of degree
+  sum e_b (L_b - b) and a polynomial D with D(0) = 1.  A family's section
+  sums s(n) = sum_r w_r A[delta*n + r] then have generating function
+  P_w(x)/D(x), where P_w, built from the delta-sections of N, has degree
+  below K.  D is a unit, so s vanishes mod ell^N for all n exactly when
+  P_w does, hence exactly when s(n) vanishes for n < K; and since
+  D(0) = 1, P_w = s*D is unit-triangular in s, so s and P_w first fail at
+  the same n.  The check reads A, not N, to either bound.
 
 The finite check runs on A, not on the full product G.  Since G = A*B with
 B[0] = 1 and B supported on multiples of delta, the family difference of G at
@@ -106,6 +119,7 @@ class Certificate:
     a_multiset: PartMultiset | None = None
     period_used: int | None = None
     check_bound: int | None = None
+    degree_bound: int | None = None
     witness: tuple | None = None  # (n, left_sum, right_sum) for a counterexample
     reason: str | None = None
     derivation: tuple = ()
@@ -160,11 +174,14 @@ def _row_generators(rows: np.ndarray, m: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Plan:
     """What every family on one target, modulus and delta shares: the A*B
-    split, the check period and bound, and A's first `period` coefficients.
+    split, the check period and bound, the degree bound, and A's first
+    delta*min(degree_bound, bound) coefficients.
 
-    `head[n, r]` is A[delta*n + r]; a family holds below the bound exactly
-    when its column sums of `head` agree.  A plan whose split fails keeps the
-    error and certifies every family INAPPLICABLE."""
+    A = N(q)/D(q^delta) with D(0) = 1, and `degree_bound` is
+    K = floor(deg N / delta) + 1 (see the module docstring).  `head[n, r]` is
+    A[delta*n + r] for n < min(K, bound): a family that holds on those rows
+    holds for all n by either bound, and one that fails first fails on them,
+    at the same n as on N's sections and on G."""
 
     target: GFKind
     modulus: Modulus
@@ -173,6 +190,7 @@ class Plan:
     decomposition: Decomposition | None = None
     period: int | None = None
     bound: int | None = None
+    degree_bound: int | None = None
     head: np.ndarray | None = None
     error: CongcertError | None = None
 
@@ -185,8 +203,9 @@ class Plan:
         validation_length: int | None = None,
     ) -> "Plan":
         """Split the product into A*B at this modulus and delta, take the
-        minimal period of A's multiset lifted to a multiple of delta, and
-        expand A over one period."""
+        minimal period of A's multiset lifted to a multiple of delta and the
+        degree bound of A's rational section, and expand A to the smaller
+        of the two bounds."""
         spec = build_spec(target)
         try:
             dec = split_AB(spec, modulus, delta, validation_length)
@@ -195,11 +214,13 @@ class Plan:
             return cls(target, modulus, delta, spec, error=exc)
         period = math.lcm(info.period, delta)
         bound = period // delta
-        head = series_from_spec(dec.a_spec, modulus, period).array().reshape(bound, delta)
-        return cls(target, modulus, delta, spec, dec, period, bound, head)
+        degree_bound = sum(e * (math.lcm(b, delta) - b) for b, e in dec.a_multiset) // delta + 1
+        rows = min(degree_bound, bound)
+        head = series_from_spec(dec.a_spec, modulus, delta * rows).array().reshape(rows, delta)
+        return cls(target, modulus, delta, spec, dec, period, bound, degree_bound, head)
 
     def first_failure(self, family: CongruenceFamily) -> int | None:
-        """First n below the bound at which the family's sums over A differ,
+        """First n below min(K, bound) at which the family's sums over A differ,
         or None when it holds on the whole range."""
         self._require_matching(family)
         if self.error is not None:
@@ -210,7 +231,7 @@ class Plan:
         return int(mismatch[0]) if mismatch.size else None
 
     def holding(self, families) -> np.ndarray:
-        """For each family, whether it holds below the bound: `first_failure`
+        """For each family, whether it holds for all n: `first_failure`
         is None, for a whole sequence of families at once.
 
         A family holds exactly when its weights (`CongruenceFamily.weights`)
@@ -251,6 +272,7 @@ class Plan:
                 a_multiset=dec.a_multiset,
                 period_used=self.period,
                 check_bound=self.bound,
+                degree_bound=self.degree_bound,
                 derivation=dec.derivation,
             )
         return Certificate(
@@ -260,6 +282,7 @@ class Plan:
             a_multiset=dec.a_multiset,
             period_used=self.period,
             check_bound=self.bound,
+            degree_bound=self.degree_bound,
             witness=self._witness(family, n),
             derivation=dec.derivation,
         )
@@ -290,7 +313,8 @@ def certify(
     family: CongruenceFamily,
     validation_length: int | None = None,
 ) -> Certificate:
-    """Verify the family for all n below period/delta and certify it for all n.
+    """Verify the family for all n below min(K, period/delta) and certify it
+    for all n.
 
     Builds a one-off `Plan` for the family's modulus and delta and checks the
     family on it.  A failed split or an empty head yields status

@@ -139,6 +139,7 @@ def search_certified(
             a_multiset=dec.a_multiset,
             period_used=plan.period,
             check_bound=plan.bound,
+            degree_bound=plan.degree_bound,
             derivation=dec.derivation,
         )
         for family, ok in zip(candidates, holds)

@@ -11,8 +11,10 @@ matter:
 - A tail of Euler shape, prod_{n>=start}(1 +- q^(sn))^e, is a power of
   E(q^s) = prod_{n>=1}(1-q^(sn)) (using 1+x = (1-x^2)/(1-x)) times the
   finite head it divides out.  E is sparse and is placed from the
-  pentagonal number theorem; E^e comes from repeated squaring, after a
-  Newton inversion g <- g(2 - Eg) when e < 0.
+  pentagonal number theorem; E^e comes from repeated squaring.  When
+  e < 0 it squares 1/E = sum p(k) q^k, whose first 406 coefficients are
+  the exact partition numbers p(k) < 2^63, and which a Newton inversion
+  g <- g(2 - Eg) extends beyond them.
 - Explicit binomials, those finite heads and the explicit factors of
   other tails are summed into one net exponent per (sign, base), and each
   unit of it is one O(L) pass: multiplying or dividing by (1 +- q^b).
@@ -36,6 +38,7 @@ constant-exponent tail is folded by number of parts (`_fold_parts`).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -561,12 +564,38 @@ def _euler(n: int, m: int) -> np.ndarray:
     return out % m
 
 
+@functools.cache
+def _partition_numbers() -> np.ndarray:
+    """p(0), p(1), ... for every p(k) below 2^63 (k <= 405), from Euler's
+    pentagonal recurrence p(k) = sum over j >= 1 of (-1)^(j+1) times
+    (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)), in Python integers."""
+    p = [1]
+    while True:
+        k, total, j = len(p), 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * p[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                total += sign * p[k - j * (3 * j + 1) // 2]
+            j += 1
+        if total >= 1 << 63:
+            break
+        p.append(total)
+    table = np.array(p, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
 def _euler_power(e: int, n: int, m: int) -> np.ndarray:
-    """E^e to n coefficients mod m, for any nonzero integer e."""
-    base = _euler(n, m)
-    if e < 0:
-        base = _inverse(base, n, m, shown=1)
-    return _pow_mod(base, abs(e), m, n)
+    """E^e to n coefficients mod m, for any nonzero integer e.  For e < 0,
+    1/E = sum p(k) q^k starts from the exact partition numbers, and Newton
+    iteration takes over only beyond them."""
+    if e > 0:
+        return _pow_mod(_euler(n, m), e, m, n)
+    inverse = _partition_numbers()[:n] % m
+    if n > inverse.size:
+        inverse = _inverse(_euler(n, m), n, m, shown=1, seed=inverse)
+    return _pow_mod(inverse, -e, m, n)
 
 
 def _pow_mod(f: np.ndarray, e: int, m: int, n: int) -> np.ndarray:
@@ -581,11 +610,13 @@ def _pow_mod(f: np.ndarray, e: int, m: int, n: int) -> np.ndarray:
         f = _mul_mod(f, f, m, n)
 
 
-def _inverse(f: np.ndarray, n: int, m: int, shown) -> np.ndarray:
+def _inverse(f: np.ndarray, n: int, m: int, shown, seed=None) -> np.ndarray:
     """1/f to n coefficients mod m by Newton iteration g <- g(2 - fg), which
     doubles the number of correct coefficients each step: if fg = 1 + q^k t
     then f g(2 - fg) = 1 - q^2k t^2.  `shown` is the constant term as the
-    caller wrote it, for the error message."""
+    caller wrote it, for the error message.  `seed`, when given, is the
+    inverse's first coefficients, already known, and Newton starts after
+    them."""
     try:
         inv0 = pow(int(f[0]) % m, -1, m)
     except ValueError:
@@ -593,6 +624,9 @@ def _inverse(f: np.ndarray, n: int, m: int, shown) -> np.ndarray:
     g = np.zeros(n, dtype=np.int64)
     g[0] = inv0
     k = 1
+    if seed is not None:
+        k = min(seed.size, n)
+        g[:k] = seed[:k]
     while k < n:
         k2 = min(2 * k, n)
         t = _mul_mod(f[:k2], g[:k], m, k2)[k:]

@@ -259,6 +259,19 @@ class TestExpandCommand:
         assert code == 0
         assert out.strip() == "1,1,1,0,1,1,1,0,1,1,1,0,0"
 
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            ("plane_rowed(y)", "plane_rowed parameters must be integers, got 'y'"),
+            ("raw:(1-q^0)^-1", "base must be >= 1"),
+        ],
+        ids=["parameter", "raw-base"],
+    )
+    def test_target_flag_errors_name_the_flag(self, target, message, capsys):
+        code, out = run(["expand", "--target", target, "--prime", "2"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: --target: {message}\n"
+
 
 TABLE_FIRST = [[4, 1, 0], [4, 2, 4], [1, 0, 4], [3, 1, 1], [0, 2, 3], [0, 0, 0]]
 TABLE_SECOND = [[2, 3, 0], [4, 4, 2], [1, 0, 4], [1, 3, 1], [0, 4, 1], [0, 0, 0]]
@@ -321,6 +334,27 @@ class TestCommittedInstances:
         (doc,) = json.loads(out)
         assert doc["status"] == "COUNTEREXAMPLE"
         assert doc["witness"] == {"n": 0, "left_sum": 1, "right_sum": 0}
+
+    def test_twentyseven_rowed_counterexample(self):
+        # period 2.2e12: only the degree bound keeps the check small
+        import os
+
+        path = os.path.join(self.INSTANCE_DIR, "twentyseven_rowed_mod3.cfg")
+        code, out = run(["certify", "--instance", path, "--json"])
+        assert code == 1
+        (doc,) = json.loads(out)
+        assert doc["status"] == "COUNTEREXAMPLE"
+        assert doc["witness"] == {"n": 0, "left_sum": 1, "right_sum": 0}
+        assert (doc["period"], doc["check_bound"]) == (2_168_462_696_400, 80_313_433_200)
+        assert doc["degree_bound"] == 4652
+
+    def test_text_certificate_prints_both_bounds(self):
+        import os
+
+        path = os.path.join(self.INSTANCE_DIR, "four_rowed_mod2.cfg")
+        code, out = run(["certify", "--instance", path])
+        assert code == 0
+        assert out.count("  period 12  check bound 3  degree bound 8\n") == 3
 
     def test_numerator_head_instance(self):
         import os

@@ -1,8 +1,10 @@
 """The family check on the periodic head A, through a shared Plan, against a
-check on the full product G written here; and the guard on witnesses."""
+check on the full product G written here; the degree bound that sizes the
+head; and the guard on witnesses."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from congcert import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
     PROVED,
+    BinomialFactor,
     CongruenceFamily,
     GFKind,
     InvalidParameter,
     Modulus,
+    PartMultiset,
     Plan,
     ProductSpec,
     RuleValidationFailed,
@@ -133,3 +137,88 @@ class TestWitnessGuard:
         monkeypatch.setattr(prover, "split_AB", broken_split)
         with pytest.raises(RuleValidationFailed, match="witness check"):
             certify(GFKind.plane_rowed(8), CongruenceFamily(8, (5,), (), MOD2))
+
+
+INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
+
+# (target, modulus, delta) -> (period/delta, degree bound K, rows of head)
+LADDER_BOUNDS = [
+    (7, 7, 7, (420, 79, 79)),
+    (8, 2, 8, (420, 89, 89)),
+    (9, 3, 9, (2520, 150, 150)),
+    (10, 2, 2, (5040, 83, 83)),
+    (10, 5, 5, (12600, 209, 209)),
+]
+INSTANCE_BOUNDS = {
+    "bounded_parts_mod5.cfg": (6, 7, 6),
+    "eight_rowed_mod2.cfg": (420, 89, 89),
+    "eleven_rowed_mod11.cfg": (27720, 351, 351),
+    "four_rowed_mod2.cfg": (3, 8, 3),
+    "nine_rowed_mod3.cfg": (2520, 150, 150),
+    "numerator_head_mod3.cfg": (2, 2, 2),
+    "overplane_four_mod4.cfg": (24, 19, 19),
+    "sixteen_rowed_mod2.cfg": (1441440, 341, 341),
+    "thirteen_rowed_mod13.cfg": (360360, 601, 601),
+    "twentyseven_rowed_mod3.cfg": (80313433200, 4652, 4652),
+    "two_rowed_search.cfg": (1, 1, 1),
+}
+
+
+def instance_plan(name):
+    from congcert.cli import parse_instance_file
+
+    with open(os.path.join(INSTANCE_DIR, name)) as handle:
+        inst = parse_instance_file(handle.read())
+    return Plan.build(inst.target, inst.modulus, inst.delta)
+
+
+class TestDegreeBound:
+    """The head is expanded to min(K, period/delta) rows, where
+    K = floor(deg N / delta) + 1 for A = N(q)/D(q^delta)."""
+
+    @pytest.mark.parametrize("rows,prime,delta,want", LADDER_BOUNDS)
+    def test_ladder_rungs(self, rows, prime, delta, want):
+        plan = Plan.build(GFKind.plane_rowed(rows), Modulus(prime, 1), delta)
+        assert (plan.bound, plan.degree_bound, plan.head.shape[0]) == want
+
+    def test_every_committed_instance(self):
+        assert sorted(os.listdir(INSTANCE_DIR)) == sorted(INSTANCE_BOUNDS)
+        for name, want in INSTANCE_BOUNDS.items():
+            plan = instance_plan(name)
+            got = (plan.bound, plan.degree_bound, plan.head.shape[0])
+            assert got == want, name
+            assert plan.head.shape == (min(plan.degree_bound, plan.bound), plan.delta)
+
+    @pytest.mark.parametrize("part,prime", [(3, 2), (7, 2), (15, 2), (7, 3)])
+    def test_first_failure_can_be_the_last_row(self, part, prime):
+        # A = 1/(1-q^part): A[delta*n + r] is 1 exactly when part divides
+        # delta*n + r, so {delta-1} == 0 first fails at n = K - 1 < bound
+        # (K = (part + 1)/2 for delta = 2, and 5 for part 7, delta 3)
+        delta, modulus = prime, Modulus(prime, 1)
+        target = GFKind.from_multiset(PartMultiset.parse(str(part)))
+        plan = Plan.build(target, modulus, delta)
+        assert plan.degree_bound < plan.bound
+        cert = plan.check(CongruenceFamily(delta, (delta - 1,), (), modulus))
+        assert cert.status == COUNTEREXAMPLE
+        assert cert.witness == (plan.degree_bound - 1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["four_rowed_mod2.cfg", "eight_rowed_mod2.cfg", "overplane_four_mod4.cfg",
+         "bounded_parts_mod5.cfg", "thirteen_rowed_mod13.cfg"],
+    )
+    def test_head_times_denominator_is_numerator(self, name):
+        # A * D(q^delta), with D(q^delta) = prod (1 - q^lcm(b, delta))^e_b, is
+        # the polynomial N: zero past deg N, and deg N is where K comes from
+        plan = instance_plan(name)
+        delta, modulus = plan.delta, plan.modulus
+        entries = list(plan.decomposition.a_multiset)
+        degree = sum(e * (math.lcm(b, delta) - b) for b, e in entries)
+        assert plan.degree_bound == degree // delta + 1
+        denominator = ProductSpec(
+            tuple(BinomialFactor(-1, math.lcm(b, delta), e) for b, e in entries)
+        )
+        length = degree + 3 * delta
+        numerator = series_from_spec(plan.decomposition.a_spec * denominator, modulus, length)
+        assert numerator[degree] == 1
+        assert not numerator.array()[degree + 1:].any()

@@ -370,6 +370,39 @@ class TestEulerKernel:
         assert int(data.sum()) == total
 
 
+class TestSeededEulerInverse:
+    """1/E starts from the exact partition numbers below 2^63; the plain
+    Newton inverse of E, squared up, is the reference."""
+
+    def test_table_is_partition_numbers(self):
+        from congcert import count_partitions_max_part
+        from congcert.series import _partition_numbers
+
+        table = _partition_numbers()
+        assert [int(p) for p in table[:61]] == [1] + [
+            count_partitions_max_part(n, n) for n in range(1, 61)
+        ]
+
+    def test_table_stops_below_two_to_sixty_three(self):
+        from congcert import count_partitions_max_part
+        from congcert.series import _partition_numbers
+
+        table = _partition_numbers()
+        assert table.size == 406
+        assert int(table[405]) == count_partitions_max_part(405, 405) < 2**63
+        assert count_partitions_max_part(406, 406) >= 2**63
+
+    @pytest.mark.parametrize("n", [1, 2, 405, 406, 407, 1000, 5000])
+    def test_matches_unseeded_newton(self, n):
+        from congcert.series import _euler, _euler_power, _inverse, _pow_mod
+
+        for m in (2, 7, 125, 2**30, 10**9 + 7):
+            inverse = _inverse(_euler(n, m), n, m, shown=1)
+            for e in (-1, -2, -7):
+                want = _pow_mod(inverse, -e, m, n)
+                assert np.array_equal(_euler_power(e, n, m), want), (e, m)
+
+
 class TestExactProduct:
     @pytest.mark.parametrize("modulus", [BIG, Modulus(2, 30)], ids=str)
     def test_limb_path_matches_python_convolution(self, modulus):

@@ -53,12 +53,11 @@ _KNOWN_KEYS = {
     "family",
     "max_terms",
     "allow_zero_right",
-    "validation_length",
     "n_max",
     "cap",
 }
 
-_INT_KEYS = {"prime", "exponent", "delta", "max_terms", "validation_length", "n_max", "cap"}
+_INT_KEYS = {"prime", "exponent", "delta", "max_terms", "n_max", "cap"}
 
 _FACTOR_RE = re.compile(r"\(1([+-])q\^(\d+)\)\^(-?\d+)")
 _TAIL_RE = re.compile(
@@ -78,7 +77,6 @@ class InstanceFile:
     families: tuple = ()
     max_terms: int | None = None
     allow_zero_right: bool = True
-    validation_length: int | None = None
     n_max: int | None = None
     cap: int | None = None
 
@@ -217,7 +215,6 @@ def parse_instance_file(text: str) -> InstanceFile:
         families=tuple(families),
         max_terms=parsed.get("max_terms"),
         allow_zero_right=parsed.get("allow_zero_right", True),
-        validation_length=parsed.get("validation_length"),
         n_max=parsed.get("n_max"),
         cap=parsed.get("cap"),
     )
@@ -264,7 +261,7 @@ def render_instance(instance: InstanceFile) -> str:
         lines.append(f"max_terms = {instance.max_terms}")
     if not instance.allow_zero_right:
         lines.append("allow_zero_right = false")
-    for key in ("validation_length", "n_max", "cap"):
+    for key in ("n_max", "cap"):
         value = getattr(instance, key)
         if value is not None:
             lines.append(f"{key} = {value}")
@@ -372,9 +369,7 @@ def _cmd_certify(args, out) -> int:
     if not instance.families:
         raise SemanticError("instance declares no families to certify")
     # every family of an instance shares its target, modulus and delta
-    plan = Plan.build(
-        instance.target, instance.modulus, instance.delta, instance.validation_length
-    )
+    plan = Plan.build(instance.target, instance.modulus, instance.delta)
     certs = [plan.check(fam) for fam in instance.families]
     if args.json:
         print(_json_docs(certs), file=out)

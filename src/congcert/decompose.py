@@ -12,10 +12,20 @@ The split produces:
 Every rewrite application is validated numerically: both sides are expanded
 mod ell^N to the validation length and compared exactly.  A mismatch aborts
 the whole decomposition, since it would mean an unsound rule.
+
+`reduce_spec` and `split_AB` share three validated `_Workspace` steps:
+  power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
+                   mod ell^N, on a binomial or a constant-exponent tail;
+  expand        -- a binomial with a positive exponent as its polynomial
+                   mod ell^N;
+  plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail.
+`split_AB` also peels tails into explicit factors and, mod 2^N, cancels
+matching plus/minus tail pairs (the ratio rule).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,7 +194,9 @@ def build_spec(kind: GFKind) -> ProductSpec:
 
 @dataclass
 class _Workspace:
-    """Mutable factor inventory during a reduction or split."""
+    """Mutable factor inventory during a reduction or split, and the rewrite
+    steps on it.  A step validates its rewrite with `apply_rule` and returns
+    the new factor(s), or None when it does not apply."""
 
     modulus: Modulus
     validation_length: int
@@ -193,11 +205,9 @@ class _Workspace:
     tails: list = field(default_factory=list)
     derivation: list = field(default_factory=list)
 
-    def add_binomial(self, sign, base, exponent):
-        if exponent == 0:
-            return
-        key = (sign, base)
-        e = self.binomials.get(key, 0) + exponent
+    def add_binomial(self, factor: BinomialFactor, times: int = 1):
+        key = (factor.sign, factor.base)
+        e = self.binomials.get(key, 0) + times * factor.exponent
         if e == 0:
             self.binomials.pop(key, None)
         else:
@@ -206,7 +216,7 @@ class _Workspace:
     def load(self, spec: ProductSpec):
         for f in spec.factors:
             if isinstance(f, BinomialFactor):
-                self.add_binomial(f.sign, f.base, f.exponent)
+                self.add_binomial(f)
             elif isinstance(f, PolyFactor):
                 self.polys.append(f)
             elif isinstance(f, TailFamily):
@@ -224,11 +234,49 @@ class _Workspace:
             )
         self.derivation.append(label)
 
-    def binomial_factors(self):
-        return [
-            BinomialFactor(sign, base, e)
-            for (sign, base), e in sorted(self.binomials.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ]
+    def power_reduce(self, factor, delta: int = 1):
+        """`_power_reduce` as a validated step; None when no step applies or
+        the reduced factor is not supported on delta*Z."""
+        after = _power_reduce(factor, self.modulus)
+        if after is None or not _structurally_supported(after, delta):
+            return None
+        self.apply_rule(f"power-reduce: {factor} -> {after} (mod {self.modulus})", [factor], [after])
+        return after
+
+    def expand(self, factor: BinomialFactor, delta: int = 1):
+        """A binomial with a positive exponent, of degree within the
+        validation length, as its polynomial mod ell^N; None otherwise or
+        when the polynomial is not supported on delta*Z."""
+        if factor.exponent <= 0 or factor.base * factor.exponent > self.validation_length:
+            return None
+        poly = _binomial_poly(factor.sign, factor.base, factor.exponent, self.modulus)
+        if not _structurally_supported(poly, delta):
+            return None
+        self.apply_rule(f"expand: {factor} -> {poly} (mod {self.modulus})", [factor], [poly])
+        return poly
+
+    def plus_to_minus(self, factor):
+        """The exact rewrite (1+x)^e = (1-x^2)^e (1-x)^-e of a plus binomial
+        or tail, for any exponent: the pair (doubled, inverse)."""
+        if isinstance(factor, TailFamily):
+            doubled = replace(factor, sign=-1, scale=2 * factor.scale, offset=2 * factor.offset)
+            inverse = replace(factor, sign=-1, exp_offset=-factor.exp_offset, exp_scale=-factor.exp_scale)
+        else:
+            doubled = replace(factor, sign=-1, base=2 * factor.base)
+            inverse = replace(factor, sign=-1, exponent=-factor.exponent)
+        self.apply_rule(f"plus-to-minus: {factor} -> {doubled} * {inverse}", [factor], [doubled, inverse])
+        return doubled, inverse
+
+
+def _by_base(binomials: dict) -> list:
+    """Binomial factors from (sign, base) -> exponent, zero exponents dropped,
+    by base with ties in insertion order: a snapshot, so the caller may
+    change the dict while iterating."""
+    return [
+        BinomialFactor(sign, base, e)
+        for (sign, base), e in sorted(binomials.items(), key=lambda kv: kv[0][1])
+        if e
+    ]
 
 
 def _max_base(spec: ProductSpec) -> int:
@@ -293,32 +341,20 @@ def reduce_spec(spec: ProductSpec, modulus: Modulus, validation_length: int | No
     ws = _Workspace(modulus, validation_length)
     ws.load(spec)
 
-    for (sign, base), e in sorted(ws.binomials.items(), key=lambda kv: kv[0][1]):
-        before = BinomialFactor(sign, base, e)
-        after = _power_reduce(before, modulus)
-        if after is None:
-            continue
-        ws.apply_rule(f"power-reduce: {before} -> {after} (mod {modulus})", [before], [after])
-        ws.add_binomial(sign, base, -e)
-        ws.add_binomial(sign, after.base, after.exponent)
+    for before in _by_base(ws.binomials):
+        after = ws.power_reduce(before)
+        if after is not None:
+            ws.add_binomial(before, -1)
+            ws.add_binomial(after)
+    ws.tails = [ws.power_reduce(tail) or tail for tail in ws.tails]
 
-    new_tails = []
-    for tail in ws.tails:
-        moved = _power_reduce(tail, modulus)
-        if moved is not None:
-            ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
-        new_tails.append(moved or tail)
-    ws.tails = new_tails
-
-    for (sign, base), e in sorted(list(ws.binomials.items()), key=lambda kv: kv[0][1]):
-        if sign > 0 and e >= 2 and base * e <= validation_length:
-            poly = _binomial_poly(sign, base, e, modulus)
-            before = BinomialFactor(sign, base, e)
-            ws.apply_rule(f"expand: {before} -> {poly} (mod {modulus})", [before], [poly])
-            ws.add_binomial(sign, base, -e)
+    for before in _by_base(ws.binomials):
+        if before.sign > 0 and before.exponent >= 2 and (poly := ws.expand(before)) is not None:
+            ws.add_binomial(before, -1)
             ws.polys.append(poly)
 
-    factors = tuple(ws.binomial_factors()) + tuple(ws.polys) + tuple(ws.tails)
+    binomials = sorted(_by_base(ws.binomials), key=lambda f: (f.base, f.sign))
+    factors = tuple(binomials) + tuple(ws.polys) + tuple(ws.tails)
     return ProductSpec(factors), tuple(ws.derivation)
 
 
@@ -362,18 +398,6 @@ def _structurally_supported(factor, delta: int) -> bool:
     if isinstance(factor, TailFamily):
         return factor.scale % delta == 0 and factor.offset % delta == 0
     return False
-
-
-def _poly_support_ok(sign, base, exponent, modulus, delta, limit):
-    """Does (1 + sign*q^base)^exponent collapse mod ell^N to a polynomial
-    supported on multiples of delta?  Only for positive exponents of
-    manageable degree."""
-    if exponent <= 0 or base * exponent > limit:
-        return None
-    poly = _binomial_poly(sign, base, exponent, modulus)
-    if all(i % delta == 0 for i in poly.support()):
-        return poly
-    return None
 
 
 def split_AB(
@@ -422,7 +446,7 @@ def split_AB(
                     explicit + [moved],
                 )
                 for f in explicit:
-                    ws.add_binomial(f.sign, f.base, f.exponent)
+                    ws.add_binomial(f)
                 tail = moved
             peeled.append(tail)
         ws.tails = peeled
@@ -456,124 +480,72 @@ def split_AB(
                 remaining.extend(group)
         ws.tails = remaining
 
-    # Surviving plus tails: exact rewrite (1+q^B)^e = (1-q^(2B))^e (1-q^B)^-e.
+    # Surviving plus tails become minus tails.
     minus_tails = []
     for tail in ws.tails:
-        if tail.sign < 0:
-            minus_tails.append(tail)
-            continue
-        doubled = replace(tail, sign=-1, scale=2 * tail.scale, offset=2 * tail.offset)
-        inverse = replace(tail, sign=-1, exp_offset=-tail.exp_offset)
-        ws.apply_rule(
-            f"plus-to-minus: {tail} -> {doubled} * {inverse}",
-            [tail],
-            [doubled, inverse],
-        )
-        minus_tails.append(doubled)
-        minus_tails.append(inverse)
+        minus_tails.extend(ws.plus_to_minus(tail) if tail.sign > 0 else (tail,))
     ws.tails = minus_tails
 
+    # B's binomials are summed as they are produced, so exact cancellations
+    # inside B merge; its other factors keep their order.
+    b_binomials = Counter()
+    b_others = []
+
     # Explicit plus factors: keep when already on delta-multiples, collapse to
-    # a supported polynomial when the expansion allows, else the exact
-    # (1+q^j)^e = (1-q^(2j))^e (1-q^j)^-e rewrite moves them to minus factors.
-    b_factors = []
-    for (sign, base), e in sorted(
-        [kv for kv in ws.binomials.items() if kv[0][0] > 0], key=lambda kv: kv[0][1]
-    ):
-        factor = BinomialFactor(sign, base, e)
-        ws.binomials.pop((sign, base))
-        if base % delta == 0:
-            b_factors.append(factor)
+    # a supported polynomial when the expansion allows, else move them to
+    # minus factors.
+    for factor in _by_base(ws.binomials):
+        if factor.sign < 0:
             continue
-        poly = _poly_support_ok(sign, base, e, modulus, delta, validation_length)
-        if poly is not None:
-            ws.apply_rule(f"expand: {factor} -> {poly} (mod {modulus})", [factor], [poly])
-            b_factors.append(poly)
-            continue
-        # exact for any integer exponent: (1+q^j)^e = (1-q^2j)^e (1-q^j)^-e
-        doubled = BinomialFactor(-1, 2 * base, e)
-        ws.apply_rule(
-            f"plus-to-minus: {factor} -> {doubled} * (1-q^{base})^{-e}",
-            [factor],
-            [doubled, BinomialFactor(-1, base, -e)],
-        )
-        ws.add_binomial(-1, 2 * base, e)
-        ws.add_binomial(-1, base, -e)
+        ws.add_binomial(factor, -1)
+        if factor.base % delta == 0:
+            b_binomials[factor.sign, factor.base] += factor.exponent
+        elif (poly := ws.expand(factor, delta)) is not None:
+            b_others.append(poly)
+        else:
+            for f in ws.plus_to_minus(factor):
+                ws.add_binomial(f)
 
     # Classify minus factors: head denominators stay in A unless a reduction
     # lands them on delta-multiples.  Explicit factors reduce only when the
     # exponent is a pure prime power, preserving the head shapes used by the
     # worked decompositions; tails must land in B or the split fails.
     a_parts = {}
-
-    def classify_minus(base, e):
-        before = BinomialFactor(-1, base, e)
-        if base % delta == 0:
-            b_factors.append(before)
-            return
-        after = _power_reduce(before, modulus)
-        pure_power = abs(e) == ell ** ord_prime(abs(e), ell)
-        if after is not None and after.base % delta == 0 and (N > 1 or pure_power):
-            ws.apply_rule(
-                f"power-reduce: {before} -> {after} (mod {modulus})", [before], [after]
-            )
-            b_factors.append(after)
-            return
-        if e < 0:
-            a_parts[base] = a_parts.get(base, 0) - e
-            return
-        poly = _poly_support_ok(-1, base, e, modulus, delta, validation_length)
-        if poly is not None:
-            ws.apply_rule(f"expand: {before} -> {poly} (mod {modulus})", [before], [poly])
-            b_factors.append(poly)
-            return
-        raise SplitFailed(f"numerator (1-q^{base})^{e} is not supported on {delta}Z")
-
-    for (sign, base), e in sorted(ws.binomials.items(), key=lambda kv: kv[0][1]):
-        if sign > 0:
+    for before in _by_base(ws.binomials):
+        base, e = before.base, before.exponent
+        if before.sign > 0:
             raise SplitFailed(f"unprocessed factor (1+q^{base})^{e}")
-        classify_minus(base, e)
+        pure_power = abs(e) == ell ** ord_prime(abs(e), ell)
+        if base % delta == 0:
+            b_binomials[-1, base] += e
+        elif (N > 1 or pure_power) and (after := ws.power_reduce(before, delta)) is not None:
+            b_binomials[-1, after.base] += after.exponent
+        elif e < 0:
+            a_parts[base] = -e
+        elif (poly := ws.expand(before, delta)) is not None:
+            b_others.append(poly)
+        else:
+            raise SplitFailed(f"numerator (1-q^{base})^{e} is not supported on {delta}Z")
 
     for tail in ws.tails:
         if _structurally_supported(tail, delta):
-            b_factors.append(tail)
-            continue
-        moved = _power_reduce(tail, modulus)
-        if moved is not None and _structurally_supported(moved, delta):
-            ws.apply_rule(f"power-reduce: {tail} -> {moved} (mod {modulus})", [tail], [moved])
-            b_factors.append(moved)
-            continue
-        raise SplitFailed(f"tail {tail} cannot be supported on {delta}Z")
+            b_others.append(tail)
+        elif (moved := ws.power_reduce(tail, delta)) is not None:
+            b_others.append(moved)
+        else:
+            raise SplitFailed(f"tail {tail} cannot be supported on {delta}Z")
 
     for poly in ws.polys:
-        if all(i % delta == 0 for i in poly.support()):
-            b_factors.append(poly)
-        else:
+        if not _structurally_supported(poly, delta):
             raise SplitFailed(f"polynomial {poly} is not supported on {delta}Z")
+        b_others.append(poly)
 
     if not a_parts:
         raise SplitFailed("no periodic head: every factor is delta-supported")
 
-    # merge exact binomial cancellations inside B
-    merged = {}
-    other_b = []
-    for f in b_factors:
-        if isinstance(f, BinomialFactor):
-            key = (f.sign, f.base)
-            merged[key] = merged.get(key, 0) + f.exponent
-        else:
-            other_b.append(f)
-    b_final = [
-        BinomialFactor(s, b, e)
-        for (s, b), e in sorted(merged.items(), key=lambda kv: kv[0][1])
-        if e != 0
-    ] + other_b
-
-    a_spec = ProductSpec(
-        tuple(BinomialFactor(-1, b, -e) for b, e in sorted(a_parts.items()))
-    )
-    b_spec = ProductSpec(tuple(b_final))
     a_multiset = PartMultiset(tuple(sorted(a_parts.items())))
+    a_spec = a_multiset.to_product_spec()
+    b_spec = ProductSpec(tuple(_by_base(b_binomials)) + tuple(b_others))
 
     for f in b_spec.factors:
         if not _structurally_supported(f, delta):

@@ -195,20 +195,14 @@ class Plan:
     error: CongcertError | None = None
 
     @classmethod
-    def build(
-        cls,
-        target: GFKind,
-        modulus: Modulus,
-        delta: int,
-        validation_length: int | None = None,
-    ) -> "Plan":
+    def build(cls, target: GFKind, modulus: Modulus, delta: int) -> "Plan":
         """Split the product into A*B at this modulus and delta, take the
         minimal period of A's multiset lifted to a multiple of delta and the
         degree bound of A's rational section, and expand A to the smaller
         of the two bounds."""
         spec = build_spec(target)
         try:
-            dec = split_AB(spec, modulus, delta, validation_length)
+            dec = split_AB(spec, modulus, delta)
             info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
         except (SplitFailed, CertificateFailed, EmptyMultiset) as exc:
             return cls(target, modulus, delta, spec, error=exc)
@@ -262,29 +256,17 @@ class Plan:
                 status=INAPPLICABLE,
                 reason=f"{type(self.error).__name__}: {self.error}",
             )
-        dec = self.decomposition
         n = self.first_failure(family)
-        if n is None:
-            return Certificate(
-                family=family,
-                target=self.target,
-                status=PROVED,
-                a_multiset=dec.a_multiset,
-                period_used=self.period,
-                check_bound=self.bound,
-                degree_bound=self.degree_bound,
-                derivation=dec.derivation,
-            )
         return Certificate(
             family=family,
             target=self.target,
-            status=COUNTEREXAMPLE,
-            a_multiset=dec.a_multiset,
+            status=PROVED if n is None else COUNTEREXAMPLE,
+            a_multiset=self.decomposition.a_multiset,
             period_used=self.period,
             check_bound=self.bound,
             degree_bound=self.degree_bound,
-            witness=self._witness(family, n),
-            derivation=dec.derivation,
+            witness=None if n is None else self._witness(family, n),
+            derivation=self.decomposition.derivation,
         )
 
     def _witness(self, family: CongruenceFamily, n: int) -> tuple:
@@ -308,18 +290,14 @@ class Plan:
             )
 
 
-def certify(
-    target: GFKind,
-    family: CongruenceFamily,
-    validation_length: int | None = None,
-) -> Certificate:
+def certify(target: GFKind, family: CongruenceFamily) -> Certificate:
     """Verify the family for all n below min(K, period/delta) and certify it
     for all n.
 
     Builds a one-off `Plan` for the family's modulus and delta and checks the
     family on it.  A failed split or an empty head yields status
     INAPPLICABLE; a failed comparison yields the first counterexample."""
-    return Plan.build(target, family.modulus, family.delta, validation_length).check(family)
+    return Plan.build(target, family.modulus, family.delta).check(family)
 
 
 @dataclass(frozen=True)

@@ -336,18 +336,17 @@ def _div_binomial(arr: np.ndarray, sign: int, base: int, m: int, upto=None) -> N
     x[:] = buf[:n]
 
 
-def _mul_binomial(arr: np.ndarray, sign: int, base: int, m: int, upto=None) -> None:
-    """Multiply arr[:upto] by (1 + sign*q^base), in place."""
-    x = arr if upto is None else arr[:upto]
-    n = x.size
+def _mul_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
+    """Multiply arr by (1 + sign*q^base), in place."""
+    n = arr.size
     if base >= n:
         return
-    src = x[: n - base].copy()
+    src = arr[: n - base].copy()
     if sign > 0:
-        x[base:] += src
+        arr[base:] += src
     else:
-        x[base:] -= src
-    x %= m
+        arr[base:] -= src
+    arr %= m
 
 
 def _apply_binomial(arr, sign, base, exponent, m) -> None:

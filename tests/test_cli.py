@@ -420,6 +420,12 @@ class TestRemovedKeys:
         with pytest.raises(ParseError, match="unknown key 'window'"):
             parse_instance_file(THREE_ROWED + "window = 3\n")
 
+    def test_validation_length_key_exits_two(self, capsys, instance_path):
+        # the split derives its validation length from the product
+        code, out = run(["certify", "--instance", instance_path(THREE_ROWED + "validation_length = 500\n")])
+        assert code == 2 and out == ""
+        assert "unknown key 'validation_length'" in capsys.readouterr().err
+
 
 class TestResourceFailures:
     def test_memory_error_exits_two_with_message(self, monkeypatch, capsys, instance_path):

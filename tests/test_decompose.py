@@ -375,6 +375,30 @@ class TestSplitDigest:
         assert digest == "5964b0403764db10"
 
 
+def _reduce_record(target, modulus):
+    from congcert import CongcertError
+
+    try:
+        spec, derivation = reduce_spec(build_spec(target), modulus)
+    except CongcertError as exc:
+        return f"{target} mod {modulus}: {type(exc).__name__}: {exc}"
+    return f"{target} mod {modulus}: {spec!r} " + " | ".join(derivation)
+
+
+class TestReduceDigest:
+    def test_reduce_grid_digest(self):
+        # recorded before the rewrite steps became `_Workspace` methods
+        # shared with split_AB; any change to a reduced spec, derivation or
+        # error message over the split grid's targets and moduli changes it
+        import hashlib
+
+        cases = dict.fromkeys((target, modulus) for target, modulus, _ in _split_grid())
+        records = [_reduce_record(*case) for case in cases]
+        assert len(records) == 100
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
+        assert digest == "41eb68a4846983be"
+
+
 _FROBENIUS_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5]
 
 

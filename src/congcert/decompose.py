@@ -43,6 +43,7 @@ from .series import (
     PolyFactor,
     ProductSpec,
     TailFamily,
+    binomial_power,
     frobenius_step,
     series_from_spec,
 )
@@ -249,7 +250,8 @@ class _Workspace:
         when the polynomial is not supported on delta*Z."""
         if factor.exponent <= 0 or factor.base * factor.exponent > self.validation_length:
             return None
-        poly = _binomial_poly(factor.sign, factor.base, factor.exponent, self.modulus)
+        coeffs = binomial_power(factor.sign, factor.base, factor.exponent, self.modulus.value)
+        poly = PolyFactor(tuple(coeffs.tolist()))
         if not _structurally_supported(poly, delta):
             return None
         self.apply_rule(f"expand: {factor} -> {poly} (mod {self.modulus})", [factor], [poly])
@@ -293,21 +295,6 @@ def _max_base(spec: ProductSpec) -> int:
 
 def default_validation_length(spec: ProductSpec, delta: int = 1) -> int:
     return max(2 * delta, 4 * _max_base(spec), 500)
-
-
-def _binomial_poly(sign: int, base: int, exponent: int, modulus: Modulus) -> PolyFactor:
-    """Expand (1 + sign*q^base)^exponent (exponent > 0) into an explicit
-    polynomial reduced mod ell^N."""
-    m = modulus.value
-    coeffs = [0] * (base * exponent + 1)
-    c = 1
-    for k in range(exponent + 1):
-        v = c % m
-        if sign < 0 and k % 2 == 1:
-            v = (-c) % m
-        coeffs[k * base] = v
-        c = c * (exponent - k) // (k + 1)
-    return PolyFactor(tuple(coeffs))
 
 
 def _power_reduce(factor, modulus: Modulus):
@@ -506,15 +493,14 @@ def split_AB(
             for f in ws.plus_to_minus(factor):
                 ws.add_binomial(f)
 
-    # Classify minus factors: head denominators stay in A unless a reduction
-    # lands them on delta-multiples.  Explicit factors reduce only when the
-    # exponent is a pure prime power, preserving the head shapes used by the
-    # worked decompositions; tails must land in B or the split fails.
+    # Classify minus factors, the only binomials the plus loop leaves: head
+    # denominators stay in A unless a reduction lands them on delta-multiples.
+    # Explicit factors reduce only when the exponent is a pure prime power,
+    # preserving the head shapes used by the worked decompositions; tails
+    # must land in B or the split fails.
     a_parts = {}
     for before in _by_base(ws.binomials):
         base, e = before.base, before.exponent
-        if before.sign > 0:
-            raise SplitFailed(f"unprocessed factor (1+q^{base})^{e}")
         pure_power = abs(e) == ell ** ord_prime(abs(e), ell)
         if base % delta == 0:
             b_binomials[-1, base] += e

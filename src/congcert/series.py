@@ -16,8 +16,15 @@ matter:
   the exact partition numbers p(k) < 2^63, and which a Newton inversion
   g <- g(2 - Eg) extends beyond them.
 - Explicit binomials, those finite heads and the explicit factors of
-  other tails are summed into one net exponent per (sign, base), and each
-  unit of it is one O(L) pass: multiplying or dividing by (1 +- q^b).
+  other tails are summed into one net exponent per (sign, base).  The
+  positive ones make one numerator P and the negative ones one denominator
+  Q, each prod (1 +- q^b)^|e| below L.  Few units of exponent are applied
+  as they are, one O(L) pass each (multiplying or dividing by 1 +- q^b).
+  Past a crossover measured by `scripts/kernel_crossover.py`, P is built
+  on its own short array and applied by one blocked product, and Q by one
+  Newton inversion and one product; either is built by unit passes on its
+  own array or, when cheaper, from closed-form powers (`binomial_power`)
+  multiplied smallest first.
 - Before either runs, an exponent divisible by ell^N moves to ell times its
   base with exponent divided by ell (`frobenius_step`, the one statement of
   that rule), which agrees mod ell^N: so E^-10 mod 5 is taken as
@@ -27,8 +34,11 @@ matter:
   one pass while (m-1)^2 * L < 2^50, else over limbs of residues whose
   width w satisfies (2^w-1)^2 * L < 2^50.  Each rounding is checked, and a
   product that is not exact raises instead of returning a value.
-- Series inverses, and polynomial factors with negative exponents, use the
-  same Newton inversion.
+- Series inverses, the denominator Q, and polynomial factors with negative
+  exponents use the same Newton inversion.  A polynomial factor with a
+  positive exponent is raised at its own degree and applied, like P, by
+  the blocked product: an overlap-add of products of fixed-size chunks, so
+  that it holds O(block + deg P) beside the series, not O(L).
 
 Tails with a base offset or an exponent that varies with n have no such
 closed form.  Their explicit factors join the net exponents: all of them
@@ -349,24 +359,161 @@ def _mul_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
     arr %= m
 
 
-def _apply_binomial(arr, sign, base, exponent, m) -> None:
-    if base >= arr.size or exponent == 0:
-        return
-    for _ in range(abs(exponent)):
-        if exponent > 0:
-            _mul_binomial(arr, sign, base, m)
+def binomial_power(
+    sign: int, base: int, exponent: int, m: int, length: int | None = None
+) -> np.ndarray:
+    """The coefficients of (1 + sign*q^base)^exponent mod m, exponent >= 0,
+    below `length` when given: the one statement of them.  C(e, k) is
+    carried exactly, as C(e, k+1) = C(e, k) (e-k)/(k+1)."""
+    size = base * exponent + 1 if length is None else min(length, base * exponent + 1)
+    out = np.zeros(size, dtype=np.int64)
+    values, c = [], 1
+    for k in range((size - 1) // base + 1):
+        values.append((-c if sign < 0 and k % 2 else c) % m)
+        c = c * (exponent - k) // (k + 1)
+    out[::base] = values
+    return out
+
+
+# The routes of `_apply_binomials`, costed in coefficients touched: a unit
+# pass (`_mul_binomial`, `_div_binomial`) over k coefficients costs
+# k + _PASS_OVERHEAD, and each other step a fixed number of unit passes at
+# its length.  `scripts/kernel_crossover.py`, least of 7 runs, ranges over
+# six runs (three each mod 2 and mod 5) on 2 vCPUs: the time of a pass,
+# then blocked product (degree 165), full product and inverse plus product
+# in passes:
+#         L    pass          product   full       inverse
+#       500    8.6-10.9 us   11.2-13.3  9.6-13.7   62-102
+#     1,000   10.9-15.7 us    8.5-10.3 10.0-11.6   80-101
+#     5,000   43.9-59.7 us    6.3-7.7   9.6-12.0   64-92
+#    10,000     85-118 us     7.3-8.5   9.9-16.6   55-83
+#    63,005    584-719 us     6.8-8.3  18.4-21.6   40-52
+#   125,604   1.16-1.43 ms    5.6-7.5  19.9-24.3   43-52
+# and the fixed cost of a pass, 2.2-4.5 us, 206-512 coefficients, whose
+# middle is _PASS_OVERHEAD.  Each ratio below is at least the largest seen,
+# so a route is taken only where its estimate is no more than the unit
+# passes it replaces at every measured length.
+_PASS_OVERHEAD = 400
+_PRODUCT_PASSES = 14  # a blocked product by a polynomial (the numerator)
+_INVERSE_PASSES = 105  # a Newton inverse and a full-length product (the denominator)
+_HEAP_PASSES = 25  # one exact product inside the heap builder
+# Chunk of the series in the blocked product: transient memory is
+# O(block + deg P), not O(L).
+_PRODUCT_BLOCK = 8192
+
+
+def _apply_binomials(arr: np.ndarray, binomials: dict, m: int) -> np.ndarray:
+    """arr times prod (1 + sign*q^base)^e over the net exponents, to len(arr)
+    coefficients mod m.  The positive exponents make one numerator P, the
+    negative ones, negated, one denominator Q.  Each is applied by unit
+    passes over arr or, when `_route` finds it cheaper at this length, P by
+    one blocked product and Q by one Newton inverse followed by one
+    product."""
+    n = arr.size
+    numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0 and b < n]
+    denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0 and b < n]
+    if numer:
+        route = _route(numer, n, _PRODUCT_PASSES)
+        if route is None:
+            _unit_passes(arr, numer, m, _mul_binomial)
         else:
-            _div_binomial(arr, sign, base, m)
+            _mul_blocked(arr, _binomial_product(numer, m, *route), m)
+    if denom:
+        route = _route(denom, n, _INVERSE_PASSES)
+        if route is None:
+            _unit_passes(arr, denom, m, _div_binomial)
+        else:
+            inverse = _inverse(_binomial_product(denom, m, *route), n, m, shown=1)
+            unit = arr[0] == 1 and not arr[1:].any()
+            arr = inverse if unit else _mul_mod(arr, inverse, m, n)
+    return arr
+
+
+def _unit_passes(arr, factors, m, step) -> None:
+    """One `step` (`_mul_binomial` or `_div_binomial`) per unit of exponent
+    of each factor (sign, base, e > 0), in place."""
+    for sign, base, e in factors:
+        for _ in range(e):
+            step(arr, sign, base, m)
+
+
+def _route(factors, n: int, route_passes: int):
+    """None when unit passes over a series of length n cost less than
+    building the polynomial prod (1 + sign*q^base)^e over the factors
+    (sign, base, e > 0) and applying it at the cost of `route_passes`
+    passes; else (size, heap): its size below n, and whether the heap of
+    closed-form powers builds it more cheaply than unit passes on its own
+    array."""
+    passes = sum(e for _, _, e in factors)
+    if passes < route_passes:
+        return None
+    size = min(n, 1 + sum(b * e for _, b, e in factors))
+    sizes = [min(size, b * e + 1) for _, b, e in factors]
+    heapq.heapify(sizes)
+    by_heap = 0
+    while len(sizes) > 1:
+        product = min(size, heapq.heappop(sizes) + heapq.heappop(sizes) - 1)
+        heapq.heappush(sizes, product)
+        by_heap += _HEAP_PASSES * (product + _PASS_OVERHEAD)
+    by_passes = passes * (size + _PASS_OVERHEAD)
+    cost = min(by_heap, by_passes) + route_passes * (n + _PASS_OVERHEAD)
+    if cost > passes * (n + _PASS_OVERHEAD):
+        return None
+    return size, by_heap < by_passes
+
+
+def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
+    """prod (1 + sign*q^base)^e over the factors (sign, base, e > 0) to `size`
+    coefficients mod m: unit passes on its own array, or, with `heap`,
+    closed-form powers (`binomial_power`) multiplied smallest first."""
+    if not heap:
+        out = np.zeros(size, dtype=np.int64)
+        out[0] = 1 % m
+        _unit_passes(out, factors, m, _mul_binomial)
+        return out
+    powers = (binomial_power(s, b, e, m, size) for s, b, e in factors)
+    queue = [(p.size, i, p) for i, p in enumerate(powers)]
+    heapq.heapify(queue)
+    count = len(queue)
+    while len(queue) > 1:
+        _, _, a = heapq.heappop(queue)
+        _, _, b = heapq.heappop(queue)
+        c = _mul_mod(a, b, m, min(size, a.size + b.size - 1))
+        heapq.heappush(queue, (c.size, count, c))
+        count += 1
+    return queue[0][2]
+
+
+def _mul_blocked(arr: np.ndarray, poly: np.ndarray, m: int, block: int | None = None) -> None:
+    """arr times the polynomial poly, to len(arr) coefficients mod m, in
+    place: an overlap-add of exact products of `block`-long chunks of arr
+    (by default `_PRODUCT_BLOCK`, or poly's length if longer), from the last
+    chunk back, so every chunk is read before a product overwrites it."""
+    n = arr.size
+    if block is None:
+        block = max(_PRODUCT_BLOCK, poly.size)
+    for lo in range((n - 1) // block * block, -1, -block):
+        hi = min(lo + block, n)
+        part = _mul_mod(arr[lo:hi], poly, m, min(n - lo, hi - lo + poly.size - 1))
+        spill = arr[hi : lo + part.size]
+        spill += part[hi - lo :]
+        spill %= m
+        arr[lo:hi] = part[: hi - lo]
 
 
 def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
+    """arr times factor: a positive power is taken at its own degree and
+    applied by the blocked product; a negative one through the inverse."""
     if factor.exponent == 0:
         return arr
     n = arr.size
     poly = np.array([c % m for c in factor.coeffs[:n]], dtype=np.int64)
     if factor.exponent < 0:
         poly = _inverse(poly, n, m, shown=factor.coeffs[0])
-    return _mul_mod(arr, _pow_mod(poly, abs(factor.exponent), m, n), m, n)
+        return _mul_mod(arr, _pow_mod(poly, -factor.exponent, m, n), m, n)
+    size = min(n, (poly.size - 1) * factor.exponent + 1)
+    _mul_blocked(arr, _pow_mod(poly, factor.exponent, m, size), m)
+    return arr
 
 
 def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
@@ -457,8 +604,7 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
             arr = _apply_poly(arr, factor, m)
         else:
             _fold_tail(arr, factor, m)
-    for (sign, base), e in _frobenius(binomials, modulus).items():
-        _apply_binomial(arr, sign, base, e, m)
+    arr = _apply_binomials(arr, _frobenius(binomials, modulus), m)
     return ModSeries(modulus, arr)
 
 

@@ -259,6 +259,13 @@ class TestExpandCommand:
         assert code == 0
         assert out.strip() == "1,1,1,0,1,1,1,0,1,1,1,0,0"
 
+    def test_plane_target_expands(self):
+        # one net exponent per base below the length: the heap and one inverse
+        code, out = run(["expand", "--target", "plane", "--prime", "3", "--length", "2000"])
+        assert code == 0
+        coeffs = out.strip().split(",")
+        assert len(coeffs) == 2000 and coeffs[:8] == ["1", "1", "0", "0", "1", "0", "0", "2"]
+
     @pytest.mark.parametrize(
         "target,message",
         [

@@ -423,3 +423,122 @@ class TestExactProduct:
         xs = [rng.randrange(BIG.value) for _ in range(4096)]
         with pytest.raises(CongcertError, match="lost exactness"):
             series_mul(ModSeries(BIG, xs), ModSeries(BIG, xs[::-1]))
+
+
+HUGE = 1 << 60
+
+# Crossover settings that force each route of the net-binomial kernel.
+ROUTES = {
+    "unit passes": dict(_PRODUCT_PASSES=HUGE, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
+    "numerator product": dict(_PRODUCT_PASSES=0, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
+    "denominator inverse": dict(_PRODUCT_PASSES=HUGE, _INVERSE_PASSES=0, _HEAP_PASSES=HUGE),
+    "heap builder": dict(_PRODUCT_PASSES=0, _INVERSE_PASSES=0, _HEAP_PASSES=0),
+}
+
+
+def _route_spec(rng):
+    """Net binomials with |e| <= 80 and bases <= 60, sometimes on top of an
+    Euler-shaped tail or a polynomial factor."""
+    factors = [
+        BinomialFactor(
+            rng.choice([1, -1]), rng.randint(1, 60), rng.choice([-1, 1]) * rng.randint(1, 80)
+        )
+        for _ in range(rng.randint(1, 6))
+    ]
+    if rng.random() < 0.3:
+        sign, start = rng.choice([1, -1]), rng.randint(1, 3)
+        factors.append(TailFamily(sign=sign, start=start, exp_offset=rng.choice([-2, -1, 1])))
+    if rng.random() < 0.2:
+        factors.append(PolyFactor((1, rng.randint(-2, 2), 0, 1), rng.choice([-1, 2])))
+    return ProductSpec(tuple(factors))
+
+
+class TestBinomialRoutes:
+    """Every route of the net-binomial kernel gives the same records: unit
+    passes over the series, the numerator as one blocked product, the
+    denominator as one inverse and product, and either polynomial built by
+    the heap of closed-form powers."""
+
+    def expand_by(self, monkeypatch, route, spec, modulus, length):
+        import congcert.series as series
+
+        for name, value in ROUTES[route].items():
+            monkeypatch.setattr(series, name, value)
+        return series_from_spec(spec, modulus, length)
+
+    def test_forced_routes_agree(self, monkeypatch):
+        import congcert.series as series
+
+        built = []  # (route, heap) of every polynomial the routes built
+        real = series._binomial_product
+
+        def spy(factors, m, size, heap):
+            built.append((route, heap))
+            return real(factors, m, size, heap)
+
+        monkeypatch.setattr(series, "_binomial_product", spy)
+        rng = random.Random(1106)
+        moduli = [MOD2, MOD3, Modulus(5, 2), Modulus(2, 30), Modulus(7, 1)]
+        for _ in range(50):
+            spec, modulus = _route_spec(rng), rng.choice(moduli)
+            length = rng.choice([rng.randint(1, 400), rng.randint(400, 4000)])
+            records = {}
+            for route in ROUTES:
+                records[route] = self.expand_by(monkeypatch, route, spec, modulus, length)
+            want = records["unit passes"]
+            for route, got in records.items():
+                assert got == want, f"{route}: {spec} mod {modulus} len {length}"
+        assert ("unit passes", True) not in built and ("unit passes", False) not in built
+        assert ("numerator product", False) in built
+        assert ("denominator inverse", False) in built
+        assert ("heap builder", True) in built
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_forced_routes_match_brute_force(self, monkeypatch, route):
+        rng = random.Random(1107)
+        for _ in range(10):
+            spec, modulus = _route_spec(rng), rng.choice([MOD2, Modulus(3, 2), MOD5])
+            length = rng.randint(1, 300)
+            got = list(self.expand_by(monkeypatch, route, spec, modulus, length))
+            assert got == brute_expand(spec, length, modulus.value), f"{spec} len {length}"
+
+    @pytest.mark.parametrize("modulus", [MOD3, Modulus(2, 30)], ids=str)
+    def test_blocked_product_at_block_edges(self, modulus):
+        from congcert.series import _mul_blocked, _mul_mod
+
+        rng = np.random.default_rng(modulus.value)
+        m, block = modulus.value, 64
+        for degree in (0, 9, 63, 64, 150):  # the last two reach and pass the block
+            poly = rng.integers(0, m, degree + 1, dtype=np.int64)
+            for k in (1, 2, 3):
+                for n in (k * block - 1, k * block, k * block + 1):
+                    arr = rng.integers(0, m, n, dtype=np.int64)
+                    want = _mul_mod(arr, poly, m, n)
+                    _mul_blocked(arr, poly, m, block)
+                    assert np.array_equal(arr, want), (degree, n)
+
+    def test_ladder_expansion_memory(self):
+        # the blocked product keeps O(block + deg P) beside the series,
+        # where a full-length product of P would double the peak
+        import tracemalloc
+
+        from congcert import GFKind, build_spec
+
+        spec = build_spec(GFKind.plane_rowed(10))
+        series_from_spec(spec, MOD5, 63_005)
+        tracemalloc.start()
+        try:
+            series_from_spec(spec, MOD5, 63_005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("modulus", [MOD3, MOD4], ids=str)
+    def test_plane_matches_unit_passes(self, monkeypatch, modulus):
+        # prod (1-q^n)^-n: one net exponent per n below L, O(L^3) by unit passes
+        from congcert import GFKind, build_spec
+
+        spec = build_spec(GFKind.plane())
+        got = series_from_spec(spec, modulus, 200)
+        assert got == self.expand_by(monkeypatch, "unit passes", spec, modulus, 200)

@@ -148,13 +148,16 @@ def _first_failure_on_G(spec: ProductSpec, family: CongruenceFamily, count: int)
 
 
 def _row_generators(rows: np.ndarray, m: int) -> np.ndarray:
-    """At most rows.shape[1] rows generating the same Z/m module as `rows`,
-    for m a prime power.
+    """A Howell basis of the Z/m module generated by `rows`, m a prime
+    power: at most as many rows as columns, their pivots (first nonzero
+    entries) in increasing columns, so membership is exact by `_in_span`.
 
     Column by column, the pivot is the row whose entry x has the least
-    gcd(x, m).  In Z/m that entry divides every other entry of its column, so
-    subtracting multiples of the pivot row clears the column, the pivot's own
-    row included, without changing the module once the pivot is kept."""
+    gcd(x, m) = g.  In Z/m that entry divides every other entry of its column,
+    so subtracting multiples of the pivot row clears the column, the pivot's
+    own row included, without changing the module once the pivot is kept.
+    That row then takes (m/g)*pivot (0 for prime m), so the rows left span
+    every element of the module that vanishes up to this column."""
     rest = rows % m
     pivots = []
     for col in range(rows.shape[1]):
@@ -167,8 +170,24 @@ def _row_generators(rows: np.ndarray, m: int) -> np.ndarray:
         unit_inv = pow(int(pivot[col]) // g, -1, m)
         rest -= np.outer(rest[:, col] // g * unit_inv % m, pivot)
         rest %= m
+        rest[k] = pivot * (m // g) % m
         pivots.append(pivot)
     return np.array(pivots, dtype=np.int64).reshape(-1, rows.shape[1])
+
+
+def _in_span(vectors: np.ndarray, basis: np.ndarray, m: int) -> np.ndarray:
+    """For each row of `vectors`, whether it lies in the Z/m module of a
+    `_row_generators` basis: it reduces to zero by each basis row in turn,
+    at that row's pivot."""
+    v = vectors % m
+    inside = np.ones(len(v), dtype=bool)
+    for row in basis:
+        col = int(np.flatnonzero(row)[0])
+        g = math.gcd(int(row[col]), m)
+        inside &= v[:, col] % g == 0
+        mult = v[:, col] // g * pow(int(row[col]) // g, -1, m) % m
+        v = (v - np.outer(mult, row)) % m
+    return inside & ~v.any(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,17 +2,19 @@
 algebra over Z/ell^N.  A family with weights w holds below the bound exactly
 when head @ w == 0 for A's head on one shared `Plan`, so all candidates are
 checked at once against the few generators of the head's row module.  The
-optional redundancy filter drops proved families implied by those kept."""
+optional redundancy filter drops proved families in the Z/ell^N span of
+those kept, tested exactly against their Howell basis."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from .decompose import GFKind
 from .errors import InvalidParameter, SpaceTooLarge
-from .prover import PROVED, Certificate, CongruenceFamily, Plan
+from .prover import PROVED, Certificate, CongruenceFamily, Plan, _in_span, _row_generators
 from .series import Modulus
 
 # Unused here; bound so that perfbench/tracing.py, which wraps these
@@ -81,35 +83,6 @@ def enumerate_candidates(space: SearchSpace) -> list:
     return out
 
 
-def _insert_basis(vector, basis, m) -> bool:
-    """Reduce a family vector against the accepted pivot rows over Z/m, m a
-    prime power, and report whether it is new.
-
-    A vector that reduces to zero through every pivot is implied by the
-    accepted ones: it is rejected and the basis is unchanged.  A pivot whose
-    entry does not divide the vector's entry is skipped, and a vector that
-    skipped one is accepted even if its remainder is zero.  A nonzero
-    remainder joins the basis, pivoting on its entry of least gcd with m."""
-    v = [x % m for x in vector]
-    skipped = False
-    for col, row, g, unit_inv in basis:
-        c = v[col]
-        if c == 0:
-            continue
-        if c % g:
-            skipped = True
-            continue
-        mult = (c // g) * unit_inv % m
-        v = [(x - mult * y) % m for x, y in zip(v, row)]
-    nonzero = [i for i, x in enumerate(v) if x]
-    if not nonzero:
-        return skipped
-    col = min(nonzero, key=lambda i: math.gcd(v[i], m))
-    g = math.gcd(v[col], m)
-    basis.append((col, v, g, pow(v[col] // g, -1, m)))
-    return True
-
-
 def search_certified(
     space: SearchSpace,
     redundancy_filter: bool = False,
@@ -148,6 +121,13 @@ def search_certified(
     proved.sort(key=lambda c: (len(c.family.left) + len(c.family.right), c.family.left, c.family.right))
 
     if redundancy_filter:
-        basis = []
-        proved = [c for c in proved if _insert_basis(c.family.weights(), basis, modulus.value)]
+        # keep the first family outside the span of those kept, until none is
+        m = modulus.value
+        weights = [c.family.weights() for c in proved]
+        weights = np.array(weights, dtype=np.int64).reshape(-1, space.delta)
+        kept, outside = [], (weights % m).any(axis=1)
+        while outside.any():
+            kept.append(int(np.argmax(outside)))
+            outside &= ~_in_span(weights, _row_generators(weights[kept], m), m)
+        proved = [proved[i] for i in kept]
     return proved

@@ -2,8 +2,8 @@
 plus symbolic products of factors (1 +- q^b)^e that expand into them.
 
 Coefficients are kept fully reduced in [0, m) inside int64 arrays; every
-pass reduces before the next, and cumulative sums are chunked whenever the
-worst-case partial sum could leave int64 range.
+pass reduces before the next, and a cumulative sum whose worst-case partial
+sum could leave int64 range raises instead of running.
 
 Expansion to length L is exact and quasi-linear for the products that
 matter:
@@ -40,9 +40,10 @@ matter:
   the blocked product: an overlap-add of products of fixed-size chunks, so
   that it holds O(block + deg P) beside the series, not O(L).
 
-Tails with a base offset or an exponent that varies with n have no such
-closed form.  Their explicit factors join the net exponents: all of them
-below L when the exponent varies, else those below sqrt(L); the rest of a
+A base offset js in such a tail only moves its start to start + j.  Tails
+with any other offset or an exponent that varies with n have no closed
+form.  Their explicit factors join the net exponents: all of them below L
+when the exponent varies, else those below sqrt(L); the rest of a
 constant-exponent tail is folded by number of parts (`_fold_parts`).
 """
 
@@ -307,43 +308,34 @@ def product_spec(*factors) -> ProductSpec:
 def _cumsum_rows_mod(mat: np.ndarray, m: int, alternating: bool) -> None:
     """In place: mat[r] <- sum over i <= r of (+-1)^(r-i) mat[i], reduced mod m.
 
-    Plain cumulative sums when alternating is False.  Chunked so partial sums
-    never exceed int64 even for the largest admissible modulus.
+    Plain cumulative sums when alternating is False.  Raises rather than
+    leave int64 (over 2^31 rows for m below `KERNEL_MODULUS_LIMIT`).
     """
     rows = mat.shape[0]
     if rows == 0:
         return
+    if rows > (1 << 62) // m:
+        raise CongcertError(f"cumulative sum of {rows} rows mod {m} could overflow int64")
     if alternating:
         signs = np.where(np.arange(rows) % 2 == 0, 1, -1).astype(np.int64)
         mat *= signs[:, None]
-    chunk = max(1, (1 << 62) // m)
-    if rows <= chunk:
-        np.cumsum(mat, axis=0, out=mat)
-        mat %= m
-    else:
-        carry = np.zeros(mat.shape[1], dtype=np.int64)
-        for lo in range(0, rows, chunk):
-            block = mat[lo : lo + chunk]
-            np.cumsum(block, axis=0, out=block)
-            block += carry
-            block %= m
-            carry = block[-1].copy()
+    np.cumsum(mat, axis=0, out=mat)
+    mat %= m
     if alternating:
         mat *= signs[:, None]
         mat %= m
 
 
-def _div_binomial(arr: np.ndarray, sign: int, base: int, m: int, upto=None) -> None:
-    """Divide arr[:upto] by (1 + sign*q^base), in place."""
-    x = arr if upto is None else arr[:upto]
-    n = x.size
+def _div_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
+    """Divide arr by (1 + sign*q^base), in place (arr may be a view)."""
+    n = arr.size
     if base >= n:
         return
     rows = -(-n // base)
     buf = np.zeros(rows * base, dtype=np.int64)
-    buf[:n] = x
+    buf[:n] = arr
     _cumsum_rows_mod(buf.reshape(rows, base), m, alternating=(sign > 0))
-    x[:] = buf[:n]
+    arr[:] = buf[:n]
 
 
 def _mul_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
@@ -536,8 +528,8 @@ def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
             shift += step * (k * (k - 1) // 2)
         if shift >= n:
             break
-        _div_binomial(work, -1, step * k, m, upto=n - shift)
         piece = work[: n - shift]
+        _div_binomial(piece, -1, step * k, m)
         if distinct and factor_sign < 0 and k % 2 == 1:
             out[shift:] -= piece
         else:
@@ -548,8 +540,9 @@ def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
 
 
 def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
-    """Record an Euler-shaped tail (no offset, constant exponent e) as powers
-    of E(q^s) = prod_{n>=1}(1-q^(sn)) and the finite head it divides out:
+    """Record an Euler-shaped tail (constant exponent e, offset js: bases sn
+    from start = tail.start + j) as powers of E(q^s) = prod_{n>=1}(1-q^(sn))
+    and the finite head it divides out:
 
         prod_{n>=start}(1-q^(sn))^e = E(q^s)^e * prod_{n<start}(1-q^(sn))^-e
         prod_{n>=start}(1+q^(sn))^e = (E(q^2s)/E(q^s))^e * prod_{n<start}(1+q^(sn))^-e
@@ -557,14 +550,15 @@ def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
     the second because 1+x = (1-x^2)/(1-x).  E(q^s) is keyed (-1, s), as
     the product of the factors (1-q^(sn))."""
     s, e = tail.scale, tail.exp_offset
-    if tail.base(tail.start) >= length:
+    start = tail.start + tail.offset // s
+    if s * start >= length:
         return
     if tail.sign < 0:
         euler[(-1, s)] = euler.get((-1, s), 0) + e
     else:
         euler[(-1, 2 * s)] = euler.get((-1, 2 * s), 0) + e
         euler[(-1, s)] = euler.get((-1, s), 0) - e
-    for n in range(1, tail.start):
+    for n in range(1, start):
         key = (tail.sign, s * n)
         binomials[key] = binomials.get(key, 0) - e
 
@@ -588,7 +582,7 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
         if isinstance(factor, BinomialFactor):
             key = (factor.sign, factor.base)
             binomials[key] = binomials.get(key, 0) + factor.exponent
-        elif isinstance(factor, TailFamily) and factor.exp_scale == 0 and factor.offset == 0:
+        elif isinstance(factor, TailFamily) and not (factor.exp_scale or factor.offset % factor.scale):
             _add_euler_tail(factor, length, binomials, euler)
         elif isinstance(factor, TailFamily):
             folded = _add_explicit_tail(factor, length, binomials)
@@ -609,10 +603,11 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
 
 
 def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None:
-    """Record a tail without Euler shape (a base offset, or an exponent that
-    varies with n) as net binomial exponents: every factor below `length`
-    if the exponent varies, else those below max(32, sqrt(length)), and
-    return the rest for `_fold_tail` (None when it is all above `length`)."""
+    """Record a tail without Euler shape (an offset not a multiple of the
+    scale, or an exponent that varies with n) as net binomial exponents:
+    every factor below `length` if the exponent varies, else those below
+    max(32, sqrt(length)), and return the rest for `_fold_tail` (None when
+    it is all above `length`)."""
     bound = length if tail.exp_scale else min(max(32, math.isqrt(length)), length)
     n = tail.start
     while tail.base(n) < bound:

@@ -1,6 +1,9 @@
 """Independent dense-integer reference expansion used as the oracle for the
 series kernel.  Everything here works over unbounded Python ints and reduces
-only at the end, so it also witnesses reduce-at-every-step equivalence."""
+only at the end, so it also witnesses reduce-at-every-step equivalence.
+`span_closure` is the reference for membership in a module over Z/m."""
+
+import numpy as np
 
 from congcert import BinomialFactor, PolyFactor, ProductSpec, TailFamily
 
@@ -78,3 +81,17 @@ def brute_expand(spec: ProductSpec, length: int, modulus=None):
     if modulus is not None:
         coeffs = [c % modulus for c in coeffs]
     return coeffs
+
+
+def span_closure(generators, m: int, width: int) -> set:
+    """Every element of the Z/m module generated by the rows of width
+    `width`, as a set of tuples: {0} closed under adding each generator's
+    multiples, with vectors encoded as integers in base m."""
+    place = np.array([m**i for i in range(width)], dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    for row in generators:
+        row = np.array(row, dtype=np.int64) % m
+        digits = (codes[:, None] // place) % m
+        shifted = (digits[None, :, :] + np.arange(m)[:, None, None] * row) % m
+        codes = np.unique(shifted @ place)
+    return {tuple(int(c) // int(p) % m for p in place) for c in codes}

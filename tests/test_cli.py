@@ -559,3 +559,55 @@ class TestNonIntegerInput:
         code, out = run(["search", "--instance", instance_path(TWO_ROWED_SEARCH), "--cap", "-1"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: candidate_cap must be >= 0\n"
+
+
+BARE = "prime = 3\nexponent = 1\ndelta = 3\ntarget = plane_rowed(3)\n"
+
+
+class TestMalformedInput:
+    """Each malformed instance or flag exits 2 with its message on stderr
+    and nothing on stdout.  `instance` is the whole instance text when it
+    has a target line, else the target that replaces THREE_ROWED's; None
+    runs argv without an instance."""
+
+    @pytest.mark.parametrize(
+        "instance,argv,message",
+        [
+            ("raw: (1-q^1)^-1 x", ["certify"], "line 5: cannot parse factor at ...'x'"),
+            ("raw:", ["certify"], "line 5: empty raw product"),
+            ("plane rowed", ["certify"], "line 5: bad target 'plane rowed'"),
+            ("multiset", ["certify"], "line 5: multiset target needs entries"),
+            ("raw: (1-q^0)^-1", ["certify"], "line 5: base must be >= 1"),
+            ("raw: tail((1-q^n)^0, from=1)", ["certify"],
+             "line 5: tail exponent must not vanish identically"),
+            ("plane_head(1)", ["certify"], "line 5: plane_head needs a parameter >= 2"),
+            (THREE_ROWED + "delta\n", ["certify"], "line 8: expected 'key = value', got 'delta'"),
+            (THREE_ROWED + "prime = 3\n", ["certify"], "line 8: duplicate key 'prime'"),
+            (THREE_ROWED + "n_max = x\n", ["spot-check"], "line 8: n_max must be an integer"),
+            (THREE_ROWED + "allow_zero_right = yes\n", ["search"],
+             "line 8: allow_zero_right must be true or false"),
+            (THREE_ROWED.replace("delta = 3", "delta = 0"), ["certify"], "delta must be >= 1"),
+            (THREE_ROWED + "family = {1} = {2}\n", ["certify"], "line 8: bad family '{1} = {2}'"),
+            (BARE, ["certify"], "instance declares no families to certify"),
+            (BARE, ["spot-check"], "instance declares no families to check"),
+            (BARE, ["table"], "instance declares no families to tabulate"),
+            (THREE_ROWED, ["spot-check"], "spot-check needs --n-max or an n_max key"),
+            (THREE_ROWED, ["search"], "search needs --max-terms or a max_terms key"),
+            (None, ["expand"], "expand needs --instance or --target/--prime/--power"),
+            (None, ["oracle", "--counter", "multiset", "--n", "3"], "oracle multiset needs --multiset"),
+        ],
+        ids=[
+            "factor", "empty-raw", "target", "multiset", "raw-base", "tail-exponent", "plane-head",
+            "key-value", "duplicate", "integer", "zero-right", "delta", "family",
+            "certify-no-family", "spot-check-no-family", "table-no-family", "n-max", "max-terms",
+            "expand", "oracle-multiset",
+        ],
+    )
+    def test_exits_two_with_message(self, instance, argv, message, capsys, instance_path):
+        if instance is not None:
+            if "target" not in instance:
+                instance = THREE_ROWED.replace("plane_rowed(3)", instance)
+            argv = argv[:1] + ["--instance", instance_path(instance)] + argv[1:]
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -194,6 +194,14 @@ class TestSplitBranches:
             split_AB(spec, MOD2, 2)
         assert str(exc.value) == "numerator (1-q^1)^1 is not supported on 2Z"
 
+    def test_numerator_left_by_plus_to_minus_fails(self):
+        # (1+q)^-2 becomes (1-q^2)^-2 (1-q)^2; with (1-q)^-1 the numerator
+        # (1-q)^1 is left, and its expansion 1 - q is not supported on 2Z
+        spec = ProductSpec((BinomialFactor(1, 1, -2), BinomialFactor(-1, 1, -1)))
+        with pytest.raises(SplitFailed) as exc:
+            split_AB(spec, MOD2, 2)
+        assert str(exc.value) == "numerator (1-q^1)^1 is not supported on 2Z"
+
     def test_numerator_collapses_onto_the_progression(self):
         dec = split_AB(
             ProductSpec((BinomialFactor(-1, 1, 6), BinomialFactor(-1, 2, -1))), MOD3, 3

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 
 from congcert import (
@@ -16,6 +18,8 @@ from congcert import (
     kwong_period,
     spot_check,
 )
+from congcert.prover import _in_span, _row_generators
+from _brute import span_closure
 
 MOD2 = Modulus(2, 1)
 MOD3 = Modulus(3, 1)
@@ -218,3 +222,30 @@ class TestPeriodConsistency:
             )
             assert cert.period_used == math.lcm(head.period, family.delta), label
             assert cert.period_used == family.delta * cert.check_bound, label
+
+
+class TestHowellMembership:
+    """`_row_generators` returns a Howell basis of its rows' module over Z/m,
+    and `_in_span` decides membership in it exactly, as brute-force closure
+    does, on seeded random modules whose rows are biased towards non-unit
+    entries."""
+
+    @pytest.mark.parametrize("prime,exponent", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+    def test_membership_matches_closure(self, prime, exponent):
+        m = prime**exponent
+        rng = random.Random(m)
+        widest = max(w for w in range(1, 5) if m**w <= 4096)
+        for _ in range(60):
+            width = rng.randint(1, widest)
+            rows = [
+                [rng.randrange(m) * prime ** rng.randint(0, exponent) % m for _ in range(width)]
+                for _ in range(rng.randint(1, width + 1))
+            ]
+            basis = _row_generators(np.array(rows, dtype=np.int64), m)
+            span = span_closure(rows, m, width)
+            assert span_closure(basis, m, width) == span
+            pivots = [int(np.flatnonzero(row)[0]) for row in basis]
+            assert pivots == sorted(set(pivots))
+            vectors = list(product(range(m), repeat=width))
+            inside = _in_span(np.array(vectors, dtype=np.int64), basis, m)
+            assert inside.tolist() == [v in span for v in vectors], rows

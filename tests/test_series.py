@@ -351,6 +351,41 @@ class TestEulerKernel:
             got = expand([TailFamily(sign=-1, start=1, exp_offset=-1)], modulus, length)
             assert list(got) == [c % modulus.value for c in p]
 
+    def offset_tail(self, rng):
+        """A tail whose offset is j != 0 times its scale, j negative where
+        the start allows, and the same tail with offset 0 from start + j."""
+        tail = self.random_tail(rng)
+        j = rng.choice([j for j in range(1 - tail.start, 5) if j])
+        start = tail.start - j
+        offset = TailFamily(tail.sign, start, tail.exp_offset, scale=tail.scale, offset=j * tail.scale)
+        return offset, tail
+
+    def test_offset_multiple_of_scale_is_a_shifted_start(self):
+        # prod_{n>=start}(1 +- q^(sn+js)) = prod_{n>=start+j}(1 +- q^(sn))
+        rng = random.Random(406)
+        for _ in range(50):
+            offset, shifted = self.offset_tail(rng)
+            modulus = rng.choice(KERNEL_MODULI)
+            length = rng.choice([1, rng.randint(1, 60), rng.randint(1, 600), rng.randint(1, 3000)])
+            assert expand([offset], modulus, length) == expand([shifted], modulus, length), str(offset)
+            self.check(offset, modulus, length)
+
+    def test_offset_multiple_of_scale_never_folds(self, monkeypatch):
+        import congcert.series as series
+
+        def fold(*args, **kwargs):
+            raise AssertionError("folded by number of parts")
+
+        monkeypatch.setattr(series, "_fold_parts", fold)
+        rng = random.Random(407)
+        for _ in range(20):
+            offset, shifted = self.offset_tail(rng)
+            assert offset.offset
+            assert expand([offset], MOD3, 5000) == expand([shifted], MOD3, 5000), str(offset)
+        # the patch is live: an offset that is not a multiple of the scale folds
+        with pytest.raises(AssertionError, match="folded"):
+            expand([TailFamily(-1, 1, -1, scale=2, offset=1)], MOD3, 5000)
+
     @pytest.mark.parametrize(
         "rows,prime,length,digest,total",
         [
@@ -423,6 +458,16 @@ class TestExactProduct:
         xs = [rng.randrange(BIG.value) for _ in range(4096)]
         with pytest.raises(CongcertError, match="lost exactness"):
             series_mul(ModSeries(BIG, xs), ModSeries(BIG, xs[::-1]))
+
+
+    def test_cumulative_sum_guard_raises_before_int64_overflow(self):
+        # no memory: the rows are empty, and the check precedes every sum
+        from congcert.series import KERNEL_MODULUS_LIMIT, _cumsum_rows_mod
+
+        m = KERNEL_MODULUS_LIMIT - 1
+        rows = np.zeros(((1 << 62) // m + 1, 0), dtype=np.int64)
+        with pytest.raises(CongcertError, match="could overflow int64"):
+            _cumsum_rows_mod(rows, m, alternating=False)
 
 
 HUGE = 1 << 60

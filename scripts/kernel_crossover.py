@@ -4,20 +4,35 @@ For each length L it prints the time of one unit pass (multiplying or
 dividing a series by 1 - q^7), and, in units of those passes, the cost of
 the routes that can replace them:
 
-  product  -- a blocked product of the series by a polynomial of degree 165
-              (the numerator of 10-rowed plane partitions mod 5), the
-              numerator route; compared with a multiplying pass;
+  product  -- a blocked product of the series by a polynomial P of degree
+              165 (the numerator of 10-rowed plane partitions mod 5), the
+              numerator route on a series with no stride; compared with a
+              multiplying pass;
+  row      -- one row of the direct sectioned product by P, on a series
+              supported on 5Z: the product by P's 34 rows of sections less
+              that by its first row alone, divided by 33; compared with a
+              multiplying pass;
+  one row  -- the direct sectioned product by P's first row alone (P[:5]),
+              on the same series: the rows' fixed cost; compared with a
+              multiplying pass;
+  sections -- the sectioned product by P as exact FFT products, one per
+              section, on the same series; compared with a multiplying pass;
   full     -- one full-length exact product, the step of the heap builder;
               compared with a multiplying pass;
-  inverse  -- a Newton inverse of a polynomial of degree 165 and a
-              full-length product, the denominator route; compared with a
-              dividing pass.
+  inverse  -- a Newton inverse of P and a full-length product, the
+              denominator route; compared with a dividing pass;
+  1/E      -- the Newton inverse of Euler's product E from its exact
+              partition-number start, as `_euler_power` takes it; compared
+              with a dividing pass.  No route depends on it.
 
-It ends with the fixed cost of a multiplying pass: its time at L = 16,
-and that time in coefficients at the per-coefficient cost of L = 10,000.
-The constants `_PASS_OVERHEAD`, `_PRODUCT_PASSES`, `_HEAP_PASSES` and
-`_INVERSE_PASSES` in `congcert.series` are taken from this output.  Run
-from the repository root:
+It ends with two fixed costs, in coefficients at the per-coefficient cost
+of a pass at L = 10,000: that of a multiplying pass (its time at L = 16),
+and that of one section's FFT product (the sectioned product with 50
+sections of two coefficients each, divided by 50).  The constants
+`_PASS_OVERHEAD`, `_PRODUCT_PASSES`, `_ROW_PASSES`, `_SECTION_PASSES`,
+`_SECTION_OVERHEAD`, `_HEAP_PASSES` and `_INVERSE_PASSES` in
+`congcert.series` are taken from this output.  Run from the repository
+root:
 
     PYTHONPATH=src python scripts/kernel_crossover.py [--repeat 7] [--modulus 5]
 """
@@ -29,14 +44,25 @@ import numpy as np
 
 from congcert.series import (
     _div_binomial,
+    _euler,
     _inverse,
     _mul_binomial,
     _mul_blocked,
     _mul_mod,
+    _mul_sectioned,
+    _partition_numbers,
     binomial_power,
 )
 
-LENGTHS = (500, 1_000, 5_000, 10_000, 63_005, 125_604)
+LENGTHS = (500, 1_000, 5_000, 10_000, 63_005, 125_604, 1_000_000)
+STRIDE = 5
+
+
+def strided(rng, n, stride, m):
+    """A random series of length n mod m supported on stride*Z."""
+    out = np.zeros(n, dtype=np.int64)
+    out[::stride] = rng.integers(0, m, len(range(0, n, stride)))
+    return out
 
 
 def best(repeat, make, run):
@@ -60,23 +86,40 @@ def main():
     poly = np.ones(1, dtype=np.int64)
     for b in range(1, 10):  # prod (1-q^b)^(10-b), degree 165
         poly = _mul_mod(poly, binomial_power(-1, b, 10 - b, m), m, poly.size + b * (10 - b))
+    depth = -(-poly.size // STRIDE)
+    head = poly[:STRIDE]
     print(f"modulus {m}, least of {args.repeat} runs; routes in unit passes")
-    print(f"{'L':>8} {'mul pass':>10} {'div pass':>10} {'product':>8} {'full':>6} {'inverse':>8}")
+    print(
+        f"{'L':>9} {'mul pass':>10} {'div pass':>10} {'product':>8} {'row':>5} "
+        f"{'one row':>7} {'sections':>8} {'full':>6} {'inverse':>8} {'1/E':>6}"
+    )
     passes = []  # mul pass times
     for n in LENGTHS:
         def series():
             return rng.integers(0, m, n, dtype=np.int64)
 
+        def sparse():
+            return strided(rng, n, STRIDE, m)
+
+        seed = _partition_numbers() % m
         mul = best(args.repeat, series, lambda a: _mul_binomial(a, -1, 7, m))
         div = best(args.repeat, series, lambda a: _div_binomial(a, -1, 7, m))
         product = best(args.repeat, series, lambda a: _mul_blocked(a, poly, m))
+        rows = best(args.repeat, sparse, lambda a: _mul_sectioned(a, poly, STRIDE, m, True))
+        one = best(args.repeat, sparse, lambda a: _mul_sectioned(a, head, STRIDE, m, True))
+        sections = best(args.repeat, sparse, lambda a: _mul_sectioned(a, poly, STRIDE, m, False))
         full = best(args.repeat, series, lambda a: _mul_mod(a, a[::-1].copy(), m, n))
         inverse = best(
             args.repeat, series, lambda a: _mul_mod(a, _inverse(poly, n, m, shown=1), m, n)
         )
+        euler = best(
+            args.repeat, lambda: _euler(n, m), lambda e: _inverse(e, n, m, shown=1, seed=seed)
+        )
         print(
-            f"{n:>8} {mul * 1e6:>8.1f}us {div * 1e6:>8.1f}us "
-            f"{product / mul:>8.1f} {full / mul:>6.1f} {inverse / div:>8.1f}"
+            f"{n:>9,} {mul * 1e6:>8.1f}us {div * 1e6:>8.1f}us {product / mul:>8.1f} "
+            f"{(rows - one) / (depth - 1) / mul:>5.2f} {one / mul:>7.2f} "
+            f"{sections / mul:>8.1f} {full / mul:>6.1f} "
+            f"{inverse / div:>8.1f} {euler / div:>6.1f}"
         )
         passes.append(mul)
     # a pass costs a + b*L: a is a pass at L = 16, b comes from L = 10,000
@@ -84,8 +127,22 @@ def main():
         args.repeat * 5, lambda: rng.integers(0, m, 16), lambda a: _mul_binomial(a, -1, 7, m)
     )
     per_coeff = (passes[LENGTHS.index(10_000)] - fixed) / 10_000
-    coeffs = fixed / per_coeff
-    print(f"fixed cost of a mul pass: {fixed * 1e6:.1f}us, about {coeffs:.0f} coefficients")
+    print(
+        f"fixed cost of a mul pass: {fixed * 1e6:.1f}us, "
+        f"about {fixed / per_coeff:.0f} coefficients"
+    )
+    # 50 sections of two coefficients: almost all of it is per-section cost
+    width = 50
+    short = rng.integers(0, m, 2 * width, dtype=np.int64)
+    section = best(
+        args.repeat * 5,
+        lambda: strided(rng, 2 * width, width, m),
+        lambda a: _mul_sectioned(a, short, width, m, False),
+    ) / width
+    print(
+        f"fixed cost of a section's FFT product: {section * 1e6:.1f}us, "
+        f"about {section / per_coeff:.0f} coefficients"
+    )
 
 
 if __name__ == "__main__":

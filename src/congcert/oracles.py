@@ -84,6 +84,8 @@ def count_plane_partitions_rowed(
     """
     if max_rows < 1:
         raise InvalidParameter("max_rows must be >= 1")
+    if max_cols is not None and max_cols < 1:
+        raise InvalidParameter("max_cols must be >= 1")
     _guard(n, cap, "plane partition")
     if n == 0:
         return 1

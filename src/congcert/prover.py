@@ -254,14 +254,25 @@ class Plan:
         one matrix-vector product."""
         if self.error is not None:
             raise self.error
+        return self.holding_weights(self.weight_matrix(families))
+
+    def weight_matrix(self, families) -> np.ndarray:
+        """The families' weights (`CongruenceFamily.weights`) as the rows of
+        one (len(families), delta) matrix; each family must match the plan's
+        delta and modulus."""
         for family in families:
             self._require_matching(family)
         weights = chain.from_iterable(family.weights() for family in families)
-        w = np.fromiter(weights, np.int64, len(families) * self.delta).reshape(-1, self.delta)
+        return np.fromiter(weights, np.int64, len(families) * self.delta).reshape(-1, self.delta)
+
+    def holding_weights(self, weights: np.ndarray) -> np.ndarray:
+        """`holding` for families given by the rows of their `weight_matrix`."""
+        if self.error is not None:
+            raise self.error
         m = self.modulus.value
-        holds = np.ones(len(families), dtype=bool)
+        holds = np.ones(len(weights), dtype=bool)
         for row in _row_generators(self.head, m):
-            holds &= (w @ row) % m == 0
+            holds &= (weights @ row) % m == 0
         return holds
 
     def check(self, family: CongruenceFamily) -> Certificate:

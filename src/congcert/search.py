@@ -92,9 +92,11 @@ def search_certified(
 
     One `Plan` serves the whole space, and the matrix of all candidates'
     weight vectors is multiplied with the generators of A's row module
-    (`Plan.holding`); a `Certificate` is built only for the families that
-    hold.  `candidates` defaults to `enumerate_candidates(space)`.  A target
-    that does not decompose aborts the search (SplitFailed propagates).
+    (`Plan.holding_weights`); a `Certificate` is built only for the
+    families that hold, and the redundancy filter reads their rows of the
+    same matrix.  `candidates` defaults to `enumerate_candidates(space)`.
+    A target that does not decompose aborts the search (SplitFailed
+    propagates).
     """
     modulus = space.modulus
     plan = Plan.build(space.target, modulus, space.delta)
@@ -103,10 +105,17 @@ def search_certified(
     if candidates is None:
         candidates = enumerate_candidates(space)
     dec = plan.decomposition
-    holds = plan.holding(candidates)
+    weights = plan.weight_matrix(candidates)
+    holds = np.flatnonzero(plan.holding_weights(weights)).tolist()
+
+    def size_then_sides(i):
+        family = candidates[i]
+        return (len(family.left) + len(family.right), family.left, family.right)
+
+    holds.sort(key=size_then_sides)
     proved = [
         Certificate(
-            family=family,
+            family=candidates[i],
             target=space.target,
             status=PROVED,
             a_multiset=dec.a_multiset,
@@ -115,16 +124,13 @@ def search_certified(
             degree_bound=plan.degree_bound,
             derivation=dec.derivation,
         )
-        for family, ok in zip(candidates, holds)
-        if ok
+        for i in holds
     ]
-    proved.sort(key=lambda c: (len(c.family.left) + len(c.family.right), c.family.left, c.family.right))
 
     if redundancy_filter:
         # keep the first family outside the span of those kept, until none is
         m = modulus.value
-        weights = [c.family.weights() for c in proved]
-        weights = np.array(weights, dtype=np.int64).reshape(-1, space.delta)
+        weights = weights[holds]
         kept, outside = [], (weights % m).any(axis=1)
         while outside.any():
             kept.append(int(np.argmax(outside)))

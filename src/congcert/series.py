@@ -21,10 +21,13 @@ matter:
   Q, each prod (1 +- q^b)^|e| below L.  Few units of exponent are applied
   as they are, one O(L) pass each (multiplying or dividing by 1 +- q^b).
   Past a crossover measured by `scripts/kernel_crossover.py`, P is built
-  on its own short array and applied by one blocked product, and Q by one
-  Newton inversion and one product; either is built by unit passes on its
-  own array or, when cheaper, from closed-form powers (`binomial_power`)
-  multiplied smallest first.
+  on its own short array and applied by one product, and Q by one Newton
+  inversion and one product; either is built by unit passes on its own
+  array or, when cheaper, from closed-form powers (`binomial_power`)
+  multiplied smallest first.  When the series P multiplies is H(q^s),
+  s > 1 (the powers of E(q^s) and what was applied before P are all
+  supported on sZ), P is applied section by section: G[sn + r] is the
+  product of H with P[r::s] at n, at length L/s.
 - Before either runs, an exponent divisible by ell^N moves to ell times its
   base with exponent divided by ell (`frobenius_step`, the one statement of
   that rule), which agrees mod ell^N: so E^-10 mod 5 is taken as
@@ -35,10 +38,12 @@ matter:
   width w satisfies (2^w-1)^2 * L < 2^50.  Each rounding is checked, and a
   product that is not exact raises instead of returning a value.
 - Series inverses, the denominator Q, and polynomial factors with negative
-  exponents use the same Newton inversion.  A polynomial factor with a
-  positive exponent is raised at its own degree and applied, like P, by
-  the blocked product: an overlap-add of products of fixed-size chunks, so
-  that it holds O(block + deg P) beside the series, not O(L).
+  exponents use the same Newton inversion, whose step takes one cyclic
+  middle product and shares one transform of g between its two products.
+  A polynomial factor with a positive exponent is raised at its own degree
+  and applied, like P on a series with no stride, by the blocked product:
+  an overlap-add of products of fixed-size chunks, so that it holds
+  O(block + deg P) beside the series, not O(L).
 
 A base offset js in such a tail only moves its start to start + j.  Tails
 with any other offset or an exponent that varies with n have no closed
@@ -122,6 +127,16 @@ class ModSeries:
         data.setflags(write=False)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _of_reduced(cls, modulus: Modulus, data: np.ndarray) -> "ModSeries":
+        """Wrap a nonempty 1-D int64 array whose entries already lie in
+        [0, m), without copying it; the caller hands it over."""
+        series = object.__new__(cls)
+        data.setflags(write=False)
+        object.__setattr__(series, "modulus", modulus)
+        object.__setattr__(series, "_data", data)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("ModSeries is immutable")
@@ -369,49 +384,64 @@ def binomial_power(
 
 # The routes of `_apply_binomials`, costed in coefficients touched: a unit
 # pass (`_mul_binomial`, `_div_binomial`) over k coefficients costs
-# k + _PASS_OVERHEAD, and each other step a fixed number of unit passes at
-# its length.  `scripts/kernel_crossover.py`, least of 7 runs, ranges over
-# six runs (three each mod 2 and mod 5) on 2 vCPUs: the time of a pass,
-# then blocked product (degree 165), full product and inverse plus product
-# in passes:
-#         L    pass          product   full       inverse
-#       500    8.6-10.9 us   11.2-13.3  9.6-13.7   62-102
-#     1,000   10.9-15.7 us    8.5-10.3 10.0-11.6   80-101
-#     5,000   43.9-59.7 us    6.3-7.7   9.6-12.0   64-92
-#    10,000     85-118 us     7.3-8.5   9.9-16.6   55-83
-#    63,005    584-719 us     6.8-8.3  18.4-21.6   40-52
-#   125,604   1.16-1.43 ms    5.6-7.5  19.9-24.3   43-52
-# and the fixed cost of a pass, 2.2-4.5 us, 206-512 coefficients, whose
-# middle is _PASS_OVERHEAD.  Each ratio below is at least the largest seen,
-# so a route is taken only where its estimate is no more than the unit
-# passes it replaces at every measured length.
+# k + _PASS_OVERHEAD, and each other step a number of unit passes at its
+# length.  `scripts/kernel_crossover.py`, least of 7 runs, ranges over four
+# runs (two each mod 2 and mod 5) on 2 vCPUs: the time of a pass, then in
+# passes the blocked product (degree 165); on a series supported on 5Z, by
+# the same polynomial, one row of the direct sectioned product, the direct
+# product by one row alone, and the FFT sectioned product; then the full
+# product, and the inverse plus product:
+#           L  pass          product  row        one row    sections   full        inverse
+#         500  8.9-11.4 us   10.9-12.7 0.59-0.71 1.38-1.69  23.5-26.3  10.3-11.3   69-80
+#       1,000  13.9-16.7 us   7.7-8.3  0.47-0.62 1.11-1.51  15.0-18.6   9.5-10.5   67-77
+#       5,000  51-63 us       5.9-6.3  0.36-0.51 0.82-1.21   7.1-8.3    9.8-11.0   59-71
+#      10,000  97-116 us      6.4-6.9  0.35-0.45 0.83-1.07   5.2-5.6   14.6-15.9   55-68
+#      63,005  595-747 us     6.0-6.6  0.32-0.45 0.76-1.04   4.2-4.6   17.3-20.3   31-37
+#     125,604  1.23-1.49 ms   6.0-6.4  0.36-0.43 0.74-1.02   3.8-4.2   21.0-22.9   29-36
+#   1,000,000  10.2-13.5 ms   5.4-5.7  0.34-0.45 0.69-1.05   4.8-5.7   19.3-24.0   32-38
+# and two fixed costs: a pass, 3.6-4.1 us, 325-391 coefficients, about
+# _PASS_OVERHEAD; and one section's FFT product, 23.8-36.7 us,
+# 2,231-3,848 coefficients, the top of which is _SECTION_OVERHEAD.  Each
+# constant below is at least the largest ratio seen (the direct product is
+# charged two rows beyond its own, which covers "one row"; the FFT
+# sectioned product is charged five sections' fixed cost here), so a route
+# is taken only where its estimate is no more than the unit passes it
+# replaces at every measured length.
 _PASS_OVERHEAD = 400
-_PRODUCT_PASSES = 14  # a blocked product by a polynomial (the numerator)
-_INVERSE_PASSES = 105  # a Newton inverse and a full-length product (the denominator)
-_HEAP_PASSES = 25  # one exact product inside the heap builder
+_PRODUCT_PASSES = 13  # a blocked product by a polynomial (the numerator)
+_ROW_PASSES = 1  # one row of sections in the direct sectioned product
+_SECTION_PASSES = 6  # FFT products by the sections of P, on a series supported on sZ
+_SECTION_OVERHEAD = 3900  # fixed cost of one section's FFT product, in coefficients
+_INVERSE_PASSES = 80  # a Newton inverse and a full-length product (the denominator)
+_HEAP_PASSES = 24  # one exact product inside the heap builder
 # Chunk of the series in the blocked product: transient memory is
 # O(block + deg P), not O(L).
 _PRODUCT_BLOCK = 8192
 
 
-def _apply_binomials(arr: np.ndarray, binomials: dict, m: int) -> np.ndarray:
+def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> np.ndarray:
     """arr times prod (1 + sign*q^base)^e over the net exponents, to len(arr)
-    coefficients mod m.  The positive exponents make one numerator P, the
-    negative ones, negated, one denominator Q.  Each is applied by unit
-    passes over arr or, when `_route` finds it cheaper at this length, P by
-    one blocked product and Q by one Newton inverse followed by one
-    product."""
+    coefficients mod m, where arr is supported on stride*Z (0: arr is a
+    constant).  The positive exponents make one numerator P, the negative
+    ones, negated, one denominator Q.  Each is applied by unit passes over
+    arr or, when `_route` finds it cheaper at this length, P by one
+    sectioned product (stride > 1) or blocked product, and Q by one Newton
+    inverse followed by one product."""
     n = arr.size
     numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0 and b < n]
     denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0 and b < n]
     if numer:
-        route = _route(numer, n, _PRODUCT_PASSES)
+        stride = n if stride == 0 else min(stride, n)
+        route = _route(numer, n, lambda size: _numerator_passes(size, stride, m, n)[0])
         if route is None:
             _unit_passes(arr, numer, m, _mul_binomial)
+        elif stride > 1:
+            direct = _numerator_passes(route[0], stride, m, n)[1]
+            _mul_sectioned(arr, _binomial_product(numer, m, *route), stride, m, direct)
         else:
             _mul_blocked(arr, _binomial_product(numer, m, *route), m)
     if denom:
-        route = _route(denom, n, _INVERSE_PASSES)
+        route = _route(denom, n, lambda size: _INVERSE_PASSES)
         if route is None:
             _unit_passes(arr, denom, m, _div_binomial)
         else:
@@ -429,17 +459,18 @@ def _unit_passes(arr, factors, m, step) -> None:
             step(arr, sign, base, m)
 
 
-def _route(factors, n: int, route_passes: int):
+def _route(factors, n: int, apply_passes):
     """None when unit passes over a series of length n cost less than
     building the polynomial prod (1 + sign*q^base)^e over the factors
-    (sign, base, e > 0) and applying it at the cost of `route_passes`
+    (sign, base, e > 0) and applying it at the cost of `apply_passes(size)`
     passes; else (size, heap): its size below n, and whether the heap of
     closed-form powers builds it more cheaply than unit passes on its own
     array."""
     passes = sum(e for _, _, e in factors)
+    size = min(n, 1 + sum(b * e for _, b, e in factors))
+    route_passes = apply_passes(size)
     if passes < route_passes:
         return None
-    size = min(n, 1 + sum(b * e for _, b, e in factors))
     sizes = [min(size, b * e + 1) for _, b, e in factors]
     heapq.heapify(sizes)
     by_heap = 0
@@ -452,6 +483,24 @@ def _route(factors, n: int, route_passes: int):
     if cost > passes * (n + _PASS_OVERHEAD):
         return None
     return size, by_heap < by_passes
+
+
+def _numerator_passes(size: int, stride: int, m: int, n: int):
+    """(passes, direct): the cost in unit passes of multiplying a series of
+    length n, supported on stride*Z, by a polynomial of `size` coefficients,
+    and, for stride > 1, whether `_mul_sectioned` takes the direct product.
+    Its ceil(size/stride) rows of sections, and two more for copying H out
+    and reducing G, each cost `_ROW_PASSES`; it is taken while that
+    undercuts the FFT products, one per section, and its sums stay in int64
+    (always for one row: a scaled copy of P)."""
+    if stride == 1:
+        return _PRODUCT_PASSES, False
+    depth = -(-size // stride)
+    direct = (depth + 2) * _ROW_PASSES
+    by_fft = _SECTION_PASSES + stride * _SECTION_OVERHEAD / (n + _PASS_OVERHEAD)
+    if depth == 1 or (direct <= by_fft and depth * (m - 1) ** 2 < 1 << 63):
+        return direct, True
+    return by_fft, False
 
 
 def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
@@ -491,6 +540,49 @@ def _mul_blocked(arr: np.ndarray, poly: np.ndarray, m: int, block: int | None = 
         spill += part[hi - lo :]
         spill %= m
         arr[lo:hi] = part[: hi - lo]
+
+
+def _mul_sectioned(arr: np.ndarray, poly: np.ndarray, s: int, m: int, direct: bool) -> None:
+    """arr times the polynomial poly, to len(arr) coefficients mod m, in
+    place, where arr is H(q^s) (supported on sZ): G[si + r] is the product
+    of H with the section poly[r::s] at i, so only len(arr)/s coefficients
+    of each section and of H are multiplied.
+
+    `direct`: the sections as rows of a (depth, s) matrix, G as a (rows, s)
+    matrix is sum_j H[i - j] * sections[j], one pass over G per row, with
+    sums of at most depth products (the caller checks that they stay in
+    int64).  Else one exact FFT product per section, all sharing H's
+    spectrum."""
+    n = arr.size
+    h = arr[::s].copy()
+    depth = min(-(-poly.size // s), h.size)
+    if not direct:
+        size = _fft_size(h.size + depth - 1)
+        width = _limb_width(m, depth)
+        spectra = _spectra(h, m, width, size)
+        for r in range(s):
+            count = len(range(r, n, s))
+            section = poly[r : depth * s : s]
+            if section.size:
+                arr[r::s] = _from_spectra(
+                    list(spectra), _spectra(section, m, width, size), m, width, size, 0, count
+                )
+            else:
+                arr[r::s] = 0
+        return
+    sections = np.zeros(depth * s, dtype=np.int64)
+    sections[: min(poly.size, depth * s)] = poly[: depth * s]
+    sections = sections.reshape(depth, s)
+    full, rest = divmod(n, s)
+    if rest:  # the last, partial row of G
+        arr[full * s :] = h[full::-1][:depth] @ sections[:, :rest] % m
+    mat = arr[: full * s].reshape(full, s)
+    np.multiply(h[:full, None], sections[0], out=mat)
+    work = np.empty_like(mat)
+    for j in range(1, min(depth, full)):
+        np.multiply(h[: full - j, None], sections[j], out=work[: full - j])
+        mat[j:] += work[: full - j]
+    mat %= m
 
 
 def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
@@ -592,14 +684,18 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
             others.append(factor)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
-    arr = _euler_product(_frobenius(euler, modulus), length, m)
+    euler = _frobenius(euler, modulus)
+    arr = _euler_product(euler, length, m)
+    stride = math.gcd(0, *(s for _, s in euler if s < length))
     for factor in others:
         if isinstance(factor, PolyFactor):
             arr = _apply_poly(arr, factor, m)
+            stride = math.gcd(stride, *factor.support())
         else:
             _fold_tail(arr, factor, m)
-    arr = _apply_binomials(arr, _frobenius(binomials, modulus), m)
-    return ModSeries(modulus, arr)
+            stride = math.gcd(stride, factor.scale, factor.base(factor.start))
+    arr = _apply_binomials(arr, _frobenius(binomials, modulus), m, stride)
+    return ModSeries._of_reduced(modulus, arr)
 
 
 def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None:
@@ -756,7 +852,14 @@ def _inverse(f: np.ndarray, n: int, m: int, shown, seed=None) -> np.ndarray:
     then f g(2 - fg) = 1 - q^2k t^2.  `shown` is the constant term as the
     caller wrote it, for the error message.  `seed`, when given, is the
     inverse's first coefficients, already known, and Newton starts after
-    them."""
+    them.
+
+    A step from k to k2 coefficients needs t only below k2 - k, so f[:k2]
+    times g[:k] is taken as a cyclic product of length at least
+    top = min(k2, k + len(f[:k2]) - 1), the end of the coefficients that can
+    be nonzero: what wraps lands below k, where fg is already 1.  The
+    product g[:k] t has length below top, so the same transform length
+    serves both products, and g[:k]'s spectrum is taken once."""
     try:
         inv0 = pow(int(f[0]) % m, -1, m)
     except ValueError:
@@ -769,8 +872,20 @@ def _inverse(f: np.ndarray, n: int, m: int, shown, seed=None) -> np.ndarray:
         g[:k] = seed[:k]
     while k < n:
         k2 = min(2 * k, n)
-        t = _mul_mod(f[:k2], g[:k], m, k2)[k:]
-        g[k:k2] = -_mul_mod(g[:k], t, m, k2 - k) % m
+        head = f[:k2]
+        top = min(k2, k + head.size - 1)
+        if top > k:
+            size = _fft_size(top)
+            width = _limb_width(m, min(k, head.size))
+            spectra = _spectra(g[:k], m, width, size)
+            t = _from_spectra(
+                list(spectra), _spectra(head, m, width, size), m, width, size, k, top
+            )
+            step = _from_spectra(spectra, _spectra(t, m, width, size), m, width, size, 0, k2 - k)
+            del t
+            np.negative(step, out=step)
+            step %= m
+            g[k:k2] = step
         k = k2
     return g
 
@@ -780,8 +895,11 @@ def _inverse(f: np.ndarray, n: int, m: int, shown, seed=None) -> np.ndarray:
 _FFT_EXACT_LIMIT = 1 << 50
 
 
+@functools.lru_cache(maxsize=4096)
 def _fft_size(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: sizes numpy.fft transforms fastest."""
+    """Smallest 2^a 3^b 5^c >= n: sizes numpy.fft transforms fastest.
+    Cached: the search costs tens of microseconds, and a few lengths
+    recur in every expansion."""
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -825,42 +943,75 @@ def _limbs(x: np.ndarray, m: int, width: int) -> list:
     return limbs
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, size: int, keep: int) -> np.ndarray:
-    """First `keep` coefficients of the integer convolution x*y, by one
-    float FFT product of length `size`, rounded only after checking that
-    every output is below 2^52 and lies less than 1/4 from an integer."""
-    fy = np.fft.rfft(y, size)
-    fy *= fy if y is x else np.fft.rfft(x, size)
-    raw = np.fft.irfft(fy, size)[:keep]
-    del fy
-    exact = np.rint(raw)
-    raw -= exact  # now the rounding error
-    # from 2^52 on every float is an integer: nothing left to check
-    if np.abs(raw).max() >= 0.25 or np.abs(exact).max() >= 2.0**52:
-        raise CongcertError(
-            f"FFT product lost exactness (length {keep}); the limb bound does not hold"
-        )
-    return exact.astype(np.int64)
+def _spectra(x: np.ndarray, m: int, width: int, size: int) -> list:
+    """The real FFTs of length `size`, along axis 0, of the limbs of the
+    residues x (`_limbs` at this width)."""
+    return [np.fft.rfft(limb, size, axis=0) for limb in _limbs(x, m, width)]
+
+
+def _from_spectra(
+    fx: list, fy: list, m: int, width: int, size: int, lo: int, hi: int
+) -> np.ndarray:
+    """Coefficients lo..hi-1, along axis 0, of the cyclic convolution of
+    length `size` of x and y mod m, from their `_spectra` at one width and
+    size: one inverse FFT per pair of limbs, each rounded to integers only
+    after checking that every output is below 2^52 and lies less than 1/4
+    from an integer.
+
+    Both lists are used up: each array is dropped from its list once its
+    last product is formed, and the last limb of fx is multiplied into fy's
+    arrays in place (for a square, which passes one list as both, each
+    of them is then at its last use too), so no more than two spectra and
+    one inverse transform are held at once.  A caller that needs a list
+    again passes a copy."""
+    out = None
+    for i in range(len(fx)):
+        for j in range(len(fy)):
+            if i == len(fx) - 1:
+                spectrum = fy[j]
+                spectrum *= fx[i]
+                fy[j] = None
+            else:
+                spectrum = fx[i] * fy[j]
+            if j == len(fy) - 1 and fy is not fx:
+                fx[i] = None
+            raw = np.fft.irfft(spectrum, size, axis=0)[lo:hi]
+            del spectrum
+            exact = np.rint(raw)
+            raw -= exact  # now the rounding error
+            # from 2^52 on every float is an integer: nothing left to check
+            if max(raw.max(), -raw.min()) >= 0.25 or max(exact.max(), -exact.min()) >= 2.0**52:
+                raise CongcertError(
+                    f"FFT product lost exactness (length {hi - lo}); "
+                    "the limb bound does not hold"
+                )
+            del raw
+            part = exact.astype(np.int64)
+            del exact
+            part %= m
+            if i + j:
+                part *= pow(2, width * (i + j), m)
+                part %= m
+            if out is None:
+                out = part
+            else:
+                out += part
+                out %= m
+    return out
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
     """First n coefficients of a*b mod m, exactly, for residue arrays a, b:
-    one exact convolution per pair of limbs."""
+    one exact convolution per pair of limbs (`_from_spectra`)."""
     square = a is b
     a, b = a[:n], b[:n]
     size = _fft_size(a.size + b.size - 1)
-    keep = min(n, size)
     width = _limb_width(m, min(a.size, b.size))
-    limbs_a = _limbs(a, m, width)
-    limbs_b = limbs_a if square else _limbs(b, m, width)
-    out = np.zeros(n, dtype=np.int64)
-    for i, x in enumerate(limbs_a):
-        for j, y in enumerate(limbs_b):
-            part = _convolve(x, y, size, keep)
-            part %= m
-            part *= pow(2, width * (i + j), m)
-            out[:keep] += part
-            out %= m
+    fa = _spectra(a, m, width, size)
+    fb = fa if square else _spectra(b, m, width, size)
+    out = _from_spectra(fa, fb, m, width, size, 0, min(n, size))
+    if out.size < n:
+        out = np.concatenate((out, np.zeros(n - out.size, dtype=np.int64)))
     return out
 
 

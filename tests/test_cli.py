@@ -500,6 +500,19 @@ class TestExplicitZero:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("n,c", [(3, -1), (0, -1), (5, 0)])
+    def test_plane_rowed_columns(self, n, c, capsys):
+        # n = 0 is rejected too: no check may depend on the count's shortcut
+        argv = ["oracle", "--counter", "plane_rowed", "--n", str(n), "--r", "2", "--c", str(c)]
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: max_cols must be >= 1")
+
+    def test_plane_rowed_one_column(self):
+        # one column of at most 3 rows: the partitions of 3 into at most 3 parts
+        code, out = run(["oracle", "--counter", "plane_rowed", "--n", "3", "--r", "3", "--c", "1"])
+        assert code == 0 and out.strip() == "3"
+
     @pytest.mark.parametrize(
         "key,argv,message",
         [

@@ -472,12 +472,26 @@ class TestExactProduct:
 
 HUGE = 1 << 60
 
-# Crossover settings that force each route of the net-binomial kernel.
+# Crossover settings that force each route of the net-binomial kernel.  On
+# a series supported on sZ, s > 1, the numerator takes the sectioned
+# product: by FFT in "numerator product", directly in "sectioned direct"
+# where its sums fit in int64 (one row of sections always goes directly).
+NO_NUMERATOR = dict(_PRODUCT_PASSES=HUGE, _SECTION_PASSES=HUGE, _ROW_PASSES=HUGE)
 ROUTES = {
-    "unit passes": dict(_PRODUCT_PASSES=HUGE, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
-    "numerator product": dict(_PRODUCT_PASSES=0, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
-    "denominator inverse": dict(_PRODUCT_PASSES=HUGE, _INVERSE_PASSES=0, _HEAP_PASSES=HUGE),
-    "heap builder": dict(_PRODUCT_PASSES=0, _INVERSE_PASSES=0, _HEAP_PASSES=0),
+    "unit passes": dict(NO_NUMERATOR, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
+    "numerator product": dict(
+        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0, _ROW_PASSES=HUGE,
+        _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE,
+    ),
+    "sectioned direct": dict(
+        _PRODUCT_PASSES=0, _SECTION_PASSES=HUGE, _ROW_PASSES=0,
+        _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE,
+    ),
+    "denominator inverse": dict(NO_NUMERATOR, _INVERSE_PASSES=0, _HEAP_PASSES=HUGE),
+    "heap builder": dict(
+        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0, _ROW_PASSES=0,
+        _INVERSE_PASSES=0, _HEAP_PASSES=0,
+    ),
 }
 
 
@@ -587,3 +601,208 @@ class TestBinomialRoutes:
         spec = build_spec(GFKind.plane())
         got = series_from_spec(spec, modulus, 200)
         assert got == self.expand_by(monkeypatch, "unit passes", spec, modulus, 200)
+
+
+SECTION_MODULI = [2, 5, 7, 125, 2**30, 2**31 - 1]
+
+
+class TestSectionedProduct:
+    """G = P(q) H(q^s) section by section equals the full product of P and
+    the strided series, by both ways of taking it: direct, where its sums fit
+    in int64, and by FFT products sharing H's spectrum (limbs included)."""
+
+    @pytest.mark.parametrize("m", SECTION_MODULI)
+    @pytest.mark.parametrize("s", range(2, 10))
+    def test_matches_full_product(self, s, m):
+        from congcert.series import _mul_mod, _mul_sectioned
+
+        rng = np.random.default_rng(100 * s + m % 97)
+        # depths (rows of sections) on both sides of the direct/FFT
+        # crossover, each taken both ways where the direct sums fit in int64
+        for depth in (1, 2, 3, 8, 40):
+            for size in (depth * s - s + 1, depth * s):
+                poly = rng.integers(0, m, size, dtype=np.int64)
+                poly[0] = 1
+                for n in (1, s - 1, s, size, size + 1, 7 * s * depth + 3):
+                    if n < 1:
+                        continue
+                    arr = np.zeros(n, dtype=np.int64)
+                    arr[::s] = rng.integers(0, m, len(range(0, n, s)))
+                    want = _mul_mod(arr, poly[:n], m, n)
+                    ways = [False]
+                    if min(depth, -(-n // s)) * (m - 1) ** 2 < 1 << 63:
+                        ways.append(True)
+                    for direct in ways:
+                        got = arr.copy()
+                        _mul_sectioned(got, poly[:n], s, m, direct)
+                        assert np.array_equal(got, want), (depth, size, n, direct)
+
+    def test_choice_of_way(self):
+        from congcert.series import (
+            _PASS_OVERHEAD,
+            _ROW_PASSES,
+            _SECTION_OVERHEAD,
+            _SECTION_PASSES,
+            _numerator_passes,
+        )
+
+        n = 10**5
+        # few rows go directly; past the FFT's cost they go by FFT
+        by_fft = _SECTION_PASSES + 5 * _SECTION_OVERHEAD / (n + _PASS_OVERHEAD)
+        rows = int(by_fft // _ROW_PASSES) - 2  # the most taken directly
+        assert rows >= 2
+        assert _numerator_passes(rows * 5, 5, 7, n) == ((rows + 2) * _ROW_PASSES, True)
+        assert _numerator_passes(rows * 5 + 5, 5, 7, n) == (by_fft, False)
+        # sums of three products of residues mod 2^31 - 1 leave int64
+        assert _numerator_passes(10, 5, 2**31 - 1, n)[1]
+        assert not _numerator_passes(11, 5, 2**31 - 1, n)[1]
+        # one row is a scaled copy of P, whatever the modulus
+        assert _numerator_passes(5, 5, 2**31 - 1, n) == (_numerator_passes(5, 5, 2, n)[0], True)
+        # no stride: the blocked product
+        assert not _numerator_passes(1000, 1, 7, n)[1]
+
+    @pytest.mark.parametrize("rows", [7, 8, 9, 10])
+    def test_ladder_shapes_take_the_sectioned_route(self, rows, monkeypatch):
+        # after the Frobenius step G is P(q) E(q^s)^-e with s > 1 on every rung
+        import congcert.series as series
+        from congcert import GFKind, build_spec
+
+        prime = {7: 7, 8: 2, 9: 3, 10: 5}[rows]
+        calls = []
+        real = series._mul_sectioned
+
+        def spy(arr, poly, s, m, direct):
+            calls.append(s)
+            real(arr, poly, s, m, direct)
+
+        monkeypatch.setattr(series, "_mul_sectioned", spy)
+        spec = build_spec(GFKind.plane_rowed(rows))
+        got = series_from_spec(spec, Modulus(prime, 1), 4000)
+        assert calls and calls[0] > 1
+        monkeypatch.setattr(series, "_mul_sectioned", real)
+        for name, value in NO_NUMERATOR.items():
+            monkeypatch.setattr(series, name, value)
+        assert got == series_from_spec(spec, Modulus(prime, 1), 4000)
+
+    @pytest.mark.parametrize("route", ["numerator product", "sectioned direct"])
+    def test_strided_specs_match_unit_passes(self, monkeypatch, route):
+        # Euler tails of scale s and polynomials on sZ keep the series on a
+        # stride; the unit passes are the reference
+        import congcert.series as series
+
+        rng = random.Random(1313)
+        moduli = [MOD2, MOD5, Modulus(5, 3), Modulus(2, 30), Modulus(2**31 - 1, 1)]
+        for _ in range(40):
+            s = rng.randint(2, 9)
+            sign, e = rng.choice([1, -1]), rng.choice([-3, -1, 2])
+            factors = [TailFamily(sign=sign, start=1, exp_offset=e, scale=s)]
+            if rng.random() < 0.3:  # 1 + c q^s
+                coeffs = (1,) + (0,) * (s - 1) + (rng.randint(1, 4),)
+                factors.append(PolyFactor(coeffs, rng.choice([-1, 2])))
+            if rng.random() < 0.3:  # folded past sqrt(L): bases on sZ, or not
+                scale, offset = rng.choice([(s, 1), (2 * s, s)])
+                e = rng.choice([-1, 1])
+                factors.append(TailFamily(sign=sign, start=1, exp_offset=e, scale=scale, offset=offset))
+            factors += [
+                BinomialFactor(rng.choice([1, -1]), rng.randint(1, 30), rng.randint(1, 40))
+                for _ in range(rng.randint(1, 4))
+            ]
+            spec, modulus = ProductSpec(tuple(factors)), rng.choice(moduli)
+            length = rng.choice([rng.randint(1, 60), rng.randint(60, 3000)])
+            with monkeypatch.context() as patch:
+                for name, value in ROUTES[route].items():
+                    patch.setattr(series, name, value)
+                got = series_from_spec(spec, modulus, length)
+            with monkeypatch.context() as patch:
+                for name, value in ROUTES["unit passes"].items():
+                    patch.setattr(series, name, value)
+                want = series_from_spec(spec, modulus, length)
+            assert got == want, f"{route}: {spec} mod {modulus} len {length}"
+
+    def test_expansion_is_handed_over_read_only(self):
+        from congcert import GFKind, build_spec
+
+        got = series_from_spec(build_spec(GFKind.plane_rowed(7)), Modulus(7, 1), 500)
+        assert not got.array().flags.writeable
+        assert got.array().dtype == np.int64 and got.array().ndim == 1
+
+
+def _plain_newton(f, n, m, seed=None):
+    """1/f to n coefficients mod m by g <- g(2 - fg) on Python integers,
+    with plain truncated products: the reference for `_inverse`."""
+    f = np.array([int(c) for c in f[:n]], dtype=object)
+    start = [pow(int(f[0]), -1, m)] if seed is None else [int(c) for c in seed[:n]]
+    g = np.array(start, dtype=object)
+    while g.size < n:
+        k2 = min(2 * g.size, n)
+        correction = -np.convolve(f[:k2], g)[:k2]
+        correction[0] += 2
+        g = np.convolve(g, correction)[:k2] % m
+        g = np.concatenate((g, np.zeros(k2 - g.size, dtype=object)))  # f, g short
+    return np.array([int(c) for c in g], dtype=np.int64)
+
+
+INVERSE_MODULI = [2, 7, 125, 2**30, 10**9 + 7]
+
+
+class TestNewtonInverse:
+    """The one-spectrum Newton step against the plain iteration."""
+
+    @pytest.mark.parametrize("m", INVERSE_MODULI)
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 300])
+    def test_full_length_f(self, n, m):
+        from congcert.series import _inverse
+
+        rng = np.random.default_rng(n + m % 1009)
+        f = rng.integers(0, m, n, dtype=np.int64)
+        f[0] = 1 if m % 2 == 0 or m % 5 == 0 else rng.integers(1, m)
+        assert np.array_equal(_inverse(f, n, m, shown=1), _plain_newton(f, n, m))
+
+    @pytest.mark.parametrize("m", INVERSE_MODULI)
+    @pytest.mark.parametrize("degree", [0, 1, 5, 40, 130, 299])
+    def test_short_polynomial_f(self, degree, m):
+        # the middle product's end, k + deg f, falls below, at and above 2k
+        from congcert.series import _inverse
+
+        rng = np.random.default_rng(degree + m % 1013)
+        f = rng.integers(0, m, degree + 1, dtype=np.int64)
+        f[0] = 1
+        for n in (1, 97, 300):
+            assert np.array_equal(_inverse(f, n, m, shown=1), _plain_newton(f, n, m)), n
+
+    @pytest.mark.parametrize("m", INVERSE_MODULI)
+    def test_seeded_starts(self, m):
+        from congcert.series import _inverse
+
+        rng = np.random.default_rng(m % 1019)
+        n = 250
+        for f in (rng.integers(0, m, n, dtype=np.int64), rng.integers(0, m, 17, dtype=np.int64)):
+            f[0] = 1
+            want = _plain_newton(f, n, m)
+            for k in (1, 2, 5, 100, 249, 250, 400):
+                got = _inverse(f, n, m, shown=1, seed=want[:k])
+                assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("short", [False, True], ids=["full f", "short f"])
+    def test_peak_memory(self, short):
+        # the last step holds g, g[:k]'s spectrum and one product's
+        # transforms (at the parent commit: 8.6 and 5.3 arrays of n int64)
+        import tracemalloc
+
+        from congcert.series import _euler, _inverse, _mul_mod, binomial_power
+
+        n, m = 200_000, 7
+        f = _euler(n, m)
+        if short:
+            f = np.ones(1, dtype=np.int64)
+            for b in range(1, 10):  # degree 165
+                f = _mul_mod(f, binomial_power(-1, b, 10 - b, m), m, f.size + b * (10 - b))
+        _inverse(f, 1000, m, shown=1)
+        tracemalloc.start()
+        try:
+            _inverse(f, n, m, shown=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (8 * n)
+        assert arrays <= (4.5 if short else 6.5), f"peak {arrays:.2f} arrays of n int64"

@@ -8,15 +8,9 @@ the routes that can replace them:
               165 (the numerator of 10-rowed plane partitions mod 5), the
               numerator route on a series with no stride; compared with a
               multiplying pass;
-  row      -- one row of the direct sectioned product by P, on a series
-              supported on 5Z: the product by P's 34 rows of sections less
-              that by its first row alone, divided by 33; compared with a
+  sections -- the sectioned product by P, one exact FFT product per
+              section, on a series supported on 5Z; compared with a
               multiplying pass;
-  one row  -- the direct sectioned product by P's first row alone (P[:5]),
-              on the same series: the rows' fixed cost; compared with a
-              multiplying pass;
-  sections -- the sectioned product by P as exact FFT products, one per
-              section, on the same series; compared with a multiplying pass;
   full     -- one full-length exact product, the step of the heap builder;
               compared with a multiplying pass;
   inverse  -- a Newton inverse of P and a full-length product, the
@@ -29,7 +23,7 @@ It ends with two fixed costs, in coefficients at the per-coefficient cost
 of a pass at L = 10,000: that of a multiplying pass (its time at L = 16),
 and that of one section's FFT product (the sectioned product with 50
 sections of two coefficients each, divided by 50).  The constants
-`_PASS_OVERHEAD`, `_PRODUCT_PASSES`, `_ROW_PASSES`, `_SECTION_PASSES`,
+`_PASS_OVERHEAD`, `_PRODUCT_PASSES`, `_SECTION_PASSES`,
 `_SECTION_OVERHEAD`, `_HEAP_PASSES` and `_INVERSE_PASSES` in
 `congcert.series` are taken from this output.  Run from the repository
 root:
@@ -86,12 +80,10 @@ def main():
     poly = np.ones(1, dtype=np.int64)
     for b in range(1, 10):  # prod (1-q^b)^(10-b), degree 165
         poly = _mul_mod(poly, binomial_power(-1, b, 10 - b, m), m, poly.size + b * (10 - b))
-    depth = -(-poly.size // STRIDE)
-    head = poly[:STRIDE]
     print(f"modulus {m}, least of {args.repeat} runs; routes in unit passes")
     print(
-        f"{'L':>9} {'mul pass':>10} {'div pass':>10} {'product':>8} {'row':>5} "
-        f"{'one row':>7} {'sections':>8} {'full':>6} {'inverse':>8} {'1/E':>6}"
+        f"{'L':>9} {'mul pass':>10} {'div pass':>10} {'product':>8} "
+        f"{'sections':>8} {'full':>6} {'inverse':>8} {'1/E':>6}"
     )
     passes = []  # mul pass times
     for n in LENGTHS:
@@ -105,9 +97,7 @@ def main():
         mul = best(args.repeat, series, lambda a: _mul_binomial(a, -1, 7, m))
         div = best(args.repeat, series, lambda a: _div_binomial(a, -1, 7, m))
         product = best(args.repeat, series, lambda a: _mul_blocked(a, poly, m))
-        rows = best(args.repeat, sparse, lambda a: _mul_sectioned(a, poly, STRIDE, m, True))
-        one = best(args.repeat, sparse, lambda a: _mul_sectioned(a, head, STRIDE, m, True))
-        sections = best(args.repeat, sparse, lambda a: _mul_sectioned(a, poly, STRIDE, m, False))
+        sections = best(args.repeat, sparse, lambda a: _mul_sectioned(a, poly, STRIDE, m))
         full = best(args.repeat, series, lambda a: _mul_mod(a, a[::-1].copy(), m, n))
         inverse = best(
             args.repeat, series, lambda a: _mul_mod(a, _inverse(poly, n, m, shown=1), m, n)
@@ -117,7 +107,6 @@ def main():
         )
         print(
             f"{n:>9,} {mul * 1e6:>8.1f}us {div * 1e6:>8.1f}us {product / mul:>8.1f} "
-            f"{(rows - one) / (depth - 1) / mul:>5.2f} {one / mul:>7.2f} "
             f"{sections / mul:>8.1f} {full / mul:>6.1f} "
             f"{inverse / div:>8.1f} {euler / div:>6.1f}"
         )
@@ -137,7 +126,7 @@ def main():
     section = best(
         args.repeat * 5,
         lambda: strided(rng, 2 * width, width, m),
-        lambda a: _mul_sectioned(a, short, width, m, False),
+        lambda a: _mul_sectioned(a, short, width, m),
     ) / width
     print(
         f"fixed cost of a section's FFT product: {section * 1e6:.1f}us, "

@@ -252,8 +252,6 @@ class Plan:
         Z/m module.  The rows are first reduced to at most delta generators of
         that module, and every family is checked against each generator in
         one matrix-vector product."""
-        if self.error is not None:
-            raise self.error
         return self.holding_weights(self.weight_matrix(families))
 
     def weight_matrix(self, families) -> np.ndarray:

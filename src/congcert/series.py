@@ -27,7 +27,8 @@ matter:
   multiplied smallest first.  When the series P multiplies is H(q^s),
   s > 1 (the powers of E(q^s) and what was applied before P are all
   supported on sZ), P is applied section by section: G[sn + r] is the
-  product of H with P[r::s] at n, at length L/s.
+  product of H with P[r::s] at n, one exact product at length L/s per
+  section, all sharing H's transform.
 - Before either runs, an exponent divisible by ell^N moves to ell times its
   base with exponent divided by ell (`frobenius_step`, the one statement of
   that rule), which agrees mod ell^N: so E^-10 mod 5 is taken as
@@ -387,29 +388,26 @@ def binomial_power(
 # k + _PASS_OVERHEAD, and each other step a number of unit passes at its
 # length.  `scripts/kernel_crossover.py`, least of 7 runs, ranges over four
 # runs (two each mod 2 and mod 5) on 2 vCPUs: the time of a pass, then in
-# passes the blocked product (degree 165); on a series supported on 5Z, by
-# the same polynomial, one row of the direct sectioned product, the direct
-# product by one row alone, and the FFT sectioned product; then the full
-# product, and the inverse plus product:
-#           L  pass          product  row        one row    sections   full        inverse
-#         500  8.9-11.4 us   10.9-12.7 0.59-0.71 1.38-1.69  23.5-26.3  10.3-11.3   69-80
-#       1,000  13.9-16.7 us   7.7-8.3  0.47-0.62 1.11-1.51  15.0-18.6   9.5-10.5   67-77
-#       5,000  51-63 us       5.9-6.3  0.36-0.51 0.82-1.21   7.1-8.3    9.8-11.0   59-71
-#      10,000  97-116 us      6.4-6.9  0.35-0.45 0.83-1.07   5.2-5.6   14.6-15.9   55-68
-#      63,005  595-747 us     6.0-6.6  0.32-0.45 0.76-1.04   4.2-4.6   17.3-20.3   31-37
-#     125,604  1.23-1.49 ms   6.0-6.4  0.36-0.43 0.74-1.02   3.8-4.2   21.0-22.9   29-36
-#   1,000,000  10.2-13.5 ms   5.4-5.7  0.34-0.45 0.69-1.05   4.8-5.7   19.3-24.0   32-38
-# and two fixed costs: a pass, 3.6-4.1 us, 325-391 coefficients, about
-# _PASS_OVERHEAD; and one section's FFT product, 23.8-36.7 us,
-# 2,231-3,848 coefficients, the top of which is _SECTION_OVERHEAD.  Each
-# constant below is at least the largest ratio seen (the direct product is
-# charged two rows beyond its own, which covers "one row"; the FFT
-# sectioned product is charged five sections' fixed cost here), so a route
-# is taken only where its estimate is no more than the unit passes it
-# replaces at every measured length.
+# passes the blocked product (degree 165), the sectioned product by the
+# same polynomial on a series supported on 5Z, the full product, and the
+# inverse plus product:
+#           L  pass            product  sections   full        inverse
+#         500  6.8-9.6 us      9.2-11.0 21.0-26.9   9.1-10.6   53-79
+#       1,000  10.6-15.0 us    6.8-8.3  14.0-19.3   8.2-9.7    63-74
+#       5,000  44-59 us        4.6-5.8   5.9-7.6    7.5-9.0    44-59
+#      10,000  82-117 us       4.8-6.2   4.2-5.6   10.4-13.0   44-53
+#      63,005  600-676 us      4.3-6.3   3.0-4.3   12.5-18.8   24-30
+#     125,604  1.19-1.31 ms    4.7-5.9   3.2-3.9   15.7-20.2   23-32
+#   1,000,000  9.2-11.8 ms     4.9-6.0   4.3-5.0   17.6-21.5   27-36
+# and two fixed costs: a pass, 2.3-3.8 us, 238-435 coefficients, about
+# _PASS_OVERHEAD; and one section's FFT product, 24.8-38.2 us,
+# 2,535-4,373 coefficients, about _SECTION_OVERHEAD.  Each constant below
+# is at least the largest ratio seen (the sectioned product is charged
+# _SECTION_PASSES plus five sections' fixed cost here, 27.7 passes at
+# L = 500 and 6.0 at 10^6), so a route is taken only where its estimate is
+# no more than the unit passes it replaces at every measured length.
 _PASS_OVERHEAD = 400
 _PRODUCT_PASSES = 13  # a blocked product by a polynomial (the numerator)
-_ROW_PASSES = 1  # one row of sections in the direct sectioned product
 _SECTION_PASSES = 6  # FFT products by the sections of P, on a series supported on sZ
 _SECTION_OVERHEAD = 3900  # fixed cost of one section's FFT product, in coefficients
 _INVERSE_PASSES = 80  # a Newton inverse and a full-length product (the denominator)
@@ -425,23 +423,26 @@ def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> n
     constant).  The positive exponents make one numerator P, the negative
     ones, negated, one denominator Q.  Each is applied by unit passes over
     arr or, when `_route` finds it cheaper at this length, P by one
-    sectioned product (stride > 1) or blocked product, and Q by one Newton
-    inverse followed by one product."""
+    sectioned product (1 < stride < len(arr)) or blocked product, and Q by
+    one Newton inverse followed by one product."""
     n = arr.size
     numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0 and b < n]
     denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0 and b < n]
     if numer:
-        stride = n if stride == 0 else min(stride, n)
-        route = _route(numer, n, lambda size: _numerator_passes(size, stride, m, n)[0])
+        sectioned = 1 < stride < n
+        if sectioned:
+            passes = _SECTION_PASSES + stride * _SECTION_OVERHEAD / (n + _PASS_OVERHEAD)
+        else:
+            passes = _PRODUCT_PASSES
+        route = _route(numer, n, passes)
         if route is None:
             _unit_passes(arr, numer, m, _mul_binomial)
-        elif stride > 1:
-            direct = _numerator_passes(route[0], stride, m, n)[1]
-            _mul_sectioned(arr, _binomial_product(numer, m, *route), stride, m, direct)
+        elif sectioned:
+            _mul_sectioned(arr, _binomial_product(numer, m, *route), stride, m)
         else:
             _mul_blocked(arr, _binomial_product(numer, m, *route), m)
     if denom:
-        route = _route(denom, n, lambda size: _INVERSE_PASSES)
+        route = _route(denom, n, _INVERSE_PASSES)
         if route is None:
             _unit_passes(arr, denom, m, _div_binomial)
         else:
@@ -459,16 +460,15 @@ def _unit_passes(arr, factors, m, step) -> None:
             step(arr, sign, base, m)
 
 
-def _route(factors, n: int, apply_passes):
+def _route(factors, n: int, route_passes: float):
     """None when unit passes over a series of length n cost less than
     building the polynomial prod (1 + sign*q^base)^e over the factors
-    (sign, base, e > 0) and applying it at the cost of `apply_passes(size)`
+    (sign, base, e > 0) and applying it at the cost of `route_passes`
     passes; else (size, heap): its size below n, and whether the heap of
     closed-form powers builds it more cheaply than unit passes on its own
     array."""
     passes = sum(e for _, _, e in factors)
     size = min(n, 1 + sum(b * e for _, b, e in factors))
-    route_passes = apply_passes(size)
     if passes < route_passes:
         return None
     sizes = [min(size, b * e + 1) for _, b, e in factors]
@@ -483,24 +483,6 @@ def _route(factors, n: int, apply_passes):
     if cost > passes * (n + _PASS_OVERHEAD):
         return None
     return size, by_heap < by_passes
-
-
-def _numerator_passes(size: int, stride: int, m: int, n: int):
-    """(passes, direct): the cost in unit passes of multiplying a series of
-    length n, supported on stride*Z, by a polynomial of `size` coefficients,
-    and, for stride > 1, whether `_mul_sectioned` takes the direct product.
-    Its ceil(size/stride) rows of sections, and two more for copying H out
-    and reducing G, each cost `_ROW_PASSES`; it is taken while that
-    undercuts the FFT products, one per section, and its sums stay in int64
-    (always for one row: a scaled copy of P)."""
-    if stride == 1:
-        return _PRODUCT_PASSES, False
-    depth = -(-size // stride)
-    direct = (depth + 2) * _ROW_PASSES
-    by_fft = _SECTION_PASSES + stride * _SECTION_OVERHEAD / (n + _PASS_OVERHEAD)
-    if depth == 1 or (direct <= by_fft and depth * (m - 1) ** 2 < 1 << 63):
-        return direct, True
-    return by_fft, False
 
 
 def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
@@ -542,47 +524,24 @@ def _mul_blocked(arr: np.ndarray, poly: np.ndarray, m: int, block: int | None = 
         arr[lo:hi] = part[: hi - lo]
 
 
-def _mul_sectioned(arr: np.ndarray, poly: np.ndarray, s: int, m: int, direct: bool) -> None:
+def _mul_sectioned(arr: np.ndarray, poly: np.ndarray, s: int, m: int) -> None:
     """arr times the polynomial poly, to len(arr) coefficients mod m, in
     place, where arr is H(q^s) (supported on sZ): G[si + r] is the product
     of H with the section poly[r::s] at i, so only len(arr)/s coefficients
-    of each section and of H are multiplied.
-
-    `direct`: the sections as rows of a (depth, s) matrix, G as a (rows, s)
-    matrix is sum_j H[i - j] * sections[j], one pass over G per row, with
-    sums of at most depth products (the caller checks that they stay in
-    int64).  Else one exact FFT product per section, all sharing H's
-    spectrum."""
+    of each section and of H are multiplied, by one exact FFT product per
+    section, all sharing H's spectrum."""
     n = arr.size
-    h = arr[::s].copy()
+    h = arr[::s]
     depth = min(-(-poly.size // s), h.size)
-    if not direct:
-        size = _fft_size(h.size + depth - 1)
-        width = _limb_width(m, depth)
-        spectra = _spectra(h, m, width, size)
-        for r in range(s):
-            count = len(range(r, n, s))
-            section = poly[r : depth * s : s]
-            if section.size:
-                arr[r::s] = _from_spectra(
-                    list(spectra), _spectra(section, m, width, size), m, width, size, 0, count
-                )
-            else:
-                arr[r::s] = 0
-        return
-    sections = np.zeros(depth * s, dtype=np.int64)
-    sections[: min(poly.size, depth * s)] = poly[: depth * s]
-    sections = sections.reshape(depth, s)
-    full, rest = divmod(n, s)
-    if rest:  # the last, partial row of G
-        arr[full * s :] = h[full::-1][:depth] @ sections[:, :rest] % m
-    mat = arr[: full * s].reshape(full, s)
-    np.multiply(h[:full, None], sections[0], out=mat)
-    work = np.empty_like(mat)
-    for j in range(1, min(depth, full)):
-        np.multiply(h[: full - j, None], sections[j], out=work[: full - j])
-        mat[j:] += work[: full - j]
-    mat %= m
+    size = _fft_size(h.size + depth - 1)
+    width = _limb_width(m, depth)
+    spectra = _spectra(h, m, width, size)  # read before arr[::s] is written
+    for r in range(min(s, poly.size)):  # arr stays 0 where P has no section
+        count = len(range(r, n, s))
+        section = poly[r : depth * s : s]
+        arr[r::s] = _from_spectra(
+            list(spectra), _spectra(section, m, width, size), m, width, size, 0, count
+        )
 
 
 def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:

@@ -472,24 +472,19 @@ class TestExactProduct:
 
 HUGE = 1 << 60
 
-# Crossover settings that force each route of the net-binomial kernel.  On
-# a series supported on sZ, s > 1, the numerator takes the sectioned
-# product: by FFT in "numerator product", directly in "sectioned direct"
-# where its sums fit in int64 (one row of sections always goes directly).
-NO_NUMERATOR = dict(_PRODUCT_PASSES=HUGE, _SECTION_PASSES=HUGE, _ROW_PASSES=HUGE)
+# Crossover settings that force each route of the net-binomial kernel.  In
+# "numerator product" the numerator is taken by sections on a series
+# supported on sZ, s > 1, and else by the blocked product.
+NO_NUMERATOR = dict(_PRODUCT_PASSES=HUGE, _SECTION_PASSES=HUGE)
 ROUTES = {
     "unit passes": dict(NO_NUMERATOR, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
     "numerator product": dict(
-        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0, _ROW_PASSES=HUGE,
-        _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE,
-    ),
-    "sectioned direct": dict(
-        _PRODUCT_PASSES=0, _SECTION_PASSES=HUGE, _ROW_PASSES=0,
+        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0,
         _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE,
     ),
     "denominator inverse": dict(NO_NUMERATOR, _INVERSE_PASSES=0, _HEAP_PASSES=HUGE),
     "heap builder": dict(
-        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0, _ROW_PASSES=0,
+        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0,
         _INVERSE_PASSES=0, _HEAP_PASSES=0,
     ),
 }
@@ -607,9 +602,9 @@ SECTION_MODULI = [2, 5, 7, 125, 2**30, 2**31 - 1]
 
 
 class TestSectionedProduct:
-    """G = P(q) H(q^s) section by section equals the full product of P and
-    the strided series, by both ways of taking it: direct, where its sums fit
-    in int64, and by FFT products sharing H's spectrum (limbs included)."""
+    """G = P(q) H(q^s) section by section, by FFT products sharing H's
+    spectrum (limbs included), equals the full product of P and the strided
+    series."""
 
     @pytest.mark.parametrize("m", SECTION_MODULI)
     @pytest.mark.parametrize("s", range(2, 10))
@@ -617,8 +612,8 @@ class TestSectionedProduct:
         from congcert.series import _mul_mod, _mul_sectioned
 
         rng = np.random.default_rng(100 * s + m % 97)
-        # depths (rows of sections) on both sides of the direct/FFT
-        # crossover, each taken both ways where the direct sums fit in int64
+        # depths (rows of sections) from one, where a section has at most
+        # one coefficient, to sections longer than H
         for depth in (1, 2, 3, 8, 40):
             for size in (depth * s - s + 1, depth * s):
                 poly = rng.integers(0, m, size, dtype=np.int64)
@@ -629,37 +624,8 @@ class TestSectionedProduct:
                     arr = np.zeros(n, dtype=np.int64)
                     arr[::s] = rng.integers(0, m, len(range(0, n, s)))
                     want = _mul_mod(arr, poly[:n], m, n)
-                    ways = [False]
-                    if min(depth, -(-n // s)) * (m - 1) ** 2 < 1 << 63:
-                        ways.append(True)
-                    for direct in ways:
-                        got = arr.copy()
-                        _mul_sectioned(got, poly[:n], s, m, direct)
-                        assert np.array_equal(got, want), (depth, size, n, direct)
-
-    def test_choice_of_way(self):
-        from congcert.series import (
-            _PASS_OVERHEAD,
-            _ROW_PASSES,
-            _SECTION_OVERHEAD,
-            _SECTION_PASSES,
-            _numerator_passes,
-        )
-
-        n = 10**5
-        # few rows go directly; past the FFT's cost they go by FFT
-        by_fft = _SECTION_PASSES + 5 * _SECTION_OVERHEAD / (n + _PASS_OVERHEAD)
-        rows = int(by_fft // _ROW_PASSES) - 2  # the most taken directly
-        assert rows >= 2
-        assert _numerator_passes(rows * 5, 5, 7, n) == ((rows + 2) * _ROW_PASSES, True)
-        assert _numerator_passes(rows * 5 + 5, 5, 7, n) == (by_fft, False)
-        # sums of three products of residues mod 2^31 - 1 leave int64
-        assert _numerator_passes(10, 5, 2**31 - 1, n)[1]
-        assert not _numerator_passes(11, 5, 2**31 - 1, n)[1]
-        # one row is a scaled copy of P, whatever the modulus
-        assert _numerator_passes(5, 5, 2**31 - 1, n) == (_numerator_passes(5, 5, 2, n)[0], True)
-        # no stride: the blocked product
-        assert not _numerator_passes(1000, 1, 7, n)[1]
+                    _mul_sectioned(arr, poly[:n], s, m)
+                    assert np.array_equal(arr, want), (depth, size, n)
 
     @pytest.mark.parametrize("rows", [7, 8, 9, 10])
     def test_ladder_shapes_take_the_sectioned_route(self, rows, monkeypatch):
@@ -671,9 +637,9 @@ class TestSectionedProduct:
         calls = []
         real = series._mul_sectioned
 
-        def spy(arr, poly, s, m, direct):
+        def spy(arr, poly, s, m):
             calls.append(s)
-            real(arr, poly, s, m, direct)
+            real(arr, poly, s, m)
 
         monkeypatch.setattr(series, "_mul_sectioned", spy)
         spec = build_spec(GFKind.plane_rowed(rows))
@@ -684,8 +650,7 @@ class TestSectionedProduct:
             monkeypatch.setattr(series, name, value)
         assert got == series_from_spec(spec, Modulus(prime, 1), 4000)
 
-    @pytest.mark.parametrize("route", ["numerator product", "sectioned direct"])
-    def test_strided_specs_match_unit_passes(self, monkeypatch, route):
+    def test_strided_specs_match_unit_passes(self, monkeypatch):
         # Euler tails of scale s and polynomials on sZ keep the series on a
         # stride; the unit passes are the reference
         import congcert.series as series
@@ -699,6 +664,8 @@ class TestSectionedProduct:
             if rng.random() < 0.3:  # 1 + c q^s
                 coeffs = (1,) + (0,) * (s - 1) + (rng.randint(1, 4),)
                 factors.append(PolyFactor(coeffs, rng.choice([-1, 2])))
+            if rng.random() < 0.2:  # 1 + c q, off the stride
+                factors.append(PolyFactor((1, rng.randint(1, 4)), rng.choice([-1, 2])))
             if rng.random() < 0.3:  # folded past sqrt(L): bases on sZ, or not
                 scale, offset = rng.choice([(s, 1), (2 * s, s)])
                 e = rng.choice([-1, 1])
@@ -710,14 +677,14 @@ class TestSectionedProduct:
             spec, modulus = ProductSpec(tuple(factors)), rng.choice(moduli)
             length = rng.choice([rng.randint(1, 60), rng.randint(60, 3000)])
             with monkeypatch.context() as patch:
-                for name, value in ROUTES[route].items():
+                for name, value in ROUTES["numerator product"].items():
                     patch.setattr(series, name, value)
                 got = series_from_spec(spec, modulus, length)
             with monkeypatch.context() as patch:
                 for name, value in ROUTES["unit passes"].items():
                     patch.setattr(series, name, value)
                 want = series_from_spec(spec, modulus, length)
-            assert got == want, f"{route}: {spec} mod {modulus} len {length}"
+            assert got == want, f"{spec} mod {modulus} len {length}"
 
     def test_expansion_is_handed_over_read_only(self):
         from congcert import GFKind, build_spec

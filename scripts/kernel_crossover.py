@@ -4,13 +4,13 @@ For each length L it prints the time of one unit pass (multiplying or
 dividing a series by 1 - q^7), and, in units of those passes, the cost of
 the routes that can replace them:
 
-  product  -- a blocked product of the series by a polynomial P of degree
-              165 (the numerator of 10-rowed plane partitions mod 5), the
-              numerator route on a series with no stride; compared with a
-              multiplying pass;
-  sections -- the sectioned product by P, one exact FFT product per
-              section, on a series supported on 5Z; compared with a
-              multiplying pass;
+  product  -- `_mul_poly` of the series by a polynomial P of degree 165
+              (the numerator of 10-rowed plane partitions mod 5) at s = 1,
+              the numerator route on a series with no stride; compared
+              with a multiplying pass;
+  sections -- `_mul_poly` by P at s = 5, on a series supported on 5Z,
+              the five sections of P taken as the columns of one
+              transform; compared with a multiplying pass;
   full     -- one full-length exact product, the step of the heap builder;
               compared with a multiplying pass;
   inverse  -- a Newton inverse of P and a full-length product, the
@@ -21,10 +21,11 @@ the routes that can replace them:
 
 It ends with two fixed costs, in coefficients at the per-coefficient cost
 of a pass at L = 10,000: that of a multiplying pass (its time at L = 16),
-and that of one section's FFT product (the sectioned product with 50
-sections of two coefficients each, divided by 50).  The constants
-`_PASS_OVERHEAD`, `_PRODUCT_PASSES`, `_SECTION_PASSES`,
-`_SECTION_OVERHEAD`, `_HEAP_PASSES` and `_INVERSE_PASSES` in
+and that of `_mul_poly` (its time on 16 coefficients by 1 - q).  Every
+step is timed on a fresh copy of one array per length, made before the
+clock starts, so the short lengths run warm in cache as they do inside an
+expansion.  The constants `_PASS_OVERHEAD`, `_PRODUCT_PASSES`,
+`_PRODUCT_OVERHEAD`, `_HEAP_PASSES` and `_INVERSE_PASSES` in
 `congcert.series` are taken from this output.  Run from the repository
 root:
 
@@ -41,9 +42,8 @@ from congcert.series import (
     _euler,
     _inverse,
     _mul_binomial,
-    _mul_blocked,
     _mul_mod,
-    _mul_sectioned,
+    _mul_poly,
     _partition_numbers,
     binomial_power,
 )
@@ -59,11 +59,12 @@ def strided(rng, n, stride, m):
     return out
 
 
-def best(repeat, make, run):
-    """Least time of `run(make())` over `repeat` runs; `make` is untimed."""
+def best(repeat, warm, run):
+    """Least time of `run` over `repeat` runs, each on a fresh copy of the
+    array `warm`; the copy is untimed."""
     times = []
     for _ in range(repeat):
-        arg = make()
+        arg = warm.copy()
         start = time.perf_counter()
         run(arg)
         times.append(time.perf_counter() - start)
@@ -87,23 +88,19 @@ def main():
     )
     passes = []  # mul pass times
     for n in LENGTHS:
-        def series():
-            return rng.integers(0, m, n, dtype=np.int64)
-
-        def sparse():
-            return strided(rng, n, STRIDE, m)
-
+        series = rng.integers(0, m, n, dtype=np.int64)
+        sparse = strided(rng, n, STRIDE, m)
         seed = _partition_numbers() % m
         mul = best(args.repeat, series, lambda a: _mul_binomial(a, -1, 7, m))
         div = best(args.repeat, series, lambda a: _div_binomial(a, -1, 7, m))
-        product = best(args.repeat, series, lambda a: _mul_blocked(a, poly, m))
-        sections = best(args.repeat, sparse, lambda a: _mul_sectioned(a, poly, STRIDE, m))
+        product = best(args.repeat, series, lambda a: _mul_poly(a, poly, 1, m))
+        sections = best(args.repeat, sparse, lambda a: _mul_poly(a, poly, STRIDE, m))
         full = best(args.repeat, series, lambda a: _mul_mod(a, a[::-1].copy(), m, n))
         inverse = best(
             args.repeat, series, lambda a: _mul_mod(a, _inverse(poly, n, m, shown=1), m, n)
         )
         euler = best(
-            args.repeat, lambda: _euler(n, m), lambda e: _inverse(e, n, m, shown=1, seed=seed)
+            args.repeat, _euler(n, m), lambda e: _inverse(e, n, m, shown=1, seed=seed)
         )
         print(
             f"{n:>9,} {mul * 1e6:>8.1f}us {div * 1e6:>8.1f}us {product / mul:>8.1f} "
@@ -112,25 +109,17 @@ def main():
         )
         passes.append(mul)
     # a pass costs a + b*L: a is a pass at L = 16, b comes from L = 10,000
-    fixed = best(
-        args.repeat * 5, lambda: rng.integers(0, m, 16), lambda a: _mul_binomial(a, -1, 7, m)
-    )
+    fixed = best(args.repeat * 5, rng.integers(0, m, 16), lambda a: _mul_binomial(a, -1, 7, m))
     per_coeff = (passes[LENGTHS.index(10_000)] - fixed) / 10_000
     print(
         f"fixed cost of a mul pass: {fixed * 1e6:.1f}us, "
         f"about {fixed / per_coeff:.0f} coefficients"
     )
-    # 50 sections of two coefficients: almost all of it is per-section cost
-    width = 50
-    short = rng.integers(0, m, 2 * width, dtype=np.int64)
-    section = best(
-        args.repeat * 5,
-        lambda: strided(rng, 2 * width, width, m),
-        lambda a: _mul_sectioned(a, short, width, m),
-    ) / width
+    binomial = np.array([1, m - 1], dtype=np.int64)
+    product = best(args.repeat * 5, rng.integers(0, m, 16), lambda a: _mul_poly(a, binomial, 1, m))
     print(
-        f"fixed cost of a section's FFT product: {section * 1e6:.1f}us, "
-        f"about {section / per_coeff:.0f} coefficients"
+        f"fixed cost of a polynomial product: {product * 1e6:.1f}us, "
+        f"about {product / per_coeff:.0f} coefficients"
     )
 
 

@@ -243,17 +243,6 @@ class Plan:
         mismatch = np.flatnonzero(diff)
         return int(mismatch[0]) if mismatch.size else None
 
-    def holding(self, families) -> np.ndarray:
-        """For each family, whether it holds for all n: `first_failure`
-        is None, for a whole sequence of families at once.
-
-        A family holds exactly when its weights (`CongruenceFamily.weights`)
-        annihilate every row of `head` mod m, hence every element of the rows'
-        Z/m module.  The rows are first reduced to at most delta generators of
-        that module, and every family is checked against each generator in
-        one matrix-vector product."""
-        return self.holding_weights(self.weight_matrix(families))
-
     def weight_matrix(self, families) -> np.ndarray:
         """The families' weights (`CongruenceFamily.weights`) as the rows of
         one (len(families), delta) matrix; each family must match the plan's
@@ -264,7 +253,14 @@ class Plan:
         return np.fromiter(weights, np.int64, len(families) * self.delta).reshape(-1, self.delta)
 
     def holding_weights(self, weights: np.ndarray) -> np.ndarray:
-        """`holding` for families given by the rows of their `weight_matrix`."""
+        """For each family, given by its row of `weight_matrix`, whether it
+        holds for all n: `first_failure` is None, for many families at once.
+
+        A family holds exactly when its weights (`CongruenceFamily.weights`)
+        annihilate every row of `head` mod m, hence every element of the rows'
+        Z/m module.  The rows are first reduced to at most delta generators of
+        that module, and every family is checked against each generator in
+        one matrix-vector product."""
         if self.error is not None:
             raise self.error
         m = self.modulus.value

@@ -21,18 +21,22 @@ matter:
   Q, each prod (1 +- q^b)^|e| below L.  Few units of exponent are applied
   as they are, one O(L) pass each (multiplying or dividing by 1 +- q^b).
   Past a crossover measured by `scripts/kernel_crossover.py`, P is built
-  on its own short array and applied by one product, and Q by one Newton
-  inversion and one product; either is built by unit passes on its own
-  array or, when cheaper, from closed-form powers (`binomial_power`)
-  multiplied smallest first.  When the series P multiplies is H(q^s),
-  s > 1 (the powers of E(q^s) and what was applied before P are all
-  supported on sZ), P is applied section by section: G[sn + r] is the
-  product of H with P[r::s] at n, one exact product at length L/s per
-  section, all sharing H's transform.
+  on its own short array and applied by one polynomial product, and Q by
+  one Newton inversion and one product; either is built by unit passes on
+  its own array or, when cheaper, from closed-form powers
+  (`binomial_power`) multiplied smallest first.
 - Before either runs, an exponent divisible by ell^N moves to ell times its
   base with exponent divided by ell (`frobenius_step`, the one statement of
   that rule), which agrees mod ell^N: so E^-10 mod 5 is taken as
   E(q^5)^-2, at a fifth of the length.
+- One routine, `_mul_poly`, multiplies the series by a polynomial, in
+  place.  It takes the series as H(q^s): s > 1 when the powers of E(q^s)
+  and all that was applied before are supported on sZ, else s = 1.  Then
+  G[sn + r] is the product of H with the section P[r::s] at n, at length
+  L/s.  H is walked in fixed-size chunks from the last one back; each
+  chunk's transform is multiplied into the transforms of all sections at
+  once, and the rows that come out, G[sn:sn+s] each, are overlap-added.
+  So the routine holds O(s * block + deg P) beside the series, not O(L).
 - Products of series are float FFT convolutions (numpy.fft) rounded to
   integers, exact because every output coefficient stays below 2^50: in
   one pass while (m-1)^2 * L < 2^50, else over limbs of residues whose
@@ -42,15 +46,14 @@ matter:
   exponents use the same Newton inversion, whose step takes one cyclic
   middle product and shares one transform of g between its two products.
   A polynomial factor with a positive exponent is raised at its own degree
-  and applied, like P on a series with no stride, by the blocked product:
-  an overlap-add of products of fixed-size chunks, so that it holds
-  O(block + deg P) beside the series, not O(L).
+  and applied by `_mul_poly` with s = 1.
 
 A base offset js in such a tail only moves its start to start + j.  Tails
 with any other offset or an exponent that varies with n have no closed
 form.  Their explicit factors join the net exponents: all of them below L
 when the exponent varies, else those below sqrt(L); the rest of a
-constant-exponent tail is folded by number of parts (`_fold_parts`).
+constant-exponent tail is folded by number of parts (`_fold_parts`) at
+exponent +-1, then raised to |e|.
 """
 
 from __future__ import annotations
@@ -386,34 +389,32 @@ def binomial_power(
 # The routes of `_apply_binomials`, costed in coefficients touched: a unit
 # pass (`_mul_binomial`, `_div_binomial`) over k coefficients costs
 # k + _PASS_OVERHEAD, and each other step a number of unit passes at its
-# length.  `scripts/kernel_crossover.py`, least of 7 runs, ranges over four
-# runs (two each mod 2 and mod 5) on 2 vCPUs: the time of a pass, then in
-# passes the blocked product (degree 165), the sectioned product by the
-# same polynomial on a series supported on 5Z, the full product, and the
-# inverse plus product:
+# length.  `scripts/kernel_crossover.py`, least of 7 runs on copies of one
+# warm array, ranges over six runs (three each mod 2 and mod 5) on 2
+# vCPUs: the time of a pass, then in passes `_mul_poly` by a polynomial of
+# degree 165 at s = 1 (product) and on a series supported on 5Z at s = 5
+# (sections), the full product, and the inverse plus product:
 #           L  pass            product  sections   full        inverse
-#         500  6.8-9.6 us      9.2-11.0 21.0-26.9   9.1-10.6   53-79
-#       1,000  10.6-15.0 us    6.8-8.3  14.0-19.3   8.2-9.7    63-74
-#       5,000  44-59 us        4.6-5.8   5.9-7.6    7.5-9.0    44-59
-#      10,000  82-117 us       4.8-6.2   4.2-5.6   10.4-13.0   44-53
-#      63,005  600-676 us      4.3-6.3   3.0-4.3   12.5-18.8   24-30
-#     125,604  1.19-1.31 ms    4.7-5.9   3.2-3.9   15.7-20.2   23-32
-#   1,000,000  9.2-11.8 ms     4.9-6.0   4.3-5.0   17.6-21.5   27-36
-# and two fixed costs: a pass, 2.3-3.8 us, 238-435 coefficients, about
-# _PASS_OVERHEAD; and one section's FFT product, 24.8-38.2 us,
-# 2,535-4,373 coefficients, about _SECTION_OVERHEAD.  Each constant below
-# is at least the largest ratio seen (the sectioned product is charged
-# _SECTION_PASSES plus five sections' fixed cost here, 27.7 passes at
-# L = 500 and 6.0 at 10^6), so a route is taken only where its estimate is
-# no more than the unit passes it replaces at every measured length.
+#         500  4.0-6.9 us     10.6-18.1  9.1-15.4   9.5-16.3   56-86
+#       1,000  6.0-10.0 us    11.1-14.9  9.8-12.4  12.7-17.1   47-73
+#       5,000  24-44 us        6.4-8.4   4.3-6.6   10.2-16.9   46-69
+#      10,000  56-93 us        5.6-7.8   3.1-4.7   11.8-18.1   37-66
+#      63,005  432-603 us      4.3-7.2   2.9-4.8   13.0-19.6   25-35
+#     125,604  1.05-1.45 ms    4.8-6.4   3.1-4.0   16.0-21.9   23-34
+#   1,000,000  8.3-12.0 ms     3.9-6.1   2.7-3.9   14.8-18.8   25-33
+# and two fixed costs: a pass, 1.8-3.3 us, 206-588 coefficients, about
+# _PASS_OVERHEAD; and a polynomial product, 37-67 us, 4,528-12,112
+# coefficients, about _PRODUCT_OVERHEAD (it does not grow with s: the
+# sections share each transform).  Each constant below is at least the
+# largest ratio seen (the numerator is charged 19.1 passes at L = 500 and
+# 8.0 at 10^6), so a route is taken only where its estimate is no more
+# than the unit passes it replaces at every measured length.
 _PASS_OVERHEAD = 400
-_PRODUCT_PASSES = 13  # a blocked product by a polynomial (the numerator)
-_SECTION_PASSES = 6  # FFT products by the sections of P, on a series supported on sZ
-_SECTION_OVERHEAD = 3900  # fixed cost of one section's FFT product, in coefficients
-_INVERSE_PASSES = 80  # a Newton inverse and a full-length product (the denominator)
+_PRODUCT_PASSES = 8  # `_mul_poly` by the numerator P, besides its fixed cost
+_PRODUCT_OVERHEAD = 10000  # fixed cost of `_mul_poly`, in coefficients
+_INVERSE_PASSES = 86  # a Newton inverse and a full-length product (the denominator)
 _HEAP_PASSES = 24  # one exact product inside the heap builder
-# Chunk of the series in the blocked product: transient memory is
-# O(block + deg P), not O(L).
+# Rows of H per chunk in `_mul_poly`: it holds O(s * block + deg P), not O(L).
 _PRODUCT_BLOCK = 8192
 
 
@@ -423,24 +424,18 @@ def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> n
     constant).  The positive exponents make one numerator P, the negative
     ones, negated, one denominator Q.  Each is applied by unit passes over
     arr or, when `_route` finds it cheaper at this length, P by one
-    sectioned product (1 < stride < len(arr)) or blocked product, and Q by
-    one Newton inverse followed by one product."""
+    `_mul_poly` at this stride (1 when arr has none), and Q by one Newton
+    inverse followed by one product."""
     n = arr.size
     numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0 and b < n]
     denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0 and b < n]
     if numer:
-        sectioned = 1 < stride < n
-        if sectioned:
-            passes = _SECTION_PASSES + stride * _SECTION_OVERHEAD / (n + _PASS_OVERHEAD)
-        else:
-            passes = _PRODUCT_PASSES
-        route = _route(numer, n, passes)
+        route = _route(numer, n, _PRODUCT_PASSES + _PRODUCT_OVERHEAD / (n + _PASS_OVERHEAD))
         if route is None:
             _unit_passes(arr, numer, m, _mul_binomial)
-        elif sectioned:
-            _mul_sectioned(arr, _binomial_product(numer, m, *route), stride, m)
         else:
-            _mul_blocked(arr, _binomial_product(numer, m, *route), m)
+            s = stride if 1 < stride < n else 1
+            _mul_poly(arr, _binomial_product(numer, m, *route), s, m)
     if denom:
         route = _route(denom, n, _INVERSE_PASSES)
         if route is None:
@@ -507,46 +502,42 @@ def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
     return queue[0][2]
 
 
-def _mul_blocked(arr: np.ndarray, poly: np.ndarray, m: int, block: int | None = None) -> None:
+def _mul_poly(arr: np.ndarray, poly: np.ndarray, s: int, m: int) -> None:
     """arr times the polynomial poly, to len(arr) coefficients mod m, in
-    place: an overlap-add of exact products of `block`-long chunks of arr
-    (by default `_PRODUCT_BLOCK`, or poly's length if longer), from the last
-    chunk back, so every chunk is read before a product overwrites it."""
-    n = arr.size
-    if block is None:
-        block = max(_PRODUCT_BLOCK, poly.size)
-    for lo in range((n - 1) // block * block, -1, -block):
-        hi = min(lo + block, n)
-        part = _mul_mod(arr[lo:hi], poly, m, min(n - lo, hi - lo + poly.size - 1))
-        spill = arr[hi : lo + part.size]
-        spill += part[hi - lo :]
-        spill %= m
-        arr[lo:hi] = part[: hi - lo]
-
-
-def _mul_sectioned(arr: np.ndarray, poly: np.ndarray, s: int, m: int) -> None:
-    """arr times the polynomial poly, to len(arr) coefficients mod m, in
-    place, where arr is H(q^s) (supported on sZ): G[si + r] is the product
-    of H with the section poly[r::s] at i, so only len(arr)/s coefficients
-    of each section and of H are multiplied, by one exact FFT product per
-    section, all sharing H's spectrum."""
+    place, where arr is H(q^s) (s = 1: a series with no stride).  G[si + r]
+    is the product of H with the section poly[r::s] at i: with the sections
+    as the columns of a matrix, row i of the product is G[si:si+s].  H is
+    taken in chunks of `_PRODUCT_BLOCK` rows (or of the sections' length,
+    if longer), from the last chunk back, so every chunk is read before a
+    product overwrites it.  Each chunk's limb spectra are taken once and
+    multiplied into the spectra of all sections, and the rows that come out
+    are overlap-added into arr.  Beside arr it holds O(s * block + deg P),
+    not O(L)."""
     n = arr.size
     h = arr[::s]
     depth = min(-(-poly.size // s), h.size)
-    size = _fft_size(h.size + depth - 1)
-    width = _limb_width(m, depth)
-    spectra = _spectra(h, m, width, size)  # read before arr[::s] is written
-    for r in range(min(s, poly.size)):  # arr stays 0 where P has no section
-        count = len(range(r, n, s))
-        section = poly[r : depth * s : s]
-        arr[r::s] = _from_spectra(
-            list(spectra), _spectra(section, m, width, size), m, width, size, 0, count
-        )
+    sections = np.zeros((depth, s), dtype=np.int64)  # column r is poly[r::s]
+    sections.reshape(-1)[: poly.size] = poly[: sections.size]
+    block = max(_PRODUCT_BLOCK, depth)
+    for lo in range((h.size - 1) // block * block, -1, -block):
+        hi = min(lo + block, h.size)
+        terms = min(depth, h.size - lo)
+        size = _fft_size(hi - lo + terms - 1)
+        width = _limb_width(m, min(hi - lo, terms))
+        fh = _spectra(h[lo:hi, None], m, width, size)
+        fp = _spectra(sections[:terms], m, width, size)
+        rows = _from_spectra(fh, fp, m, width, size, 0, min(h.size - lo, hi - lo + terms - 1))
+        part = rows.reshape(-1)[: n - s * lo]
+        spill = arr[s * hi : s * lo + part.size]
+        spill += part[s * (hi - lo) :]
+        spill %= m
+        arr[s * lo : s * hi] = part[: s * (hi - lo)]
 
 
 def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
     """arr times factor: a positive power is taken at its own degree and
-    applied by the blocked product; a negative one through the inverse."""
+    applied by `_mul_poly` with no stride; a negative one through the
+    inverse."""
     if factor.exponent == 0:
         return arr
     n = arr.size
@@ -555,7 +546,7 @@ def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
         poly = _inverse(poly, n, m, shown=factor.coeffs[0])
         return _mul_mod(arr, _pow_mod(poly, -factor.exponent, m, n), m, n)
     size = min(n, (poly.size - 1) * factor.exponent + 1)
-    _mul_blocked(arr, _pow_mod(poly, factor.exponent, m, size), m)
+    _mul_poly(arr, _pow_mod(poly, factor.exponent, m, size), 1, m)
     return arr
 
 
@@ -676,17 +667,25 @@ def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None
 
 def _fold_tail(arr, tail: TailFamily, m) -> None:
     """Multiply arr by a constant-exponent tail whose first base is at least
-    sqrt(len(arr)), one `_fold_parts` pass per unit of the exponent."""
+    sqrt(len(arr)), in place: the tail's unit power (exponent +-1) is folded
+    by `_fold_parts`, into arr when |e| = 1, else into a unit series that
+    is raised to |e| by `_pow_mod` and multiplied in."""
     step, first, e = tail.scale, tail.base(tail.start), tail.exp_offset
-    for _ in range(abs(e)):
-        if tail.sign < 0 and e < 0:
-            _fold_parts(arr, step, first, m, distinct=False)
-        elif e > 0:
-            _fold_parts(arr, step, first, m, distinct=True, factor_sign=tail.sign)
-        else:
-            # (1+q^B)^-1 = (1-q^B) / (1-q^(2B)) termwise over the progression
-            _fold_parts(arr, step, first, m, distinct=True, factor_sign=-1)
-            _fold_parts(arr, 2 * step, 2 * first, m, distinct=False)
+    n = arr.size
+    folded = arr
+    if abs(e) != 1:
+        folded = np.zeros(n, dtype=np.int64)
+        folded[0] = 1 % m
+    if tail.sign < 0 and e < 0:
+        _fold_parts(folded, step, first, m, distinct=False)
+    elif e > 0:
+        _fold_parts(folded, step, first, m, distinct=True, factor_sign=tail.sign)
+    else:
+        # (1+q^B)^-1 = (1-q^B) / (1-q^(2B)) termwise over the progression
+        _fold_parts(folded, step, first, m, distinct=True, factor_sign=-1)
+        _fold_parts(folded, 2 * step, 2 * first, m, distinct=False)
+    if folded is not arr:
+        arr[:] = _mul_mod(arr, _pow_mod(folded, abs(e), m, n), m, n)
 
 
 def frobenius_step(base: int, exponent: int, modulus: Modulus):

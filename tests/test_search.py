@@ -213,7 +213,7 @@ class TestBatchCheck:
                     if plan.error is not None:
                         continue
                     families = enumerate_candidates(SearchSpace(target, modulus, delta, 4))
-                    batch = plan.holding(families)
+                    batch = plan.holding_weights(plan.weight_matrix(families))
                     single = [plan.first_failure(f) is None for f in families]
                     assert batch.tolist() == single, (rows, str(modulus), delta)
                     total += len(families)

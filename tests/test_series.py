@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,32 @@ class TestEulerKernel:
         assert int(data.sum()) == total
 
 
+class TestFoldedTails:
+    """A constant-exponent tail whose offset is not a multiple of its scale
+    is folded by number of parts at exponent +-1, then raised to |e|."""
+
+    @pytest.mark.parametrize("e", [2, 3, 7, -5])
+    def test_power_is_repeated_unit_tail(self, e):
+        rng = random.Random(1400 + e)
+        for _ in range(12):
+            scale = rng.randint(2, 5)
+            tail = TailFamily(rng.choice([1, -1]), rng.randint(1, 3), e, scale=scale,
+                              offset=rng.randint(1, scale - 1))
+            unit = replace(tail, exp_offset=1 if e > 0 else -1)
+            modulus = rng.choice(KERNEL_MODULI)
+            length = rng.choice([rng.randint(1, 100), rng.randint(100, 3000)])
+            got = expand([tail], modulus, length)
+            want = expand([unit] * abs(e), modulus, length)
+            assert got == want, f"{tail} mod {modulus} len {length}"
+
+    def test_huge_exponent_finishes(self):
+        # (1-q^(2n+1))^e from n = 0 mod 3 below 2,000 < 3^7: a power 3^7 of
+        # the tail is 1 there, so e = 10^11 + 1 acts as e mod 3^7 = 182
+        tail = TailFamily(-1, 0, 10**11 + 1, scale=2, offset=1)
+        got = expand([tail], MOD3, 2000)
+        assert got == expand([replace(tail, exp_offset=182)], MOD3, 2000)
+
+
 class TestSeededEulerInverse:
     """1/E starts from the exact partition numbers below 2^63; the plain
     Newton inverse of E, squared up, is the reference."""
@@ -473,19 +500,17 @@ class TestExactProduct:
 HUGE = 1 << 60
 
 # Crossover settings that force each route of the net-binomial kernel.  In
-# "numerator product" the numerator is taken by sections on a series
-# supported on sZ, s > 1, and else by the blocked product.
-NO_NUMERATOR = dict(_PRODUCT_PASSES=HUGE, _SECTION_PASSES=HUGE)
+# "numerator product" the numerator is applied by `_mul_poly`, by sections
+# on a series supported on sZ, s > 1, and else with s = 1.
+NO_NUMERATOR = dict(_PRODUCT_PASSES=HUGE)
 ROUTES = {
     "unit passes": dict(NO_NUMERATOR, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE),
     "numerator product": dict(
-        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0,
-        _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE,
+        _PRODUCT_PASSES=0, _PRODUCT_OVERHEAD=0, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE
     ),
     "denominator inverse": dict(NO_NUMERATOR, _INVERSE_PASSES=0, _HEAP_PASSES=HUGE),
     "heap builder": dict(
-        _PRODUCT_PASSES=0, _SECTION_PASSES=0, _SECTION_OVERHEAD=0,
-        _INVERSE_PASSES=0, _HEAP_PASSES=0,
+        _PRODUCT_PASSES=0, _PRODUCT_OVERHEAD=0, _INVERSE_PASSES=0, _HEAP_PASSES=0
     ),
 }
 
@@ -509,7 +534,7 @@ def _route_spec(rng):
 
 class TestBinomialRoutes:
     """Every route of the net-binomial kernel gives the same records: unit
-    passes over the series, the numerator as one blocked product, the
+    passes over the series, the numerator as one `_mul_poly`, the
     denominator as one inverse and product, and either polynomial built by
     the heap of closed-form powers."""
 
@@ -556,23 +581,8 @@ class TestBinomialRoutes:
             got = list(self.expand_by(monkeypatch, route, spec, modulus, length))
             assert got == brute_expand(spec, length, modulus.value), f"{spec} len {length}"
 
-    @pytest.mark.parametrize("modulus", [MOD3, Modulus(2, 30)], ids=str)
-    def test_blocked_product_at_block_edges(self, modulus):
-        from congcert.series import _mul_blocked, _mul_mod
-
-        rng = np.random.default_rng(modulus.value)
-        m, block = modulus.value, 64
-        for degree in (0, 9, 63, 64, 150):  # the last two reach and pass the block
-            poly = rng.integers(0, m, degree + 1, dtype=np.int64)
-            for k in (1, 2, 3):
-                for n in (k * block - 1, k * block, k * block + 1):
-                    arr = rng.integers(0, m, n, dtype=np.int64)
-                    want = _mul_mod(arr, poly, m, n)
-                    _mul_blocked(arr, poly, m, block)
-                    assert np.array_equal(arr, want), (degree, n)
-
     def test_ladder_expansion_memory(self):
-        # the blocked product keeps O(block + deg P) beside the series,
+        # `_mul_poly` keeps O(s * block + deg P) beside the series,
         # where a full-length product of P would double the peak
         import tracemalloc
 
@@ -609,7 +619,7 @@ class TestSectionedProduct:
     @pytest.mark.parametrize("m", SECTION_MODULI)
     @pytest.mark.parametrize("s", range(2, 10))
     def test_matches_full_product(self, s, m):
-        from congcert.series import _mul_mod, _mul_sectioned
+        from congcert.series import _mul_mod, _mul_poly
 
         rng = np.random.default_rng(100 * s + m % 97)
         # depths (rows of sections) from one, where a section has at most
@@ -624,8 +634,32 @@ class TestSectionedProduct:
                     arr = np.zeros(n, dtype=np.int64)
                     arr[::s] = rng.integers(0, m, len(range(0, n, s)))
                     want = _mul_mod(arr, poly[:n], m, n)
-                    _mul_sectioned(arr, poly[:n], s, m)
+                    _mul_poly(arr, poly[:n], s, m)
                     assert np.array_equal(arr, want), (depth, size, n)
+
+    @pytest.mark.parametrize("m", [2, 7, 125, 2**30, 2**31 - 1])
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 9])
+    def test_block_edges(self, s, m, monkeypatch):
+        # H of k blocks and one coefficient less or more; with
+        # n = s*h - s + 1, arr[r::s] is one shorter than H for r > 0, so
+        # H's last chunk can start where such a section ends
+        import congcert.series as series
+        from congcert.series import _mul_mod, _mul_poly
+
+        rng = np.random.default_rng(10 * s + m % 89)
+        for block in (8, 64):
+            monkeypatch.setattr(series, "_PRODUCT_BLOCK", block)
+            # sections shorter than, as long as and longer than the block
+            for size in (1, s + 1, block * s - 1, block * s + s + 1):
+                poly = rng.integers(0, m, size, dtype=np.int64)
+                for k in (1, 2, 3):
+                    for h in (k * block - 1, k * block, k * block + 1):
+                        for n in (s * h, s * h - s + 1):
+                            arr = np.zeros(n, dtype=np.int64)
+                            arr[::s] = rng.integers(0, m, h)
+                            want = _mul_mod(arr, poly, m, n)
+                            _mul_poly(arr, poly, s, m)
+                            assert np.array_equal(arr, want), (block, size, h, n)
 
     @pytest.mark.parametrize("rows", [7, 8, 9, 10])
     def test_ladder_shapes_take_the_sectioned_route(self, rows, monkeypatch):
@@ -635,17 +669,17 @@ class TestSectionedProduct:
 
         prime = {7: 7, 8: 2, 9: 3, 10: 5}[rows]
         calls = []
-        real = series._mul_sectioned
+        real = series._mul_poly
 
         def spy(arr, poly, s, m):
             calls.append(s)
             real(arr, poly, s, m)
 
-        monkeypatch.setattr(series, "_mul_sectioned", spy)
+        monkeypatch.setattr(series, "_mul_poly", spy)
         spec = build_spec(GFKind.plane_rowed(rows))
         got = series_from_spec(spec, Modulus(prime, 1), 4000)
         assert calls and calls[0] > 1
-        monkeypatch.setattr(series, "_mul_sectioned", real)
+        monkeypatch.setattr(series, "_mul_poly", real)
         for name, value in NO_NUMERATOR.items():
             monkeypatch.setattr(series, name, value)
         assert got == series_from_spec(spec, Modulus(prime, 1), 4000)
@@ -692,6 +726,36 @@ class TestSectionedProduct:
         got = series_from_spec(build_spec(GFKind.plane_rowed(7)), Modulus(7, 1), 500)
         assert not got.array().flags.writeable
         assert got.array().dtype == np.int64 and got.array().ndim == 1
+
+
+class TestExpansionDigest:
+    def test_expansion_grid_digest(self):
+        # recorded before the blocked and sectioned products became one
+        # `_mul_poly`; any change to a coefficient on this grid changes the
+        # digest.  The ladder lengths put L/5 either side of the 8,192
+        # coefficients of a product block.
+        import hashlib
+
+        from congcert import GFKind, build_spec
+
+        h = hashlib.sha256()
+        ladder = build_spec(GFKind.plane_rowed(10))
+        for length in (5 * 8192 - 5, 5 * 8192, 5 * 8192 + 5):
+            h.update(series_from_spec(ladder, MOD5, length).array().astype("<i8").tobytes())
+        rng = random.Random(1414)
+        moduli = [MOD2, MOD3, Modulus(5, 2), Modulus(7, 1), Modulus(2, 3), Modulus(2, 30)]
+        for _ in range(150):
+            spec = _route_spec(rng)
+            if rng.random() < 0.5:  # on a stride: Euler tails of scale s > 1
+                s = rng.randint(2, 9)
+                spec *= ProductSpec((TailFamily(-1, 1, rng.choice([-3, -1, 2]), scale=s),))
+            if rng.random() < 0.3:  # folded by number of parts
+                e, s = rng.choice([-3, -1, 1, 2]), rng.randint(2, 5)
+                spec *= ProductSpec((TailFamily(rng.choice([1, -1]), 1, e, scale=s, offset=1),))
+            length = rng.choice([rng.randint(1, 2000), rng.randint(2000, 20000)])
+            got = series_from_spec(spec, rng.choice(moduli), length)
+            h.update(got.array().astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == "defcde0a579fc82a"
 
 
 def _plain_newton(f, n, m, seed=None):

@@ -373,8 +373,7 @@ def validate_B_certificate(
     data = series.array()
     if int(data[0]) != 1 % modulus.value:
         return False
-    nonzero = np.nonzero(data[1:])[0] + 1
-    return all(int(i) % delta == 0 for i in nonzero)
+    return not (np.flatnonzero(data) % delta).any()
 
 
 def _structurally_supported(factor, delta: int) -> bool:

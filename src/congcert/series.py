@@ -14,7 +14,8 @@ matter:
   pentagonal number theorem; E^e comes from repeated squaring.  When
   e < 0 it squares 1/E = sum p(k) q^k, whose first 406 coefficients are
   the exact partition numbers p(k) < 2^63, and which a Newton inversion
-  g <- g(2 - Eg) extends beyond them.
+  g <- g(2 - Eg) extends beyond them.  One inverse serves every negative
+  power, and the powers are multiplied at the gcd of their scales.
 - Explicit binomials, those finite heads and the explicit factors of
   other tails are summed into one net exponent per (sign, base).  The
   positive ones make one numerator P and the negative ones one denominator
@@ -25,10 +26,13 @@ matter:
   one Newton inversion and one product; either is built by unit passes on
   its own array or, when cheaper, from closed-form powers
   (`binomial_power`) multiplied smallest first.
-- Before either runs, an exponent divisible by ell^N moves to ell times its
-  base with exponent divided by ell (`frobenius_step`, the one statement of
-  that rule), which agrees mod ell^N: so E^-10 mod 5 is taken as
-  E(q^5)^-2, at a fifth of the length.
+- Before either runs, every net exponent e, of a binomial or of E(q^s), is
+  carried: e = r + ell^N t, with r of e's sign and |r| < ell^N, keeps r at
+  its base and moves ell^N t to ell times it, with exponent ell^(N-1) t
+  (`frobenius_step`, the one statement of that rule), which agrees mod
+  ell^N.  Bases at or past L are dropped.  So (1-q^b)^-7 mod 2 is three
+  passes, at b, 2b and 4b, not seven, and E^-10 mod 2 is
+  E(q^2)^-1 E(q^8)^-1: one inverse and one product, at half the length.
 - One routine, `_mul_poly`, multiplies the series by a polynomial, in
   place.  It takes the series as H(q^s): s > 1 when the powers of E(q^s)
   and all that was applied before are supported on sZ, else s = 1.  Then
@@ -346,11 +350,24 @@ def _cumsum_rows_mod(mat: np.ndarray, m: int, alternating: bool) -> None:
 
 
 def _div_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
-    """Divide arr by (1 + sign*q^base), in place (arr may be a view)."""
+    """Divide arr by (1 + sign*q^base), in place (arr may be a view): each
+    row of `base` coefficients loses sign times the row before it, already
+    divided.  Up to four rows that runs row by row; past that, as one
+    cumulative sum over the rows of a padded copy, which costs more than
+    the row loop at up to four rows for every L from 500 to 10^5."""
     n = arr.size
     if base >= n:
         return
     rows = -(-n // base)
+    if rows <= 4:
+        for lo in range(base, n, base):
+            row = arr[lo : lo + base]
+            if sign > 0:
+                row -= arr[lo - base : lo - base + row.size]
+            else:
+                row += arr[lo - base : lo - base + row.size]
+            row %= m
+        return
     buf = np.zeros(rows * base, dtype=np.int64)
     buf[:n] = arr
     _cumsum_rows_mod(buf.reshape(rows, base), m, alternating=(sign > 0))
@@ -393,42 +410,53 @@ def binomial_power(
 # warm array, ranges over six runs (three each mod 2 and mod 5) on 2
 # vCPUs: the time of a pass, then in passes `_mul_poly` by a polynomial of
 # degree 165 at s = 1 (product) and on a series supported on 5Z at s = 5
-# (sections), the full product, and the inverse plus product:
-#           L  pass            product  sections   full        inverse
-#         500  4.0-6.9 us     10.6-18.1  9.1-15.4   9.5-16.3   56-86
-#       1,000  6.0-10.0 us    11.1-14.9  9.8-12.4  12.7-17.1   47-73
-#       5,000  24-44 us        6.4-8.4   4.3-6.6   10.2-16.9   46-69
-#      10,000  56-93 us        5.6-7.8   3.1-4.7   11.8-18.1   37-66
-#      63,005  432-603 us      4.3-7.2   2.9-4.8   13.0-19.6   25-35
-#     125,604  1.05-1.45 ms    4.8-6.4   3.1-4.0   16.0-21.9   23-34
-#   1,000,000  8.3-12.0 ms     3.9-6.1   2.7-3.9   14.8-18.8   25-33
-# and two fixed costs: a pass, 1.8-3.3 us, 206-588 coefficients, about
-# _PASS_OVERHEAD; and a polynomial product, 37-67 us, 4,528-12,112
+# (sections), a heap merge of two halves (merge), and the inverse plus
+# product:
+#           L  pass            product  sections  merge      inverse
+#         500  4.0-6.6 us     10.6-16.8 13.3-15.3  11.5-12.2   67-88
+#       1,000  6.1-9.3 us     11.1-15.1  9.9-13.6   9.6-12.2   49-78
+#       5,000  24-44 us        6.7-10.0  4.6-6.7    6.3-8.3    47-67
+#      10,000  59-104 us       5.8-8.8   3.5-5.1    5.0-7.6    35-60
+#      63,005  442-702 us      4.7-6.6   3.8-4.7    8.0-9.8    25-34
+#     125,604  0.91-1.47 ms    3.8-6.4   2.7-3.9    6.5-9.4    23-36
+#   1,000,000  7.7-11.4 ms     4.3-6.2   3.1-3.9    7.4-10.5   27-38
+# and two fixed costs: a pass, 1.8-3.7 us, 218-676 coefficients, about
+# _PASS_OVERHEAD; and a polynomial product, 37-68 us, 4,337-12,327
 # coefficients, about _PRODUCT_OVERHEAD (it does not grow with s: the
-# sections share each transform).  Each constant below is at least the
-# largest ratio seen (the numerator is charged 19.1 passes at L = 500 and
-# 8.0 at 10^6), so a route is taken only where its estimate is no more
-# than the unit passes it replaces at every measured length.
+# sections share each transform).  A heap merge of sizes a and b is
+# charged by its transforms, of a + b - 1 coefficients.  The numerator and
+# the denominator are each charged A + B/(L + _PASS_OVERHEAD) passes, a
+# per-coefficient part A and a fixed part B in coefficients.  For the
+# denominator the script prints A, the largest inverse ratio at
+# L >= 50,000, and B, the least fixed part that then covers every inverse
+# ratio of its run (A 27-38, B 79,000-230,000 here; A 31-41, B
+# 62,000-310,000 over six earlier runs); the constants cover all twelve
+# runs at once, so the charge is 274 passes at L = 500, 61 at 10^4 and 41
+# at 10^6.  The numerator is charged 19.1 passes at L = 500 and 8.0 at
+# 10^6.  Each charge is at least every ratio seen, so a route is taken
+# only where its estimate is no more than the unit passes it replaces at
+# every measured length.
 _PASS_OVERHEAD = 400
 _PRODUCT_PASSES = 8  # `_mul_poly` by the numerator P, besides its fixed cost
 _PRODUCT_OVERHEAD = 10000  # fixed cost of `_mul_poly`, in coefficients
-_INVERSE_PASSES = 86  # a Newton inverse and a full-length product (the denominator)
-_HEAP_PASSES = 24  # one exact product inside the heap builder
+_INVERSE_PASSES = 41  # the denominator's Newton inverse and product, besides
+_INVERSE_OVERHEAD = 210000  # their fixed cost, in coefficients
+_HEAP_PASSES = 13  # a heap merge, per coefficient of its transforms
 # Rows of H per chunk in `_mul_poly`: it holds O(s * block + deg P), not O(L).
 _PRODUCT_BLOCK = 8192
 
 
 def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> np.ndarray:
-    """arr times prod (1 + sign*q^base)^e over the net exponents, to len(arr)
-    coefficients mod m, where arr is supported on stride*Z (0: arr is a
-    constant).  The positive exponents make one numerator P, the negative
-    ones, negated, one denominator Q.  Each is applied by unit passes over
-    arr or, when `_route` finds it cheaper at this length, P by one
-    `_mul_poly` at this stride (1 when arr has none), and Q by one Newton
-    inverse followed by one product."""
+    """arr times prod (1 + sign*q^base)^e over the net exponents, whose
+    bases are below len(arr), to len(arr) coefficients mod m, where arr is
+    supported on stride*Z (0: arr is a constant).  The positive exponents
+    make one numerator P, the negative ones, negated, one denominator Q.
+    Each is applied by unit passes over arr or, when `_route` finds it
+    cheaper at this length, P by one `_mul_poly` at this stride (1 when arr
+    has none), and Q by one Newton inverse followed by one product."""
     n = arr.size
-    numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0 and b < n]
-    denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0 and b < n]
+    numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0]
+    denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0]
     if numer:
         route = _route(numer, n, _PRODUCT_PASSES + _PRODUCT_OVERHEAD / (n + _PASS_OVERHEAD))
         if route is None:
@@ -437,7 +465,7 @@ def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> n
             s = stride if 1 < stride < n else 1
             _mul_poly(arr, _binomial_product(numer, m, *route), s, m)
     if denom:
-        route = _route(denom, n, _INVERSE_PASSES)
+        route = _route(denom, n, _INVERSE_PASSES + _INVERSE_OVERHEAD / (n + _PASS_OVERHEAD))
         if route is None:
             _unit_passes(arr, denom, m, _div_binomial)
         else:
@@ -470,9 +498,9 @@ def _route(factors, n: int, route_passes: float):
     heapq.heapify(sizes)
     by_heap = 0
     while len(sizes) > 1:
-        product = min(size, heapq.heappop(sizes) + heapq.heappop(sizes) - 1)
-        heapq.heappush(sizes, product)
-        by_heap += _HEAP_PASSES * (product + _PASS_OVERHEAD)
+        a, b = heapq.heappop(sizes), heapq.heappop(sizes)
+        heapq.heappush(sizes, min(size, a + b - 1))
+        by_heap += _HEAP_PASSES * (a + b + _PASS_OVERHEAD)
     by_passes = passes * (size + _PASS_OVERHEAD)
     cost = min(by_heap, by_passes) + route_passes * (n + _PASS_OVERHEAD)
     if cost > passes * (n + _PASS_OVERHEAD):
@@ -611,7 +639,7 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
     Binomial factors, the finite heads that Euler-shaped tails divide out,
     and the explicit factors of other tails are first summed into one net
     exponent per (sign, base), and both they and the powers of E(q^s) are
-    reduced by `_frobenius`.  The powers of E(q^s) form the starting series;
+    carried by `_frobenius`.  The powers of E(q^s) form the starting series;
     polynomial factors and what is left of the tails are applied to it in
     turn, then the net binomials."""
     if length < 1:
@@ -634,9 +662,9 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
             others.append(factor)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
-    euler = _frobenius(euler, modulus)
+    euler = _frobenius(euler, modulus, length)
     arr = _euler_product(euler, length, m)
-    stride = math.gcd(0, *(s for _, s in euler if s < length))
+    stride = math.gcd(0, *(s for _, s in euler))
     for factor in others:
         if isinstance(factor, PolyFactor):
             arr = _apply_poly(arr, factor, m)
@@ -644,7 +672,7 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
         else:
             _fold_tail(arr, factor, m)
             stride = math.gcd(stride, factor.scale, factor.base(factor.start))
-    arr = _apply_binomials(arr, _frobenius(binomials, modulus), m, stride)
+    arr = _apply_binomials(arr, _frobenius(binomials, modulus, length), m, stride)
     return ModSeries._of_reduced(modulus, arr)
 
 
@@ -698,46 +726,62 @@ def frobenius_step(base: int, exponent: int, modulus: Modulus):
     return base * modulus.prime, exponent // modulus.prime
 
 
-def _frobenius(exponents: dict, modulus: Modulus) -> dict:
-    """Net exponents keyed by (sign, base), with `frobenius_step` applied for
-    as long as it applies; zero exponents are dropped.  Bases only grow, so
-    visiting them in increasing order merges every moved exponent before its
-    base is reduced in turn."""
-    net = dict(exponents)
+def _frobenius(exponents: dict, modulus: Modulus, length: int) -> dict:
+    """Net exponents keyed by (sign, base), each carried: e = r + ell^N t,
+    with r of e's sign and |r| < ell^N, keeps r at its base and moves
+    ell^N t to ell times it by `frobenius_step`.  So (1-q^b)^-7 mod 2 is
+    (1-q^b)^-1 (1-q^2b)^-1 (1-q^4b)^-1, three passes instead of seven.
+    Bases at or past `length` touch no coefficient below it and are
+    dropped, as are zero exponents.  Bases only grow, so visiting them in
+    increasing order merges every carry before its base is carried in
+    turn."""
+    q = modulus.value
+    net = {key: e for key, e in exponents.items() if key[1] < length}
     heap = list(net)
     heapq.heapify(heap)
     out = {}
     while heap:
         sign, base = heapq.heappop(heap)
         e = net.pop((sign, base))
-        step = frobenius_step(base, e, modulus)
-        if step is not None:
+        r = e % q if e >= 0 else -(-e % q)
+        step = frobenius_step(base, e - r, modulus)
+        if step is not None and step[0] < length:
             moved = (sign, step[0])
             if moved not in net:
                 heapq.heappush(heap, moved)
             net[moved] = net.get(moved, 0) + step[1]
-        elif e:
-            out[(sign, base)] = e
+        if r:
+            out[(sign, base)] = r
     return out
 
 
 def _euler_product(euler: dict, length: int, m: int) -> np.ndarray:
-    """prod over s of E(q^s)^e, keyed (-1, s), to `length` coefficients
-    mod m: each power is taken at length ceil(length/s), then spread to
-    stride s."""
-    arr = None
-    for (_, s), e in euler.items():
-        if s >= length:
-            continue
-        power = _euler_power(e, -(-length // s), m)
-        if s > 1:
-            spread = np.zeros(length, dtype=np.int64)
-            spread[::s] = power
-            power = spread
-        arr = power if arr is None else _mul_mod(arr, power, m, length)
-    if arr is None:
+    """prod over s of E(q^s)^e, keyed (-1, s) with s < length, to `length`
+    coefficients mod m.  With g the gcd of the scales the product is
+    H(q^g), and H is taken at length ceil(length/g): the product of the
+    powers E(q^s)^e, each at its own length ceil(length/s), spread to
+    stride s/g.  The negative powers share one Newton inverse of E, taken
+    at the longest length one of them needs, and each reads its prefix."""
+    if not euler:
         arr = np.zeros(length, dtype=np.int64)
         arr[0] = 1 % m
+        return arr
+    g = math.gcd(*(s for _, s in euler))
+    n = -(-length // g)
+    negative = [s for (_, s), e in euler.items() if e < 0]
+    inverse = _euler_inverse(-(-length // min(negative)), m) if negative else None
+    h = None
+    for (_, s), e in euler.items():
+        power = _euler_power(e, -(-length // s), m, inverse)
+        if s > g:
+            spread = np.zeros(n, dtype=np.int64)
+            spread[:: s // g] = power
+            power = spread
+        h = power if h is None else _mul_mod(h, power, m, n)
+    if g == 1:
+        return h
+    arr = np.zeros(length, dtype=np.int64)
+    arr[::g] = h
     return arr
 
 
@@ -780,16 +824,24 @@ def _partition_numbers() -> np.ndarray:
     return table
 
 
-def _euler_power(e: int, n: int, m: int) -> np.ndarray:
-    """E^e to n coefficients mod m, for any nonzero integer e.  For e < 0,
-    1/E = sum p(k) q^k starts from the exact partition numbers, and Newton
-    iteration takes over only beyond them."""
-    if e > 0:
-        return _pow_mod(_euler(n, m), e, m, n)
+def _euler_inverse(n: int, m: int) -> np.ndarray:
+    """1/E = sum p(k) q^k to n coefficients mod m: the exact partition
+    numbers, and Newton iteration only beyond them."""
     inverse = _partition_numbers()[:n] % m
     if n > inverse.size:
         inverse = _inverse(_euler(n, m), n, m, shown=1, seed=inverse)
-    return _pow_mod(inverse, -e, m, n)
+    return inverse
+
+
+def _euler_power(e: int, n: int, m: int, inverse: np.ndarray | None = None) -> np.ndarray:
+    """E^e to n coefficients mod m, for any nonzero integer e.  For e < 0 it
+    raises the first n coefficients of `inverse`, 1/E to at least n
+    coefficients, or of `_euler_inverse` when none is given."""
+    if e > 0:
+        return _pow_mod(_euler(n, m), e, m, n)
+    if inverse is None:
+        inverse = _euler_inverse(n, m)
+    return _pow_mod(inverse[:n], -e, m, n)
 
 
 def _pow_mod(f: np.ndarray, e: int, m: int, n: int) -> np.ndarray:

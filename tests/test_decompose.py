@@ -243,6 +243,27 @@ class TestBCertificate:
         spec = ProductSpec((BinomialFactor(-1, 2, -1),))
         assert not validate_B_certificate(spec, MOD2, 4, 10)
 
+    def test_matches_a_loop_over_the_support(self):
+        # the reference: constant term 1 and every nonzero index a multiple of delta
+        import random
+
+        rng = random.Random(15)
+        seen = set()
+        for _ in range(80):
+            delta = rng.randint(1, 6)
+            bases = [delta * rng.randint(1, 4), rng.randint(1, 12)]
+            factors = tuple(
+                BinomialFactor(rng.choice([1, -1]), rng.choice(bases), rng.choice([-2, -1, 1, 2]))
+                for _ in range(rng.randint(0, 3))
+            )
+            spec, modulus = ProductSpec(factors), rng.choice([MOD2, MOD3, MOD4])
+            length = rng.randint(delta, 60)
+            data = series_from_spec(spec, modulus, length).array()
+            want = int(data[0]) == 1 and all(i % delta == 0 for i in range(length) if data[i])
+            assert validate_B_certificate(spec, modulus, delta, length) == want, (spec, delta)
+            seen.add(want)
+        assert seen == {True, False}
+
 
 OVERPLANE_SPLITS_BY_PRIME = {
     2: ProductSpec(

@@ -432,6 +432,114 @@ class TestFoldedTails:
         assert got == expand([replace(tail, exp_offset=182)], MOD3, 2000)
 
 
+CARRY_MODULI = [Modulus(ell, n) for ell in (2, 3, 5) for n in (1, 2, 3)]
+
+
+def _carry_exponents(modulus):
+    """ell^N - 1, ell^N + 1, 2 ell^N + 1, -(ell^N + 1) and ell^(N+1) - 1."""
+    q = modulus.value
+    return (q - 1, q + 1, 2 * q + 1, -(q + 1), modulus.prime * q - 1)
+
+
+def _carry_lengths(ell, b):
+    """Lengths just below, at and just above ell^k * b for k = 0, 1, 2: the
+    carried bases ell^k * b fall either side of the last index."""
+    around = (ell**k * b + d for k in range(3) for d in (-1, 0, 1))
+    return sorted({n for n in around if n >= 1})
+
+
+class TestFrobeniusCarries:
+    """A net exponent e, of a binomial or of E(q^s), is carried as
+    e = r + ell^N t: r, of e's sign and |r| < ell^N, stays at its base, and
+    ell^N t moves to ell times it; bases at or past L are dropped.  The
+    dense expansion over the integers, one factor at a time, is the
+    reference."""
+
+    def test_carry_shape(self):
+        from congcert.series import _frobenius
+
+        # (1-q^3)^-7 mod 2 is one pass at each of 3, 6 and 12
+        assert _frobenius({(-1, 3): -7}, MOD2, 13) == {(-1, 3): -1, (-1, 6): -1, (-1, 12): -1}
+        assert _frobenius({(-1, 3): -7}, MOD2, 12) == {(-1, 3): -1, (-1, 6): -1}
+        # mod 9, 28 = 1 + 9*3 moves (1+q^2)^27 to (1+q^6)^9, which meets -3 there
+        got = _frobenius({(1, 2): 28, (1, 6): -3}, Modulus(3, 2), 100)
+        assert got == {(1, 2): 1, (1, 6): 6}
+        # a carry that cancels what it lands on leaves nothing
+        assert _frobenius({(-1, 1): 4, (-1, 2): -2}, MOD4, 100) == {}
+        assert _frobenius({(-1, 5): 3}, MOD2, 5) == {}
+
+    @pytest.mark.parametrize("modulus", CARRY_MODULI, ids=str)
+    def test_binomials_match_brute_force(self, modulus):
+        for e in _carry_exponents(modulus):
+            for exponent in (e, -e):
+                for sign in (1, -1):
+                    for b in (1, 2):
+                        spec = ProductSpec((BinomialFactor(sign, b, exponent),))
+                        for length in _carry_lengths(modulus.prime, b):
+                            got = list(series_from_spec(spec, modulus, length))
+                            assert got == brute_expand(spec, length, modulus.value), (
+                                f"{spec} mod {modulus} len {length}"
+                            )
+
+    @pytest.mark.parametrize("modulus", CARRY_MODULI, ids=str)
+    def test_euler_tails_match_brute_force(self, modulus):
+        rng = random.Random(1500 + modulus.value)
+        for e in _carry_exponents(modulus):
+            for exponent in (e, -e):
+                for sign in (1, -1):
+                    b = rng.choice([1, 2])
+                    spec = ProductSpec((TailFamily(sign, rng.randint(1, 2), exponent, scale=b),))
+                    for length in _carry_lengths(modulus.prime, b):
+                        got = list(series_from_spec(spec, modulus, length))
+                        assert got == brute_expand(spec, length, modulus.value), (
+                            f"{spec} mod {modulus} len {length}"
+                        )
+
+    def test_one_inverse_of_euler(self, monkeypatch):
+        # E^-10 mod 2 is E(q^2)^-1 E(q^8)^-1: one inverse, at half length
+        import congcert.series as series
+
+        lengths = []
+        real = series._euler_inverse
+
+        def spy(n, m):
+            lengths.append(n)
+            return real(n, m)
+
+        monkeypatch.setattr(series, "_euler_inverse", spy)
+        for length in (1, 2, 3, 8, 9, 1000, 1001):
+            lengths.clear()
+            got = expand([TailFamily(-1, 1, -10)], MOD2, length)
+            assert lengths == ([-(-length // 2)] if length > 2 else []), length
+            assert got == expand([TailFamily(-1, 1, -1, scale=s) for s in (2, 8)], MOD2, length)
+            assert list(got) == _factor_by_factor(TailFamily(-1, 1, -10), MOD2, length)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_powers_share_one_inverse(self, g, monkeypatch):
+        # E(q^g)^-1 E(q^3g)^-2 E(q^2g)^3 mod 7: one inverse of E, at the
+        # length E(q^g)^-1 needs, and products at the gcd g of the scales;
+        # the reference multiplies the three tails, each expanded alone
+        import congcert.series as series
+
+        lengths = []
+        real = series._euler_inverse
+
+        def spy(n, m):
+            lengths.append(n)
+            return real(n, m)
+
+        monkeypatch.setattr(series, "_euler_inverse", spy)
+        modulus = Modulus(7, 1)
+        tails = [TailFamily(-1, 1, e, scale=k * g) for k, e in ((1, -1), (3, -2), (2, 3))]
+        for length in (1, 2, 3 * g, 3 * g + 1, 500, 1001):
+            want = unit_series(modulus, length)
+            for tail in tails:
+                want = series_mul(want, expand([tail], modulus, length))
+            lengths.clear()
+            assert expand(tails, modulus, length) == want, length
+            assert lengths == ([-(-length // g)] if g < length else []), length
+
+
 class TestSeededEulerInverse:
     """1/E starts from the exact partition numbers below 2^63; the plain
     Newton inverse of E, squared up, is the reference."""
@@ -497,6 +605,24 @@ class TestExactProduct:
             _cumsum_rows_mod(rows, m, alternating=False)
 
 
+class TestUnitPasses:
+    @pytest.mark.parametrize("m", [2, 27, 2**30])
+    def test_division_undoes_multiplication(self, m):
+        # every base from one row of coefficients to one per coefficient,
+        # so both the row loop (up to four rows) and the cumulative sum run
+        from congcert.series import _div_binomial, _mul_binomial
+
+        rng = np.random.default_rng(m % 1000)
+        for n in (1, 7, 60, 61):
+            for base in range(1, n + 2):
+                for sign in (1, -1):
+                    arr = rng.integers(0, m, n)
+                    got = arr.copy()
+                    _div_binomial(got, sign, base, m)
+                    _mul_binomial(got, sign, base, m)
+                    assert np.array_equal(got, arr), (n, base, sign)
+
+
 HUGE = 1 << 60
 
 # Crossover settings that force each route of the net-binomial kernel.  In
@@ -508,9 +634,12 @@ ROUTES = {
     "numerator product": dict(
         _PRODUCT_PASSES=0, _PRODUCT_OVERHEAD=0, _INVERSE_PASSES=HUGE, _HEAP_PASSES=HUGE
     ),
-    "denominator inverse": dict(NO_NUMERATOR, _INVERSE_PASSES=0, _HEAP_PASSES=HUGE),
+    "denominator inverse": dict(
+        NO_NUMERATOR, _INVERSE_PASSES=0, _INVERSE_OVERHEAD=0, _HEAP_PASSES=HUGE
+    ),
     "heap builder": dict(
-        _PRODUCT_PASSES=0, _PRODUCT_OVERHEAD=0, _INVERSE_PASSES=0, _HEAP_PASSES=0
+        _PRODUCT_PASSES=0, _PRODUCT_OVERHEAD=0, _INVERSE_PASSES=0, _INVERSE_OVERHEAD=0,
+        _HEAP_PASSES=0,
     ),
 }
 
@@ -663,22 +792,32 @@ class TestSectionedProduct:
 
     @pytest.mark.parametrize("rows", [7, 8, 9, 10])
     def test_ladder_shapes_take_the_sectioned_route(self, rows, monkeypatch):
-        # after the Frobenius step G is P(q) E(q^s)^-e with s > 1 on every rung
+        # after the Frobenius carries G is P(q) E(q^s)^-e with s > 1 on every
+        # rung, and P takes the sectioned product on rungs 7, 9 and 10.  On
+        # rung 8 mod 2, P is 8 passes at exponent 1, below the product
+        # charge at every length: there the route is the one `_route` gives
         import congcert.series as series
         from congcert import GFKind, build_spec
 
         prime = {7: 7, 8: 2, 9: 3, 10: 5}[rows]
-        calls = []
-        real = series._mul_poly
+        calls, routes = [], []
+        real, real_route = series._mul_poly, series._route
 
         def spy(arr, poly, s, m):
             calls.append(s)
             real(arr, poly, s, m)
 
+        def route_spy(factors, n, passes):
+            routes.append(real_route(factors, n, passes))
+            return routes[-1]
+
         monkeypatch.setattr(series, "_mul_poly", spy)
+        monkeypatch.setattr(series, "_route", route_spy)
         spec = build_spec(GFKind.plane_rowed(rows))
         got = series_from_spec(spec, Modulus(prime, 1), 4000)
-        assert calls and calls[0] > 1
+        assert len(routes) == 1  # the numerator's; G has no denominator
+        assert bool(calls) == (routes[0] is not None if rows == 8 else True)
+        assert all(s > 1 for s in calls)
         monkeypatch.setattr(series, "_mul_poly", real)
         for name, value in NO_NUMERATOR.items():
             monkeypatch.setattr(series, name, value)
@@ -756,6 +895,40 @@ class TestExpansionDigest:
             got = series_from_spec(spec, rng.choice(moduli), length)
             h.update(got.array().astype("<i8").tobytes())
         assert h.hexdigest()[:16] == "defcde0a579fc82a"
+
+
+    def test_ladder_spot_check_digest(self):
+        # the G of each ladder rung at its spot-check length, recorded before
+        # the Frobenius carries
+        import hashlib
+
+        from congcert import GFKind, build_spec
+
+        h = hashlib.sha256()
+        for rows, prime, length in (
+            (7, 7, 5887), (8, 2, 6728), (9, 3, 45369), (10, 2, 10082), (10, 5, 63005)
+        ):
+            got = series_from_spec(build_spec(GFKind.plane_rowed(rows)), Modulus(prime, 1), length)
+            h.update(got.array().astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == "227a9c26d7f9813c"
+
+    def test_plane_digest(self):
+        # prod (1-q^n)^-n: an exponent at every base below L, most of them
+        # carried; recorded before the Frobenius carries
+        import hashlib
+
+        from congcert import GFKind, build_spec
+
+        h = hashlib.sha256()
+        plane = build_spec(GFKind.plane())
+        full, short = (1, 2, 3, 406, 1999, 2000), (1, 2, 3, 406, 1000)
+        for modulus, lengths in (
+            (MOD2, full), (MOD4, full), (MOD3, full), (MOD5, full), (Modulus(7, 1), full),
+            (Modulus(3, 3), short), (Modulus(2, 30), short),
+        ):
+            for length in lengths:
+                h.update(series_from_spec(plane, modulus, length).array().astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == "607e70d638c902b3"
 
 
 def _plain_newton(f, n, m, seed=None):

@@ -17,8 +17,9 @@ the routes that can replace them:
   inverse  -- a Newton inverse of P and a full-length product, the
               denominator route; compared with a dividing pass;
   1/E      -- the Newton inverse of Euler's product E from its exact
-              partition-number start, as `_euler_power` takes it; compared
-              with a dividing pass.  No route depends on it.
+              partition-number start, as `_euler_product` takes it for
+              its negative powers; compared with a dividing pass.  No
+              route depends on it.
 
 It ends with two fixed costs, in coefficients at the per-coefficient cost
 of a pass at L = 10,000: that of a multiplying pass (its time at L = 16),

@@ -8,7 +8,6 @@ from .decompose import (
     GFKind,
     build_spec,
     default_validation_length,
-    reduce_spec,
     split_AB,
     validate_B_certificate,
 )

@@ -460,9 +460,7 @@ def _cmd_table(args, out) -> int:
     if rows < 1:
         raise SemanticError("--rows must be >= 1")
     delta, modulus = instance.delta, instance.modulus
-    series = series_from_spec(
-        build_spec(instance.target), modulus, delta * rows + delta
-    )
+    series = series_from_spec(build_spec(instance.target), modulus, delta * rows)
     for fam in instance.families:
         residues = fam.left + fam.right
         header = "  ".join(f"r={a}" for a in residues)
@@ -548,10 +546,7 @@ def run_command(argv, out=None) -> int:
         return 2 if exc.code else 0
     try:
         return _HANDLERS[args.command](args, out)
-    except (ParseError, SemanticError, InvalidParameter, SplitFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, SemanticError, InvalidParameter, SplitFailed, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CongcertError as exc:

@@ -13,14 +13,14 @@ Every rewrite application is validated numerically: both sides are expanded
 mod ell^N to the validation length and compared exactly.  A mismatch aborts
 the whole decomposition, since it would mean an unsound rule.
 
-`reduce_spec` and `split_AB` share three validated `_Workspace` steps:
+`split_AB` rewrites by three validated `_Workspace` steps:
   power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
                    mod ell^N, on a binomial or a constant-exponent tail;
   expand        -- a binomial with a positive exponent as its polynomial
                    mod ell^N;
   plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail.
-`split_AB` also peels tails into explicit factors and, mod 2^N, cancels
-matching plus/minus tail pairs (the ratio rule).
+It also peels tails into explicit factors and, mod 2^N, cancels matching
+plus/minus tail pairs (the ratio rule).
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def build_spec(kind: GFKind) -> ProductSpec:
 
 @dataclass
 class _Workspace:
-    """Mutable factor inventory during a reduction or split, and the rewrite
-    steps on it.  A step validates its rewrite with `apply_rule` and returns
-    the new factor(s), or None when it does not apply."""
+    """Mutable factor inventory during a split, and the rewrite steps on it.
+    A step validates its rewrite with `apply_rule` and returns the new
+    factor(s), or None when it does not apply."""
 
     modulus: Modulus
     validation_length: int
@@ -235,7 +235,7 @@ class _Workspace:
             )
         self.derivation.append(label)
 
-    def power_reduce(self, factor, delta: int = 1):
+    def power_reduce(self, factor, delta: int):
         """`_power_reduce` as a validated step; None when no step applies or
         the reduced factor is not supported on delta*Z."""
         after = _power_reduce(factor, self.modulus)
@@ -244,7 +244,7 @@ class _Workspace:
         self.apply_rule(f"power-reduce: {factor} -> {after} (mod {self.modulus})", [factor], [after])
         return after
 
-    def expand(self, factor: BinomialFactor, delta: int = 1):
+    def expand(self, factor: BinomialFactor, delta: int):
         """A binomial with a positive exponent, of degree within the
         validation length, as its polynomial mod ell^N; None otherwise or
         when the polynomial is not supported on delta*Z."""
@@ -293,7 +293,7 @@ def _max_base(spec: ProductSpec) -> int:
     return best
 
 
-def default_validation_length(spec: ProductSpec, delta: int = 1) -> int:
+def default_validation_length(spec: ProductSpec, delta: int) -> int:
     return max(2 * delta, 4 * _max_base(spec), 500)
 
 
@@ -314,35 +314,6 @@ def _power_reduce(factor, modulus: Modulus):
     if tail:  # from base 1, the new base is the power of ell
         return replace(factor, exp_offset=exponent, scale=factor.scale * base, offset=factor.offset * base)
     return replace(factor, base=base, exponent=exponent)
-
-
-def reduce_spec(spec: ProductSpec, modulus: Modulus, validation_length: int | None = None):
-    """Rewrite a product into a congruent one mod ell^N: exponent-divisibility
-    reductions on every factor, then collapse of plus-sign numerators with
-    leftover exponent >= 2 into explicit polynomials.
-
-    Returns (reduced ProductSpec, derivation tuple).
-    """
-    if validation_length is None:
-        validation_length = default_validation_length(spec)
-    ws = _Workspace(modulus, validation_length)
-    ws.load(spec)
-
-    for before in _by_base(ws.binomials):
-        after = ws.power_reduce(before)
-        if after is not None:
-            ws.add_binomial(before, -1)
-            ws.add_binomial(after)
-    ws.tails = [ws.power_reduce(tail) or tail for tail in ws.tails]
-
-    for before in _by_base(ws.binomials):
-        if before.sign > 0 and before.exponent >= 2 and (poly := ws.expand(before)) is not None:
-            ws.add_binomial(before, -1)
-            ws.polys.append(poly)
-
-    binomials = sorted(_by_base(ws.binomials), key=lambda f: (f.base, f.sign))
-    factors = tuple(binomials) + tuple(ws.polys) + tuple(ws.tails)
-    return ProductSpec(factors), tuple(ws.derivation)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +357,7 @@ def _structurally_supported(factor, delta: int) -> bool:
     return False
 
 
-def split_AB(
-    spec: ProductSpec,
-    modulus: Modulus,
-    delta: int,
-    validation_length: int | None = None,
-) -> Decomposition:
+def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     """Split a product into a periodic pure-denominator head A and a
     delta-supported tail B, congruent to the input mod ell^N.
 
@@ -399,8 +365,7 @@ def split_AB(
     delta-supported, CertificateFailed when the numeric guard on B fails."""
     if delta < 1:
         raise InvalidParameter("delta must be >= 1")
-    if validation_length is None:
-        validation_length = default_validation_length(spec, delta)
+    validation_length = default_validation_length(spec, delta)
     ws = _Workspace(modulus, validation_length)
     ws.load(spec)
     ell, N = modulus.prime, modulus.exponent

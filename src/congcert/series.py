@@ -772,7 +772,8 @@ def _euler_product(euler: dict, length: int, m: int) -> np.ndarray:
     inverse = _euler_inverse(-(-length // min(negative)), m) if negative else None
     h = None
     for (_, s), e in euler.items():
-        power = _euler_power(e, -(-length // s), m, inverse)
+        k = -(-length // s)
+        power = _pow_mod(_euler(k, m), e, m, k) if e > 0 else _pow_mod(inverse[:k], -e, m, k)
         if s > g:
             spread = np.zeros(n, dtype=np.int64)
             spread[:: s // g] = power
@@ -831,17 +832,6 @@ def _euler_inverse(n: int, m: int) -> np.ndarray:
     if n > inverse.size:
         inverse = _inverse(_euler(n, m), n, m, shown=1, seed=inverse)
     return inverse
-
-
-def _euler_power(e: int, n: int, m: int, inverse: np.ndarray | None = None) -> np.ndarray:
-    """E^e to n coefficients mod m, for any nonzero integer e.  For e < 0 it
-    raises the first n coefficients of `inverse`, 1/E to at least n
-    coefficients, or of `_euler_inverse` when none is given."""
-    if e > 0:
-        return _pow_mod(_euler(n, m), e, m, n)
-    if inverse is None:
-        inverse = _euler_inverse(n, m)
-    return _pow_mod(inverse[:n], -e, m, n)
 
 
 def _pow_mod(f: np.ndarray, e: int, m: int, n: int) -> np.ndarray:

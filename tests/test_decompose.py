@@ -14,12 +14,12 @@ from congcert import (
     TailFamily,
     build_spec,
     kwong_period,
-    reduce_spec,
     series_from_spec,
     series_mul,
     split_AB,
     validate_B_certificate,
 )
+from congcert.decompose import _Workspace, _power_reduce
 from _brute import brute_expand
 
 MOD2 = Modulus(2, 1)
@@ -67,21 +67,29 @@ class TestBuilders:
 
 
 class TestReduceSpec:
+    """The reduction steps of a split, one rule at a time: `_power_reduce`
+    and the validated `_Workspace` steps built on it, at delta = 1."""
+
     def test_fourth_power_mod_two(self):
-        spec, deriv = reduce_spec(ProductSpec((BinomialFactor(-1, 1, 4),)), MOD2)
-        assert spec.factors == (BinomialFactor(-1, 4, 1),)
-        assert len(deriv) == 1
+        before = BinomialFactor(-1, 1, 4)
+        assert _power_reduce(before, MOD2) == BinomialFactor(-1, 4, 1)
+        ws = _Workspace(MOD2, 500)
+        assert ws.power_reduce(before, 1) == BinomialFactor(-1, 4, 1)
+        assert len(ws.derivation) == 1
 
     def test_fourth_power_mod_four(self):
-        spec, _ = reduce_spec(ProductSpec((BinomialFactor(-1, 1, 4),)), MOD4)
-        assert spec.factors == (BinomialFactor(-1, 2, 2),)
+        before = BinomialFactor(-1, 1, 4)
+        assert _power_reduce(before, MOD4) == BinomialFactor(-1, 2, 2)
+        assert _Workspace(MOD4, 500).power_reduce(before, 1) == BinomialFactor(-1, 2, 2)
 
     def test_plus_power_collapses_to_polynomial(self):
-        spec, _ = reduce_spec(ProductSpec((BinomialFactor(1, 6, 4),)), MOD4)
-        assert len(spec.factors) == 1
-        poly = spec.factors[0]
+        ws = _Workspace(MOD4, 500)
+        reduced = ws.power_reduce(BinomialFactor(1, 6, 4), 1)
+        assert reduced == BinomialFactor(1, 12, 2)
+        poly = ws.expand(reduced, 1)
         assert isinstance(poly, PolyFactor)
         assert {i: c for i, c in enumerate(poly.coeffs) if c} == {0: 1, 12: 2, 24: 1}
+        assert len(ws.derivation) == 2
 
     @pytest.mark.parametrize(
         "sign,modulus,want",
@@ -93,21 +101,9 @@ class TestReduceSpec:
     )
     def test_tail_power_scales_every_base(self, sign, modulus, want):
         tail = TailFamily(sign=sign, start=3, exp_offset=-12, offset=1)
-        spec, deriv = reduce_spec(ProductSpec((tail,)), modulus)
-        assert [str(f) for f in spec.factors] == [want]
-        assert deriv == (f"power-reduce: {tail} -> {want} (mod {modulus})",)
-
-    def test_every_step_preserves_the_series(self):
-        cases = [
-            (ProductSpec((BinomialFactor(-1, 2, -6), BinomialFactor(1, 3, 9))), MOD3),
-            (ProductSpec((BinomialFactor(-1, 1, 8),)), MOD4),
-            (build_spec(GFKind.plane_rowed(6)), MOD2),
-        ]
-        for spec, modulus in cases:
-            reduced, deriv = reduce_spec(spec, modulus, validation_length=500)
-            before = series_from_spec(spec, modulus, 500)
-            after = series_from_spec(reduced, modulus, 500)
-            assert before == after, deriv
+        ws = _Workspace(modulus, 500)
+        assert str(ws.power_reduce(tail, 1)) == want
+        assert ws.derivation == [f"power-reduce: {tail} -> {want} (mod {modulus})"]
 
 
 class TestSplit:
@@ -167,7 +163,7 @@ class TestSplit:
         ]
         for kind, modulus, delta in cases:
             spec = build_spec(kind)
-            dec = split_AB(spec, modulus, delta, validation_length=500)
+            dec = split_AB(spec, modulus, delta)
             lhs = series_mul(
                 series_from_spec(dec.a_spec, modulus, 500),
                 series_from_spec(dec.b_spec, modulus, 500),
@@ -330,7 +326,6 @@ class TestDerivationSoundness:
     def test_unsound_rewrite_is_rejected(self):
         # the validator refuses a rewrite whose sides expand differently
         from congcert import RuleValidationFailed
-        from congcert.decompose import _Workspace
 
         ws = _Workspace(MOD2, 64)
         with pytest.raises(RuleValidationFailed):
@@ -342,7 +337,7 @@ class TestDerivationSoundness:
         assert ws.derivation == []
 
     def test_split_records_validated_steps(self):
-        dec = split_AB(build_spec(GFKind.overplane_rowed(4)), MOD4, 4, validation_length=500)
+        dec = split_AB(build_spec(GFKind.overplane_rowed(4)), MOD4, 4)
         assert dec.derivation, "expected a nonempty derivation"
         assert any("ratio" in step for step in dec.derivation)
         assert any("plus-to-minus" in step for step in dec.derivation)
@@ -350,7 +345,7 @@ class TestDerivationSoundness:
     def test_validation_against_independent_expansion(self):
         # A*B must equal the original by the brute-force dense expansion too
         spec = build_spec(GFKind.plane_rowed(4))
-        dec = split_AB(spec, MOD2, 4, validation_length=200)
+        dec = split_AB(spec, MOD2, 4)
         combined = series_mul(
             series_from_spec(dec.a_spec, MOD2, 200),
             series_from_spec(dec.b_spec, MOD2, 200),
@@ -404,30 +399,6 @@ class TestSplitDigest:
         assert digest == "5964b0403764db10"
 
 
-def _reduce_record(target, modulus):
-    from congcert import CongcertError
-
-    try:
-        spec, derivation = reduce_spec(build_spec(target), modulus)
-    except CongcertError as exc:
-        return f"{target} mod {modulus}: {type(exc).__name__}: {exc}"
-    return f"{target} mod {modulus}: {spec!r} " + " | ".join(derivation)
-
-
-class TestReduceDigest:
-    def test_reduce_grid_digest(self):
-        # recorded before the rewrite steps became `_Workspace` methods
-        # shared with split_AB; any change to a reduced spec, derivation or
-        # error message over the split grid's targets and moduli changes it
-        import hashlib
-
-        cases = dict.fromkeys((target, modulus) for target, modulus, _ in _split_grid())
-        records = [_reduce_record(*case) for case in cases]
-        assert len(records) == 100
-        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "41eb68a4846983be"
-
-
 _FROBENIUS_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5]
 
 
@@ -462,7 +433,6 @@ class TestFrobeniusRule:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(_powered_factor())
     def test_step_and_power_reduce_are_identities(self, drawn):
-        from congcert.decompose import _power_reduce
         from congcert.series import frobenius_step
 
         factor, modulus = drawn

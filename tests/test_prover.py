@@ -9,12 +9,18 @@ from congcert import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
     PROVED,
+    BinomialFactor,
     CongruenceFamily,
     GFKind,
     InvalidParameter,
     Modulus,
     PartMultiset,
+    Plan,
+    ProductSpec,
+    SearchSpace,
+    TailFamily,
     certify,
+    enumerate_candidates,
     kwong_period,
     spot_check,
 )
@@ -209,6 +215,65 @@ class TestSoundnessDrill:
         assert cert.status == PROVED
         drill = spot_check(target, family, 5 * cert.check_bound)
         assert drill.ok, drill.failure
+
+
+def _raw_target(rng, modulus, delta):
+    """A raw product of 1-4 binomials of either sign, sometimes times one
+    constant-exponent tail, with bases and exponents drawn near the shapes
+    the split rewrites: bases on delta*Z, exponents +-ell^N and -ell."""
+    ell, q = modulus.prime, modulus.value
+    exponents = (1, -1, 2, -2, -3, q, -q, -ell, 2 * q)
+
+    def base():
+        return rng.choice((rng.randint(1, 12), delta * rng.randint(1, 3)))
+
+    factors = [
+        BinomialFactor(rng.choice((1, -1)), base(), rng.choice(exponents))
+        for _ in range(rng.randint(1, 4))
+    ]
+    if rng.random() < 0.5:
+        scale = rng.choice((1, 2, delta))
+        factors.append(
+            TailFamily(
+                sign=rng.choice((1, -1)),
+                start=rng.randint(1, 4),
+                exp_offset=rng.choice(exponents),
+                scale=scale,
+                offset=rng.choice((0, scale, 1)),
+            )
+        )
+    return GFKind.from_raw(ProductSpec(tuple(factors)))
+
+
+class TestRawTargetAgreement:
+    """Verdicts read on A agree with G itself on seeded random raw products:
+    a proof holds on G to three times the check rows, and a counterexample's
+    witness is G's first failure, for every family of at most 3 terms."""
+
+    MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5, MOD7]
+    TARGETS = 40
+
+    def test_verdicts_match_spot_check(self):
+        rng = random.Random(16)
+        statuses = Counter()
+        targets = 0
+        while targets < self.TARGETS:
+            modulus = rng.choice(self.MODULI)
+            ell = modulus.prime
+            delta = rng.choice((ell, modulus.value, 2 * ell))
+            target = _raw_target(rng, modulus, delta)
+            plan = Plan.build(target, modulus, delta)
+            if plan.error is not None or len(plan.head) > 400:
+                continue
+            targets += 1
+            n_max = 3 * len(plan.head) + 5
+            for family in enumerate_candidates(SearchSpace(target, modulus, delta, 3)):
+                cert = plan.check(family)
+                failure = spot_check(target, family, n_max).failure
+                want = failure is None if cert.status == PROVED else cert.witness == failure
+                assert want, (str(target), str(family), modulus, cert.witness, failure)
+                statuses[cert.status] += 1
+        assert set(statuses) == {PROVED, COUNTEREXAMPLE}
 
 
 class TestPeriodConsistency:

@@ -53,11 +53,13 @@ from .prover import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
     PROVED,
+    SPLIT_ERRORS,
     Certificate,
     CongruenceFamily,
     Plan,
     SpotCheckResult,
     certify,
+    certify_all,
     spot_check,
 )
 from .search import SearchSpace, enumerate_candidates, search_certified

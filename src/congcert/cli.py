@@ -31,7 +31,7 @@ from .oracles import (
     count_plane_partitions_rowed,
 )
 from .periods import PartMultiset, empirical_min_period, kwong_period
-from .prover import COUNTEREXAMPLE, INAPPLICABLE, CongruenceFamily, Plan, spot_check
+from .prover import COUNTEREXAMPLE, INAPPLICABLE, CongruenceFamily, certify_all, spot_check
 from .search import DEFAULT_CANDIDATE_CAP, SearchSpace, enumerate_candidates, search_certified
 from .series import (
     BinomialFactor,
@@ -368,9 +368,7 @@ def _cmd_certify(args, out) -> int:
     instance = _load_instance(args.instance)
     if not instance.families:
         raise SemanticError("instance declares no families to certify")
-    # every family of an instance shares its target, modulus and delta
-    plan = Plan.build(instance.target, instance.modulus, instance.delta)
-    certs = [plan.check(fam) for fam in instance.families]
+    certs = certify_all(instance.target, instance.families)
     if args.json:
         print(_json_docs(certs), file=out)
     else:

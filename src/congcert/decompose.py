@@ -327,8 +327,6 @@ class Decomposition:
     a_spec: ProductSpec
     a_multiset: PartMultiset
     b_spec: ProductSpec
-    delta: int
-    modulus: Modulus
     derivation: tuple
     validation_length: int
 
@@ -514,8 +512,6 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
         a_spec=a_spec,
         a_multiset=a_multiset,
         b_spec=b_spec,
-        delta=delta,
-        modulus=modulus,
         derivation=tuple(ws.derivation),
         validation_length=validation_length,
     )

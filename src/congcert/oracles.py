@@ -12,6 +12,7 @@ from .periods import PartMultiset
 PLANE_CAP = 30
 OVERPLANE_CAP = 12
 OVERPARTITION_CAP = 50
+COUNT_CAP = 10**7  # table entries plus updates of one coin-change count
 
 
 def _guard(n: int, cap: int, what: str):
@@ -21,34 +22,50 @@ def _guard(n: int, cap: int, what: str):
         raise ComplexityGuard(f"{what} enumeration capped at n <= {cap} (got {n})")
 
 
+def _guard_count(n: int, entries):
+    """Refuse a coin-change count above COUNT_CAP: its table of n + 1 entries
+    plus mult * (n - value + 1) updates for each (value, mult) entry."""
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
+    work = n + 1
+    for value, mult in entries:
+        if work > COUNT_CAP:
+            break
+        work += mult * max(0, n - value + 1)
+    if work > COUNT_CAP:
+        raise ComplexityGuard(
+            f"partition count capped at {COUNT_CAP} table updates (n = {n} needs more)"
+        )
+
+
 def count_partitions_multiset(n: int, multiset: PartMultiset) -> int:
     """Partitions of n with parts drawn from the multiset, each repeated value
     treated as an independently usable part type (classic coin-change count
     over the labelled copies, each usable any number of times)."""
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
+    _guard_count(n, multiset)
     ways = [0] * (n + 1)
     ways[0] = 1
-    for value in multiset.expanded():
-        for total in range(value, n + 1):
-            ways[total] += ways[total - value]
+    for value, mult in multiset:
+        if value > n:
+            break  # entries ascend by value
+        for _ in range(mult):
+            for total in range(value, n + 1):
+                ways[total] += ways[total - value]
     return ways[n]
 
 
 def count_partitions(n: int) -> int:
     """p(n), via the multiset {1..n}."""
-    if n == 0:
-        return 1
-    return count_partitions_multiset(n, PartMultiset.from_values(range(1, n + 1)))
+    return count_partitions_max_part(n, max(n, 1))
 
 
 def count_partitions_max_part(n: int, max_part: int) -> int:
     """Partitions of n with every part at most max_part."""
     if max_part < 1:
         raise InvalidParameter("max_part must be >= 1")
-    if n == 0:
-        return 1
-    return count_partitions_multiset(n, PartMultiset.from_values(range(1, max_part + 1)))
+    parts = range(1, min(max_part, n) + 1)
+    _guard_count(n, ((v, 1) for v in parts))  # before the multiset is built
+    return count_partitions_multiset(n, PartMultiset.from_values(parts))
 
 
 def _rows_below(prev, remaining, max_cols):

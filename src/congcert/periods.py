@@ -90,7 +90,7 @@ class PeriodInfo:
     period: int
     b: int
     m: int
-    source: str  # "kwong-formula" or "empirical"
+    source: str  # the formula the period comes from: always "kwong-formula"
 
 
 def ord_prime(n: int, ell: int) -> int:

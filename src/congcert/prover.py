@@ -39,7 +39,6 @@ import numpy as np
 from .decompose import Decomposition, GFKind, build_spec, split_AB
 from .errors import (
     CertificateFailed,
-    CongcertError,
     EmptyMultiset,
     InvalidParameter,
     RuleValidationFailed,
@@ -51,6 +50,9 @@ from .series import Modulus, ProductSpec, series_from_spec
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 INAPPLICABLE = "INAPPLICABLE"
+
+# raised by `Plan.build` when the target does not split; INAPPLICABLE in `certify_all`
+SPLIT_ERRORS = (SplitFailed, CertificateFailed, EmptyMultiset)
 
 
 @dataclass(frozen=True)
@@ -128,23 +130,25 @@ class Certificate:
         return self.status == PROVED
 
 
-def _first_failure_on_G(spec: ProductSpec, family: CongruenceFamily, count: int):
-    """(n, left_sum, right_sum) at the first n < count where the family fails
-    on the full product, expanded to delta*count coefficients; None if none.
-    G is read as a (count, delta) matrix, like A in `Plan.first_failure`: the
-    left sums weight it by the positive counts of `weights`, the right sums
-    by the negative ones."""
+def _first_failure(rows: np.ndarray, family: CongruenceFamily):
+    """(n, left_sum, right_sum) at the first row n of a (count, delta) matrix
+    where the family's sums differ mod ell^N, or None: the left sums weight
+    each row by the positive counts of `weights`, the right by the negative."""
     m = family.modulus.value
-    lam = series_from_spec(spec, family.modulus, family.delta * count).array()
-    lam = lam.reshape(count, family.delta)
     weights = np.array(family.weights(), dtype=np.int64)
-    left = (lam @ np.maximum(weights, 0)) % m
-    right = (lam @ np.maximum(-weights, 0)) % m
+    left = (rows @ np.maximum(weights, 0)) % m
+    right = (rows @ np.maximum(-weights, 0)) % m
     mismatch = np.flatnonzero(left != right)
     if not mismatch.size:
         return None
     n = int(mismatch[0])
     return (n, int(left[n]), int(right[n]))
+
+
+def _first_failure_on_G(spec: ProductSpec, family: CongruenceFamily, count: int):
+    """`_first_failure` on the full product G, to delta*count coefficients."""
+    lam = series_from_spec(spec, family.modulus, family.delta * count).array()
+    return _first_failure(lam.reshape(count, family.delta), family)
 
 
 def _row_generators(rows: np.ndarray, m: int) -> np.ndarray:
@@ -206,25 +210,21 @@ class Plan:
     modulus: Modulus
     delta: int
     spec: ProductSpec
-    decomposition: Decomposition | None = None
-    period: int | None = None
-    bound: int | None = None
-    degree_bound: int | None = None
-    head: np.ndarray | None = None
-    error: CongcertError | None = None
+    decomposition: Decomposition
+    period: int
+    bound: int
+    degree_bound: int
+    head: np.ndarray
 
     @classmethod
     def build(cls, target: GFKind, modulus: Modulus, delta: int) -> "Plan":
-        """Split the product into A*B at this modulus and delta, take the
-        minimal period of A's multiset lifted to a multiple of delta and the
-        degree bound of A's rational section, and expand A to the smaller
-        of the two bounds."""
+        """Split the product into A*B at this modulus and delta (or raise one
+        of `SPLIT_ERRORS`), take the minimal period of A's multiset lifted to
+        a multiple of delta and the degree bound of A's rational section, and
+        expand A to the smaller of the two bounds."""
         spec = build_spec(target)
-        try:
-            dec = split_AB(spec, modulus, delta)
-            info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
-        except (SplitFailed, CertificateFailed, EmptyMultiset) as exc:
-            return cls(target, modulus, delta, spec, error=exc)
+        dec = split_AB(spec, modulus, delta)
+        info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
         period = math.lcm(info.period, delta)
         bound = period // delta
         degree_bound = sum(e * (math.lcm(b, delta) - b) for b, e in dec.a_multiset) // delta + 1
@@ -235,20 +235,16 @@ class Plan:
     def first_failure(self, family: CongruenceFamily) -> int | None:
         """First n below min(K, bound) at which the family's sums over A differ,
         or None when it holds on the whole range."""
-        self._require_matching(family)
-        if self.error is not None:
-            raise self.error
-        weights = np.array(family.weights(), dtype=np.int64)
-        diff = (self.head @ weights) % self.modulus.value
-        mismatch = np.flatnonzero(diff)
-        return int(mismatch[0]) if mismatch.size else None
+        _require_matching(family, self.modulus, self.delta)
+        failure = _first_failure(self.head, family)
+        return None if failure is None else failure[0]
 
     def weight_matrix(self, families) -> np.ndarray:
         """The families' weights (`CongruenceFamily.weights`) as the rows of
         one (len(families), delta) matrix; each family must match the plan's
         delta and modulus."""
         for family in families:
-            self._require_matching(family)
+            _require_matching(family, self.modulus, self.delta)
         weights = chain.from_iterable(family.weights() for family in families)
         return np.fromiter(weights, np.int64, len(families) * self.delta).reshape(-1, self.delta)
 
@@ -261,8 +257,6 @@ class Plan:
         Z/m module.  The rows are first reduced to at most delta generators of
         that module, and every family is checked against each generator in
         one matrix-vector product."""
-        if self.error is not None:
-            raise self.error
         m = self.modulus.value
         holds = np.ones(len(weights), dtype=bool)
         for row in _row_generators(self.head, m):
@@ -270,16 +264,7 @@ class Plan:
         return holds
 
     def check(self, family: CongruenceFamily) -> Certificate:
-        """Certify the family: PROVED, COUNTEREXAMPLE with G's sums at the
-        first failing n, or INAPPLICABLE when the split failed."""
-        self._require_matching(family)
-        if self.error is not None:
-            return Certificate(
-                family=family,
-                target=self.target,
-                status=INAPPLICABLE,
-                reason=f"{type(self.error).__name__}: {self.error}",
-            )
+        """PROVED, or COUNTEREXAMPLE with G's sums at the first failing n."""
         n = self.first_failure(family)
         return Certificate(
             family=family,
@@ -306,22 +291,36 @@ class Plan:
             )
         return failure
 
-    def _require_matching(self, family: CongruenceFamily) -> None:
-        if family.delta != self.delta or family.modulus != self.modulus:
-            raise InvalidParameter(
-                f"family mod {family.modulus}, delta {family.delta} does not match "
-                f"the plan's mod {self.modulus}, delta {self.delta}"
-            )
+
+def _require_matching(family: CongruenceFamily, modulus: Modulus, delta: int) -> None:
+    if family.delta != delta or family.modulus != modulus:
+        raise InvalidParameter(
+            f"family mod {family.modulus}, delta {family.delta} does not match "
+            f"mod {modulus}, delta {delta}"
+        )
+
+
+def certify_all(target: GFKind, families) -> list:
+    """Check each family on one `Plan` to min(K, period/delta) rows, which
+    certifies it for all n.  The families must share one modulus and delta
+    (else InvalidParameter).  If the target does not split (a `SPLIT_ERRORS`),
+    each is INAPPLICABLE with the error as its reason; other errors raise."""
+    if not families:
+        return []
+    modulus, delta = families[0].modulus, families[0].delta
+    for family in families:
+        _require_matching(family, modulus, delta)
+    try:
+        plan = Plan.build(target, modulus, delta)
+    except SPLIT_ERRORS as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        return [Certificate(family, target, INAPPLICABLE, reason=reason) for family in families]
+    return [plan.check(family) for family in families]
 
 
 def certify(target: GFKind, family: CongruenceFamily) -> Certificate:
-    """Verify the family for all n below min(K, period/delta) and certify it
-    for all n.
-
-    Builds a one-off `Plan` for the family's modulus and delta and checks the
-    family on it.  A failed split or an empty head yields status
-    INAPPLICABLE; a failed comparison yields the first counterexample."""
-    return Plan.build(target, family.modulus, family.delta).check(family)
+    """`certify_all` of one family: PROVED, COUNTEREXAMPLE or INAPPLICABLE."""
+    return certify_all(target, [family])[0]
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,11 @@ def search_certified(
     (`Plan.holding_weights`); a `Certificate` is built only for the
     families that hold, and the redundancy filter reads their rows of the
     same matrix.  `candidates` defaults to `enumerate_candidates(space)`.
-    A target that does not decompose aborts the search (SplitFailed
-    propagates).
+    A target that does not decompose aborts the search (`Plan.build`'s
+    split error propagates).
     """
     modulus = space.modulus
     plan = Plan.build(space.target, modulus, space.delta)
-    if plan.error is not None:
-        raise plan.error
     if candidates is None:
         candidates = enumerate_candidates(space)
     dec = plan.decomposition

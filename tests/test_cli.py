@@ -250,6 +250,11 @@ class TestOracleCommand:
         code, out = run(argv)
         assert code == 0 and out.strip() == want
 
+    def test_count_above_cap_exits_two(self, capsys):
+        code, out = run(["oracle", "--counter", "partitions", "--n", "100000"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ComplexityGuard: partition count capped")
+
 
 class TestExpandCommand:
     def test_explicit_target(self):
@@ -394,6 +399,61 @@ class TestCommittedInstances:
         code, out = run(["search", "--instance", path])
         assert code == 0
         assert "candidates: 3" in out and "{0} == {1}" in out
+
+
+# Targets the split rejects, each written as an instance with one family:
+# an unsupported numerator, and a ratio rule that cancels every factor.
+INAPPLICABLE_INSTANCES = (
+    "prime = 2\nexponent = 1\ndelta = 2\n"
+    "target = raw: (1-q^1)^1 (1-q^3)^-1\nfamily = {0} == {1}\n",
+    "prime = 2\nexponent = 1\ndelta = 2\ntarget = overpartitions\nfamily = {1} == 0\n",
+)
+
+# The three spaces of the benchmark's search sweep: prime, exponent, delta,
+# target, max_terms.
+SWEEP_SPACES = (
+    (2, 1, 8, "plane_rowed(8)", 6),
+    (7, 1, 7, "plane_rowed(7)", 6),
+    (2, 2, 4, "overplane_rowed(4)", 7),
+)
+
+
+class TestVerdictDigest:
+    def test_cli_verdict_digest(self, tmp_path):
+        # `certify --json` and text on every committed instance and on targets
+        # the split rejects, and `search --json --filter-redundant` on the
+        # sweep spaces and on one rejected target: exit code, stdout and
+        # stderr of each.  Any change to a verdict, witness, bound, reason or
+        # error message changes the digest.
+        import contextlib
+        import hashlib
+        import os
+
+        runs = []
+        instance_dir = TestCommittedInstances.INSTANCE_DIR
+        paths = [os.path.join(instance_dir, name) for name in sorted(os.listdir(instance_dir))]
+        for k, text in enumerate(INAPPLICABLE_INSTANCES):
+            paths.append(tmp_path / f"inapplicable_{k}.cfg")
+            paths[-1].write_text(text)
+        for path in paths:
+            runs.append(["certify", "--instance", str(path), "--json"])
+            runs.append(["certify", "--instance", str(path)])
+        for k, (prime, exponent, delta, target, max_terms) in enumerate(SWEEP_SPACES):
+            path = tmp_path / f"space_{k}.cfg"
+            path.write_text(f"prime = {prime}\nexponent = {exponent}\ndelta = {delta}\n"
+                            f"target = {target}\nmax_terms = {max_terms}\n")
+            runs.append(["search", "--instance", str(path), "--json", "--filter-redundant"])
+        rejected = ["search", "--instance", str(paths[-2]), "--json", "--filter-redundant"]
+        runs.append(rejected + ["--max-terms", "2"])
+        records = []
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(argv)
+            name = os.path.basename(argv[2])
+            records.append(f"{argv[0]} {name} {argv[3:]}: exit {code}\n{out}{err.getvalue()}")
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
+        assert digest == "e1df17af226a6c83"
 
 
 class TestUsage:

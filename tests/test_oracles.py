@@ -38,6 +38,27 @@ class TestPartitionCounts:
         assert count_partitions_max_part(6, 4) == 9
         assert count_partitions_max_part(5, 5) == count_partitions(5)
 
+    def test_count_guard(self):
+        # counted from the entries, so each is refused before any table is built
+        with pytest.raises(ComplexityGuard):
+            count_partitions(100_000)
+        with pytest.raises(ComplexityGuard):
+            count_partitions_max_part(10**9, 10**9)
+        with pytest.raises(ComplexityGuard):
+            count_partitions_multiset(20, PartMultiset(((1, 10**6),)))
+        # parts above n cost nothing, however many
+        assert count_partitions_multiset(5, PartMultiset(((1, 1), (6, 10**12)))) == 1
+        assert count_partitions_max_part(5, 10**12) == 7
+
+    def test_count_guard_boundary(self, monkeypatch):
+        from congcert import oracles
+
+        # p(n) takes n + 1 table entries and n + (n - 1) + ... + 1 updates
+        monkeypatch.setattr(oracles, "COUNT_CAP", 15)
+        assert count_partitions(4) == 5
+        with pytest.raises(ComplexityGuard, match="capped at 15"):
+            count_partitions(5)
+
 
 class TestPlanePartitionCounts:
     def test_total_of_three(self):

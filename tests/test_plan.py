@@ -26,6 +26,7 @@ from congcert import (
     SplitFailed,
     build_spec,
     certify,
+    certify_all,
     enumerate_candidates,
     kwong_period,
     prover,
@@ -75,13 +76,13 @@ class TestHeadCheckAgainstG:
         for rows, modulus, delta in SPACES:
             target = GFKind.plane_rowed(rows)
             families = enumerate_candidates(SearchSpace(target, modulus, delta, 3))
-            plan = Plan.build(target, modulus, delta)
             reference = g_verdicts(target, modulus, delta, families)
             total += len(families)
             if reference is None:
-                assert {plan.check(f).status for f in families} == {INAPPLICABLE}
+                assert {c.status for c in certify_all(target, families)} == {INAPPLICABLE}
                 continue
             applicable += len(families)
+            plan = Plan.build(target, modulus, delta)
             period, verdicts = reference
             assert plan.period == period
             for fam in families:
@@ -107,6 +108,23 @@ class TestPlanReuse:
         for left, right in (((0, 1), (3,)), ((5,), ()), ((1,), ())):
             fam = CongruenceFamily(8, left, right, MOD2)
             assert plan.check(fam) == certify(target, fam)
+
+    def test_certify_all_shares_one_plan(self):
+        target = GFKind.plane_rowed(8)
+        sides = (((0, 1), (3,)), ((5,), ()), ((1,), ()))
+        families = [CongruenceFamily(8, left, right, MOD2) for left, right in sides]
+        assert certify_all(target, families) == [certify(target, f) for f in families]
+        assert certify_all(target, []) == []
+
+    @pytest.mark.parametrize(
+        "target,status", [(GFKind.plane_rowed(2), PROVED), (GFKind.overpartitions(), INAPPLICABLE)]
+    )
+    def test_certify_all_rejects_mixed_families(self, target, status):
+        # raised whether or not the target splits at mod 2, delta 2
+        families = [CongruenceFamily(2, (0,), (1,), modulus) for modulus in (MOD2, Modulus(2, 2))]
+        assert certify_all(target, families[:1])[0].status == status
+        with pytest.raises(InvalidParameter):
+            certify_all(target, families)
 
     def test_family_of_another_delta_rejected(self):
         plan = Plan.build(GFKind.plane_rowed(4), MOD2, 4)

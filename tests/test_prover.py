@@ -9,6 +9,7 @@ from congcert import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
     PROVED,
+    SPLIT_ERRORS,
     BinomialFactor,
     CongruenceFamily,
     GFKind,
@@ -262,8 +263,11 @@ class TestRawTargetAgreement:
             ell = modulus.prime
             delta = rng.choice((ell, modulus.value, 2 * ell))
             target = _raw_target(rng, modulus, delta)
-            plan = Plan.build(target, modulus, delta)
-            if plan.error is not None or len(plan.head) > 400:
+            try:
+                plan = Plan.build(target, modulus, delta)
+            except SPLIT_ERRORS:
+                continue
+            if len(plan.head) > 400:
                 continue
             targets += 1
             n_max = 3 * len(plan.head) + 5
@@ -274,6 +278,78 @@ class TestRawTargetAgreement:
                 assert want, (str(target), str(family), modulus, cert.witness, failure)
                 statuses[cert.status] += 1
         assert set(statuses) == {PROVED, COUNTEREXAMPLE}
+
+
+def _split_target(rng, modulus, delta):
+    """A raw product that splits by construction, its factors shuffled:
+    - a head of 1-3 parts (1-q^b)^-e, b off delta*Z and e in {1, 2, 3} prime
+      to ell, so power-reduce leaves every part in the head;
+    - a B of 0-3 factors on delta*Z: binomials of either sign, and
+      constant-exponent tails whose scale and offset are multiples of delta;
+    - disguises off the head's bases, which the split must undo:
+      (1-q^b)^-(ell^N) with ell*b in delta*Z (`frobenius_step` run
+      backwards), and (1+q^b)^e with e > 0 and 2b in delta*Z."""
+    ell = modulus.prime
+    head_bases = rng.sample([b for b in range(1, 13) if b % delta], rng.randint(1, 3))
+    exponents = [e for e in (1, 2, 3) if e % ell]
+    factors = [BinomialFactor(-1, b, -rng.choice(exponents)) for b in head_bases]
+    for _ in range(rng.randint(0, 3)):
+        sign, scale = rng.choice((1, -1)), delta * rng.randint(1, 3)
+        if rng.random() < 0.5:
+            factors.append(BinomialFactor(sign, scale, rng.choice((-3, -2, -1, 1, 2, 3))))
+        else:
+            exponent = rng.choice((-2, -1, 1, 2))
+            offset = rng.choice((0, delta))
+            tail = TailFamily(sign=sign, start=1, exp_offset=exponent, scale=scale, offset=offset)
+            factors.append(tail)
+    step = delta // ell
+    frobenius = [b for b in range(step, 4 * delta, step) if b % delta and b not in head_bases]
+    if frobenius and rng.random() < 0.5:
+        factors.append(BinomialFactor(-1, rng.choice(frobenius), -modulus.value))
+    step = delta // 2 if delta % 2 == 0 else delta
+    plus = [b for b in range(step, 4 * delta, step) if b not in head_bases]
+    if rng.random() < 0.5:
+        factors.append(BinomialFactor(1, rng.choice(plus), rng.randint(1, 3)))
+    rng.shuffle(factors)
+    return GFKind.from_raw(ProductSpec(tuple(factors)))
+
+
+def _random_family(rng, modulus, delta):
+    """A family of at most 3 terms, its two sides disjoint."""
+    left = [rng.randrange(delta) for _ in range(rng.randint(1, 2))]
+    right = [rng.randrange(delta) for _ in range(rng.randint(0, 3 - len(left)))]
+    return CongruenceFamily(delta, tuple(left), tuple(r for r in right if r not in left), modulus)
+
+
+class TestSplitByConstruction:
+    """Seeded targets that split by construction: `Plan.build` succeeds on
+    every one, and each verdict read on A agrees with `spot_check` on G to
+    three times the head's rows."""
+
+    MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5, MOD7]
+    TARGETS = 300
+    FAMILIES = 20
+
+    def test_every_target_splits_and_agrees_with_g(self):
+        rng = random.Random(17)
+        statuses, rules = Counter(), set()
+        for _ in range(self.TARGETS):
+            modulus = rng.choice(self.MODULI)
+            ell = modulus.prime
+            delta = rng.choice((ell, modulus.value, 2 * ell, ell * ell))
+            target = _split_target(rng, modulus, delta)
+            plan = Plan.build(target, modulus, delta)
+            rules.update(step.split(":")[0] for step in plan.decomposition.derivation)
+            n_max = 3 * len(plan.head) + 5
+            for _ in range(self.FAMILIES):
+                family = _random_family(rng, modulus, delta)
+                cert = plan.check(family)
+                failure = spot_check(target, family, n_max).failure
+                want = failure is None if cert.status == PROVED else cert.witness == failure
+                assert want, (str(target), str(family), modulus, cert.witness, failure)
+                statuses[cert.status] += 1
+        assert set(statuses) == {PROVED, COUNTEREXAMPLE}
+        assert {"power-reduce", "plus-to-minus"} <= rules
 
 
 class TestPeriodConsistency:

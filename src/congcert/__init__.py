@@ -72,7 +72,6 @@ from .series import (
     TailFamily,
     coefficient,
     is_prime,
-    product_spec,
     series_add,
     series_from_spec,
     series_inverse,

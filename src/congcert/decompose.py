@@ -81,6 +81,8 @@ class GFKind:
             )
         if any(p < 1 for p in self.params):
             raise InvalidParameter(f"{self.name} parameters must be positive")
+        if self.name == "plane_head" and self.params[0] < 2:
+            raise InvalidParameter("plane_head needs a parameter >= 2")
         if self.name == "multiset" and (self.multiset is None or self.multiset.is_empty()):
             raise InvalidParameter("multiset target needs a nonempty multiset")
         if self.name == "raw" and self.spec is None:
@@ -149,8 +151,6 @@ def build_spec(kind: GFKind) -> ProductSpec:
         return ProductSpec(head + (TailFamily(sign=-1, start=r, exp_offset=-r),))
     if name == "plane_head":
         (ell,) = kind.params
-        if ell < 2:
-            raise InvalidParameter("plane_head needs a parameter >= 2")
         return ProductSpec(tuple(BinomialFactor(-1, n, -n) for n in range(1, ell)))
     if name == "plane_box":
         r, c = kind.params

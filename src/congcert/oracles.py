@@ -15,11 +15,11 @@ OVERPARTITION_CAP = 50
 COUNT_CAP = 10**7  # table entries plus updates of one coin-change count
 
 
-def _guard(n: int, cap: int, what: str):
+def _guard(n: int, limit: int, what: str):
     if n < 0:
         raise InvalidParameter("n must be >= 0")
-    if n > cap:
-        raise ComplexityGuard(f"{what} enumeration capped at n <= {cap} (got {n})")
+    if n > limit:
+        raise ComplexityGuard(f"{what} enumeration capped at n <= {limit} (got {n})")
 
 
 def _guard_count(n: int, entries):
@@ -93,9 +93,7 @@ def _rows_below(prev, remaining, max_cols):
     return out
 
 
-def count_plane_partitions_rowed(
-    n: int, max_rows: int, max_cols: int | None = None, cap: int = PLANE_CAP
-) -> int:
+def count_plane_partitions_rowed(n: int, max_rows: int, max_cols: int | None = None) -> int:
     """Plane partitions of n with at most max_rows rows (and max_cols columns
     when given), by generating rows top-down, each dominated by the one above.
     """
@@ -103,7 +101,7 @@ def count_plane_partitions_rowed(
         raise InvalidParameter("max_rows must be >= 1")
     if max_cols is not None and max_cols < 1:
         raise InvalidParameter("max_cols must be >= 1")
-    _guard(n, cap, "plane partition")
+    _guard(n, PLANE_CAP, "plane partition")
     if n == 0:
         return 1
     width = max_cols if max_cols is not None else n
@@ -124,12 +122,9 @@ def count_plane_partitions_rowed(
     return result
 
 
-def count_plane_partitions(n: int, cap: int = PLANE_CAP) -> int:
+def count_plane_partitions(n: int) -> int:
     """pl(n): row count saturates once it reaches n."""
-    _guard(n, cap, "plane partition")
-    if n == 0:
-        return 1
-    return count_plane_partitions_rowed(n, n, cap=cap)
+    return count_plane_partitions_rowed(n, max(n, 1))
 
 
 def _partitions_of(n):
@@ -146,9 +141,9 @@ def _partitions_of(n):
     return gen(n, n)
 
 
-def count_overpartitions(n: int, cap: int = OVERPARTITION_CAP) -> int:
+def count_overpartitions(n: int) -> int:
     """Partitions of n with any subset of the distinct part values overlined."""
-    _guard(n, cap, "overpartition")
+    _guard(n, OVERPARTITION_CAP, "overpartition")
     if n == 0:
         return 1
     total = 0
@@ -197,21 +192,16 @@ def _marking_count(shape) -> int:
     return total
 
 
-def count_plane_overpartitions_rowed(
-    n: int, max_rows: int, cap: int = OVERPLANE_CAP
-) -> int:
+def count_plane_overpartitions_rowed(n: int, max_rows: int) -> int:
     """Plane overpartitions of n with at most max_rows rows, by enumerating
     every plane partition shape and counting its valid markings."""
     if max_rows < 1:
         raise InvalidParameter("max_rows must be >= 1")
-    _guard(n, cap, "plane overpartition")
+    _guard(n, OVERPLANE_CAP, "plane overpartition")
     if n == 0:
         return 1
     return sum(_marking_count(s) for s in _plane_partitions_rowed(n, max_rows))
 
 
-def count_plane_overpartitions(n: int, cap: int = OVERPLANE_CAP) -> int:
-    _guard(n, cap, "plane overpartition")
-    if n == 0:
-        return 1
-    return count_plane_overpartitions_rowed(n, n, cap=cap)
+def count_plane_overpartitions(n: int) -> int:
+    return count_plane_overpartitions_rowed(n, max(n, 1))

@@ -32,10 +32,7 @@ class PartMultiset:
 
     @classmethod
     def from_values(cls, values) -> "PartMultiset":
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls(tuple((v, 1) for v in values))
 
     @classmethod
     def parse(cls, text: str) -> "PartMultiset":

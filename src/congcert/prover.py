@@ -263,19 +263,26 @@ class Plan:
             holds &= (weights @ row) % m == 0
         return holds
 
+    def certificate_fields(self) -> dict:
+        """What every certificate checked on this plan records of it, as
+        `Certificate` keyword arguments."""
+        return dict(
+            target=self.target,
+            a_multiset=self.decomposition.a_multiset,
+            period_used=self.period,
+            check_bound=self.bound,
+            degree_bound=self.degree_bound,
+            derivation=self.decomposition.derivation,
+        )
+
     def check(self, family: CongruenceFamily) -> Certificate:
         """PROVED, or COUNTEREXAMPLE with G's sums at the first failing n."""
         n = self.first_failure(family)
         return Certificate(
             family=family,
-            target=self.target,
             status=PROVED if n is None else COUNTEREXAMPLE,
-            a_multiset=self.decomposition.a_multiset,
-            period_used=self.period,
-            check_bound=self.bound,
-            degree_bound=self.degree_bound,
             witness=None if n is None else self._witness(family, n),
-            derivation=self.decomposition.derivation,
+            **self.certificate_fields(),
         )
 
     def _witness(self, family: CongruenceFamily, n: int) -> tuple:

@@ -98,11 +98,9 @@ def search_certified(
     A target that does not decompose aborts the search (`Plan.build`'s
     split error propagates).
     """
-    modulus = space.modulus
-    plan = Plan.build(space.target, modulus, space.delta)
+    plan = Plan.build(space.target, space.modulus, space.delta)
     if candidates is None:
         candidates = enumerate_candidates(space)
-    dec = plan.decomposition
     weights = plan.weight_matrix(candidates)
     holds = np.flatnonzero(plan.holding_weights(weights)).tolist()
 
@@ -111,23 +109,12 @@ def search_certified(
         return (len(family.left) + len(family.right), family.left, family.right)
 
     holds.sort(key=size_then_sides)
-    proved = [
-        Certificate(
-            family=candidates[i],
-            target=space.target,
-            status=PROVED,
-            a_multiset=dec.a_multiset,
-            period_used=plan.period,
-            check_bound=plan.bound,
-            degree_bound=plan.degree_bound,
-            derivation=dec.derivation,
-        )
-        for i in holds
-    ]
+    fields = plan.certificate_fields()
+    proved = [Certificate(family=candidates[i], status=PROVED, **fields) for i in holds]
 
     if redundancy_filter:
         # keep the first family outside the span of those kept, until none is
-        m = modulus.value
+        m = space.modulus.value
         weights = weights[holds]
         kept, outside = [], (weights % m).any(axis=1)
         while outside.any():

@@ -153,10 +153,6 @@ class ModSeries:
     def length(self) -> int:
         return int(self._data.size)
 
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(int(c) for c in self._data)
-
     def coefficient(self, n: int) -> int:
         if not 0 <= n < self._data.size:
             raise IndexOutOfRange(f"index {n} outside stored range [0, {self._data.size})")
@@ -318,10 +314,6 @@ class ProductSpec:
         if not self.factors:
             return "1"
         return " ".join(str(f) for f in self.factors)
-
-
-def product_spec(*factors) -> ProductSpec:
-    return ProductSpec(tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -149,6 +150,21 @@ class TestPeriodCommand:
         assert code == 0
         assert "empirical minimal period: 108" in out
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_period_past_the_int_digit_limit(self):
+        # 2^19999 has 6,021 digits, past Python's default int-to-str limit of
+        # 4,300; the limit is lifted only while the period is printed
+        limit = sys.get_int_max_str_digits()
+        code, out = run(["period", "--multiset", "1", "--prime", "2", "--power", "20000"])
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{2**19999}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestCertifyCommand:
     def test_proved_instance_exits_zero(self, instance_path):
@@ -250,6 +266,14 @@ class TestOracleCommand:
         code, out = run(argv)
         assert code == 0 and out.strip() == want
 
+    def test_counter_choices_are_the_dispatch_table(self, capsys):
+        from congcert.cli import _COUNTERS
+
+        code, out = run(["oracle", "--counter", "pentagons", "--n", "3"])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "invalid choice: 'pentagons'" in err and all(name in err for name in _COUNTERS)
+
     def test_count_above_cap_exits_two(self, capsys):
         code, out = run(["oracle", "--counter", "partitions", "--n", "100000"])
         assert code == 2 and out == ""
@@ -283,6 +307,11 @@ class TestExpandCommand:
         code, out = run(["expand", "--target", target, "--prime", "2"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: --target: {message}\n"
+
+    def test_plane_head_range_names_the_flag(self, capsys):
+        code, out = run(["expand", "--target", "plane_head(1)", "--prime", "2"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --target: plane_head needs a parameter >= 2\n"
 
 
 TABLE_FIRST = [[4, 1, 0], [4, 2, 4], [1, 0, 4], [3, 1, 1], [0, 2, 3], [0, 0, 0]]

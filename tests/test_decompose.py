@@ -65,6 +65,12 @@ class TestBuilders:
         with pytest.raises(InvalidParameter):
             GFKind("not_a_builder")
 
+    def test_plane_head_range_checked_on_construction(self):
+        # the target itself rejects it, before any spec is built
+        with pytest.raises(InvalidParameter, match="plane_head needs a parameter >= 2"):
+            GFKind.plane_head(1)
+        assert len(build_spec(GFKind.plane_head(2)).factors) == 1
+
 
 class TestReduceSpec:
     """The reduction steps of a split, one rule at a time: `_power_reduce`

@@ -108,16 +108,20 @@ class TestSearchCertified:
         assert "{2,3} == {4,5}" in names
 
     def test_search_matches_per_family_certify(self):
+        # whole certificates, so both builders take the same fields from the plan
         from congcert import PROVED, certify
 
-        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2)
-        fast = {str(c.family) for c in search_certified(space)}
-        slow = {
-            str(f)
-            for f in enumerate_candidates(space)
-            if certify(space.target, f).status == PROVED
-        }
-        assert fast == slow
+        def by_family(certs):
+            return sorted(certs, key=lambda c: str(c.family))
+
+        for space in [
+            SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 4),
+            SearchSpace(GFKind.plane_rowed(8), MOD2, 8, 3),
+            SearchSpace(GFKind.overplane_rowed(4), Modulus(2, 2), 4, 4),
+        ]:
+            fast = search_certified(space)
+            slow = [certify(space.target, f) for f in enumerate_candidates(space)]
+            assert fast and by_family(fast) == by_family(c for c in slow if c.status == PROVED)
 
     def test_inapplicable_target_aborts(self):
         space = SearchSpace(GFKind.plane(), MOD2, 2, 2)

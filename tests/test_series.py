@@ -194,6 +194,20 @@ class TestAgainstBruteForce:
             want = brute_expand(spec, length, modulus.value)
             assert got == want, f"{spec} mod {modulus} len {length}"
 
+    @pytest.mark.parametrize("modulus", [MOD5, Modulus(2, 3), Modulus(3, 2)], ids=str)
+    def test_positive_polynomial_powers_match_dense_expansion(self, modulus):
+        # a power e >= 3 is built by squaring, and a square can be shorter
+        # than the power asked for: (1+2q+2q^2)^3 squares to 5 of its 7
+        # coefficients, and `_mul_mod` pads the rest with zeros
+        for coeffs in [(1, 2, 2), (1, -1, 0, 3), (2, 1)]:
+            for e in (3, 4, 5):
+                for rest in [(), (BinomialFactor(-1, 2, -3),)]:
+                    spec = ProductSpec((PolyFactor(coeffs, e),) + rest)
+                    for length in (1, 5, 7, 8, 40):
+                        got = list(series_from_spec(spec, modulus, length))
+                        want = brute_expand(spec, length, modulus.value)
+                        assert got == want, f"{spec} mod {modulus} len {length}"
+
     def test_reduce_every_step_equals_reduce_at_end(self):
         # the kernel reduces at every pass; brute_expand only at the end
         rng = random.Random(99)

@@ -1,9 +1,11 @@
 """Time `Plan.build` on the headline targets: k-rowed plane partitions mod
-ell at delta = k, for k = ell^a in 27, 32, 49, 64, 81.
+ell at delta = k, for k = ell^a in 27, 32, 49, 64, 81, 121, 125, 128.
 
 Each k runs in a fresh Python process, so its peak RSS is its own.  For
 each it prints K (the degree bound, the number of rows of A's head), the
 seconds `Plan.build` takes, and the process's peak RSS, imports included.
+The default `--max-rows 81` stops before the three largest targets, which
+`--max-rows 128` adds: on 2 vCPUs each takes 20-42 s and 1.8-3.4 GB.
 Run from the repository root:
 
     python scripts/headline.py [--max-rows 81]
@@ -15,7 +17,7 @@ import subprocess
 import sys
 
 # (k, ell): delta = k is a power of ell, and the modulus is ell itself.
-TARGETS = ((27, 3), (32, 2), (49, 7), (64, 2), (81, 3))
+TARGETS = ((27, 3), (32, 2), (49, 7), (64, 2), (81, 3), (121, 11), (125, 5), (128, 2))
 
 CHILD = """
 import resource, sys, time

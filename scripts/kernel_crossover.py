@@ -98,8 +98,8 @@ def main():
         series = rng.integers(0, m, n, dtype=np.int64)
         sparse = strided(rng, n, STRIDE, m)
         seed = _partition_numbers() % m
-        mul = best(args.repeat, series, lambda a: _mul_binomial(a, -1, 7, m))
-        div = best(args.repeat, series, lambda a: _div_binomial(a, -1, 7, m))
+        mul = best(args.repeat, series, lambda a: _mul_binomial(a, 7, m))
+        div = best(args.repeat, series, lambda a: _div_binomial(a, 7, m))
         product = best(args.repeat, series, lambda a: _mul_poly(a, poly, 1, m))
         sections = best(args.repeat, sparse, lambda a: _mul_poly(a, poly, STRIDE, m))
         half = n // 2
@@ -118,7 +118,7 @@ def main():
         passes.append(mul)
         inverses.append(inverse / div)
     # a pass costs a + b*L: a is a pass at L = 16, b comes from L = 10,000
-    fixed = best(args.repeat * 5, rng.integers(0, m, 16), lambda a: _mul_binomial(a, -1, 7, m))
+    fixed = best(args.repeat * 5, rng.integers(0, m, 16), lambda a: _mul_binomial(a, 7, m))
     per_coeff = (passes[LENGTHS.index(10_000)] - fixed) / 10_000
     print(
         f"fixed cost of a mul pass: {fixed * 1e6:.1f}us, "

@@ -455,6 +455,8 @@ _COUNTERS = {
 
 
 def _cmd_oracle(args, out) -> int:
+    if args.n < 0:  # checked once, before a counter's bound defaults to n
+        raise SemanticError("--n must be >= 0")
     print(_COUNTERS[args.counter](args), file=out)
     return 0
 

@@ -18,7 +18,9 @@ the whole decomposition, since it would mean an unsound rule.
                    mod ell^N, on a binomial or a constant-exponent tail;
   expand        -- a binomial with a positive exponent as its polynomial
                    mod ell^N;
-  plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail.
+  plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
+                   the identity is `series.plus_to_minus`, which expansion
+                   also applies to every plus factor.
 It also peels tails into explicit factors and, mod 2^N, cancels matching
 plus/minus tail pairs (the ratio rule).
 """
@@ -45,6 +47,7 @@ from .series import (
     TailFamily,
     binomial_power,
     frobenius_step,
+    plus_to_minus,
     series_from_spec,
 )
 
@@ -258,14 +261,9 @@ class _Workspace:
         return poly
 
     def plus_to_minus(self, factor):
-        """The exact rewrite (1+x)^e = (1-x^2)^e (1-x)^-e of a plus binomial
-        or tail, for any exponent: the pair (doubled, inverse)."""
-        if isinstance(factor, TailFamily):
-            doubled = replace(factor, sign=-1, scale=2 * factor.scale, offset=2 * factor.offset)
-            inverse = replace(factor, sign=-1, exp_offset=-factor.exp_offset, exp_scale=-factor.exp_scale)
-        else:
-            doubled = replace(factor, sign=-1, base=2 * factor.base)
-            inverse = replace(factor, sign=-1, exponent=-factor.exponent)
+        """`series.plus_to_minus` as a validated step: the pair (doubled,
+        inverse)."""
+        doubled, inverse = plus_to_minus(factor)
         self.apply_rule(f"plus-to-minus: {factor} -> {doubled} * {inverse}", [factor], [doubled, inverse])
         return doubled, inverse
 

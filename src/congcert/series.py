@@ -1,6 +1,10 @@
 """Truncated power series with coefficients in Z/m for a prime power m,
 plus symbolic products of factors (1 +- q^b)^e that expand into them.
 
+Every plus factor, binomial or tail, enters the expansion as the two minus
+factors of `plus_to_minus`, (1+x)^e = (1-x^2)^e (1-x)^-e, the one statement
+of that identity.  So the kernel below sees only factors (1 - q^b).
+
 Coefficients are kept fully reduced in [0, m) inside int64 arrays; every
 pass reduces before the next, and a cumulative sum whose worst-case partial
 sum could leave int64 range raises instead of running.
@@ -8,19 +12,18 @@ sum could leave int64 range raises instead of running.
 Expansion to length L is exact and quasi-linear for the products that
 matter:
 
-- A tail of Euler shape, prod_{n>=start}(1 +- q^(sn))^e, is a power of
-  E(q^s) = prod_{n>=1}(1-q^(sn)) (using 1+x = (1-x^2)/(1-x)) times the
-  finite head it divides out.  E is sparse and is placed from the
-  pentagonal number theorem; E^e comes from repeated squaring.  When
-  e < 0 it squares 1/E = sum p(k) q^k, whose first 406 coefficients are
+- A tail of Euler shape, prod_{n>=start}(1-q^(sn))^e, is a power of
+  E(q^s) = prod_{n>=1}(1-q^(sn)) times the finite head it divides out.
+  E is sparse and is placed from the pentagonal number theorem; E^e comes
+  from repeated squaring.  When e < 0 it squares 1/E = sum p(k) q^k, whose first 406 coefficients are
   the exact partition numbers p(k) < 2^63, and which a Newton inversion
   g <- g(2 - Eg) extends beyond them.  One inverse serves every negative
   power, and the powers are multiplied at the gcd of their scales.
 - Explicit binomials, those finite heads and the explicit factors of
-  other tails are summed into one net exponent per (sign, base).  The
-  positive ones make one numerator P and the negative ones one denominator
-  Q, each prod (1 +- q^b)^|e| below L.  Few units of exponent are applied
-  as they are, one O(L) pass each (multiplying or dividing by 1 +- q^b).
+  other tails are summed into one net exponent per base.  The positive
+  ones make one numerator P and the negative ones one denominator Q, each
+  prod (1-q^b)^|e| below L.  Few units of exponent are applied as they
+  are, one O(L) pass each (multiplying or dividing by 1-q^b).
   Past a crossover measured by `scripts/kernel_crossover.py`, P is built
   on its own short array and applied by one polynomial product, and Q by
   one Newton inversion and one product; either is built by unit passes on
@@ -298,6 +301,19 @@ class TailFamily:
 Factor = BinomialFactor | PolyFactor | TailFamily
 
 
+def plus_to_minus(factor: BinomialFactor | TailFamily):
+    """The exact rewrite (1+x)^e = (1-x^2)^e (1-x)^-e of a plus binomial or
+    tail, for any exponent (of a tail, constant or varying with n): the
+    pair (doubled, inverse) of minus factors."""
+    if isinstance(factor, TailFamily):
+        doubled = replace(factor, sign=-1, scale=2 * factor.scale, offset=2 * factor.offset)
+        inverse = replace(factor, sign=-1, exp_offset=-factor.exp_offset, exp_scale=-factor.exp_scale)
+    else:
+        doubled = replace(factor, sign=-1, base=2 * factor.base)
+        inverse = replace(factor, sign=-1, exponent=-factor.exponent)
+    return doubled, inverse
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """A formal product of factors; expansion order never changes the result."""
@@ -320,33 +336,25 @@ class ProductSpec:
 # expansion kernel
 
 
-def _cumsum_rows_mod(mat: np.ndarray, m: int, alternating: bool) -> None:
-    """In place: mat[r] <- sum over i <= r of (+-1)^(r-i) mat[i], reduced mod m.
-
-    Plain cumulative sums when alternating is False.  Raises rather than
-    leave int64 (over 2^31 rows for m below `KERNEL_MODULUS_LIMIT`).
-    """
+def _cumsum_rows_mod(mat: np.ndarray, m: int) -> None:
+    """In place: mat[r] <- sum over i <= r of mat[i], reduced mod m.  Raises
+    rather than leave int64 (over 2^31 rows for m below
+    `KERNEL_MODULUS_LIMIT`)."""
     rows = mat.shape[0]
     if rows == 0:
         return
     if rows > (1 << 62) // m:
         raise CongcertError(f"cumulative sum of {rows} rows mod {m} could overflow int64")
-    if alternating:
-        signs = np.where(np.arange(rows) % 2 == 0, 1, -1).astype(np.int64)
-        mat *= signs[:, None]
     np.cumsum(mat, axis=0, out=mat)
     mat %= m
-    if alternating:
-        mat *= signs[:, None]
-        mat %= m
 
 
-def _div_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
-    """Divide arr by (1 + sign*q^base), in place (arr may be a view): each
-    row of `base` coefficients loses sign times the row before it, already
-    divided.  Up to four rows that runs row by row; past that, as one
-    cumulative sum over the rows of a padded copy, which costs more than
-    the row loop at up to four rows for every L from 500 to 10^5."""
+def _div_binomial(arr: np.ndarray, base: int, m: int) -> None:
+    """Divide arr by (1 - q^base), in place (arr may be a view): each row of
+    `base` coefficients gains the row before it, already divided.  Up to
+    four rows that runs row by row; past that, as one cumulative sum over
+    the rows of a padded copy, which costs more than the row loop at up to
+    four rows for every L from 500 to 10^5."""
     n = arr.size
     if base >= n:
         return
@@ -354,28 +362,21 @@ def _div_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
     if rows <= 4:
         for lo in range(base, n, base):
             row = arr[lo : lo + base]
-            if sign > 0:
-                row -= arr[lo - base : lo - base + row.size]
-            else:
-                row += arr[lo - base : lo - base + row.size]
+            row += arr[lo - base : lo - base + row.size]
             row %= m
         return
     buf = np.zeros(rows * base, dtype=np.int64)
     buf[:n] = arr
-    _cumsum_rows_mod(buf.reshape(rows, base), m, alternating=(sign > 0))
+    _cumsum_rows_mod(buf.reshape(rows, base), m)
     arr[:] = buf[:n]
 
 
-def _mul_binomial(arr: np.ndarray, sign: int, base: int, m: int) -> None:
-    """Multiply arr by (1 + sign*q^base), in place."""
+def _mul_binomial(arr: np.ndarray, base: int, m: int) -> None:
+    """Multiply arr by (1 - q^base), in place."""
     n = arr.size
     if base >= n:
         return
-    src = arr[: n - base].copy()
-    if sign > 0:
-        arr[base:] += src
-    else:
-        arr[base:] -= src
+    arr[base:] -= arr[: n - base].copy()
     arr %= m
 
 
@@ -439,16 +440,17 @@ _PRODUCT_BLOCK = 8192
 
 
 def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> np.ndarray:
-    """arr times prod (1 + sign*q^base)^e over the net exponents, whose
-    bases are below len(arr), to len(arr) coefficients mod m, where arr is
-    supported on stride*Z (0: arr is a constant).  The positive exponents
-    make one numerator P, the negative ones, negated, one denominator Q.
-    Each is applied by unit passes over arr or, when `_route` finds it
-    cheaper at this length, P by one `_mul_poly` at this stride (1 when arr
-    has none), and Q by one Newton inverse followed by one product."""
+    """arr times prod (1 - q^base)^e over the net exponents, keyed by base,
+    whose bases are below len(arr), to len(arr) coefficients mod m, where
+    arr is supported on stride*Z (0: arr is a constant).  The positive
+    exponents make one numerator P, the negative ones, negated, one
+    denominator Q.  Each is applied by unit passes over arr or, when
+    `_route` finds it cheaper at this length, P by one `_mul_poly` at this
+    stride (1 when arr has none), and Q by one Newton inverse followed by
+    one product."""
     n = arr.size
-    numer = [(s, b, e) for (s, b), e in binomials.items() if e > 0]
-    denom = [(s, b, -e) for (s, b), e in binomials.items() if e < 0]
+    numer = [(b, e) for b, e in binomials.items() if e > 0]
+    denom = [(b, -e) for b, e in binomials.items() if e < 0]
     if numer:
         route = _route(numer, n, _PRODUCT_PASSES + _PRODUCT_OVERHEAD / (n + _PASS_OVERHEAD))
         if route is None:
@@ -469,24 +471,24 @@ def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> n
 
 def _unit_passes(arr, factors, m, step) -> None:
     """One `step` (`_mul_binomial` or `_div_binomial`) per unit of exponent
-    of each factor (sign, base, e > 0), in place."""
-    for sign, base, e in factors:
+    of each factor (base, e > 0), in place."""
+    for base, e in factors:
         for _ in range(e):
-            step(arr, sign, base, m)
+            step(arr, base, m)
 
 
 def _route(factors, n: int, route_passes: float):
     """None when unit passes over a series of length n cost less than
-    building the polynomial prod (1 + sign*q^base)^e over the factors
-    (sign, base, e > 0) and applying it at the cost of `route_passes`
+    building the polynomial prod (1 - q^base)^e over the factors
+    (base, e > 0) and applying it at the cost of `route_passes`
     passes; else (size, heap): its size below n, and whether the heap of
     closed-form powers builds it more cheaply than unit passes on its own
     array."""
-    passes = sum(e for _, _, e in factors)
-    size = min(n, 1 + sum(b * e for _, b, e in factors))
+    passes = sum(e for _, e in factors)
+    size = min(n, 1 + sum(b * e for b, e in factors))
     if passes < route_passes:
         return None
-    sizes = [min(size, b * e + 1) for _, b, e in factors]
+    sizes = [min(size, b * e + 1) for b, e in factors]
     heapq.heapify(sizes)
     by_heap = 0
     while len(sizes) > 1:
@@ -501,7 +503,7 @@ def _route(factors, n: int, route_passes: float):
 
 
 def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
-    """prod (1 + sign*q^base)^e over the factors (sign, base, e > 0) to `size`
+    """prod (1 - q^base)^e over the factors (base, e > 0) to `size`
     coefficients mod m: unit passes on its own array, or, with `heap`,
     closed-form powers (`binomial_power`) multiplied smallest first."""
     if not heap:
@@ -509,7 +511,7 @@ def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
         out[0] = 1 % m
         _unit_passes(out, factors, m, _mul_binomial)
         return out
-    powers = (binomial_power(s, b, e, m, size) for s, b, e in factors)
+    powers = (binomial_power(-1, b, e, m, size) for b, e in factors)
     queue = [(p.size, i, p) for i, p in enumerate(powers)]
     heapq.heapify(queue)
     count = len(queue)
@@ -570,10 +572,10 @@ def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
     return arr
 
 
-def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
+def _fold_parts(arr, step, base_min, m, distinct) -> None:
     """Multiply arr by the infinite product over the arithmetic progression
     {base_min, base_min+step, ...} of (1 - q^B)^-1 (distinct=False) or of
-    (1 + factor_sign*q^B) (distinct=True), in place.
+    (1 - q^B) (distinct=True), in place.
 
     Grouping by number of parts turns the whole tail into ~L/base_min short
     divisions: partitions with exactly k parts from the progression shift by
@@ -591,8 +593,8 @@ def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
         if shift >= n:
             break
         piece = work[: n - shift]
-        _div_binomial(piece, -1, step * k, m)
-        if distinct and factor_sign < 0 and k % 2 == 1:
+        _div_binomial(piece, step * k, m)
+        if distinct and k % 2 == 1:
             out[shift:] -= piece
         else:
             out[shift:] += piece
@@ -602,48 +604,44 @@ def _fold_parts(arr, step, base_min, m, distinct, factor_sign=1) -> None:
 
 
 def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
-    """Record an Euler-shaped tail (constant exponent e, offset js: bases sn
-    from start = tail.start + j) as powers of E(q^s) = prod_{n>=1}(1-q^(sn))
-    and the finite head it divides out:
+    """Record an Euler-shaped minus tail (constant exponent e, offset js:
+    bases sn from start = tail.start + j) as a power of
+    E(q^s) = prod_{n>=1}(1-q^(sn)), keyed s, and the finite head it divides
+    out:
 
-        prod_{n>=start}(1-q^(sn))^e = E(q^s)^e * prod_{n<start}(1-q^(sn))^-e
-        prod_{n>=start}(1+q^(sn))^e = (E(q^2s)/E(q^s))^e * prod_{n<start}(1+q^(sn))^-e
-
-    the second because 1+x = (1-x^2)/(1-x).  E(q^s) is keyed (-1, s), as
-    the product of the factors (1-q^(sn))."""
+        prod_{n>=start}(1-q^(sn))^e = E(q^s)^e * prod_{n<start}(1-q^(sn))^-e"""
     s, e = tail.scale, tail.exp_offset
     start = tail.start + tail.offset // s
     if s * start >= length:
         return
-    if tail.sign < 0:
-        euler[(-1, s)] = euler.get((-1, s), 0) + e
-    else:
-        euler[(-1, 2 * s)] = euler.get((-1, 2 * s), 0) + e
-        euler[(-1, s)] = euler.get((-1, s), 0) - e
+    euler[s] = euler.get(s, 0) + e
     for n in range(1, start):
-        key = (tail.sign, s * n)
-        binomials[key] = binomials.get(key, 0) - e
+        binomials[s * n] = binomials.get(s * n, 0) - e
 
 
 def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSeries:
     """Expand a factor product to its first `length` coefficients mod m.
 
+    Every plus binomial or tail is first rewritten by `plus_to_minus`.
     Binomial factors, the finite heads that Euler-shaped tails divide out,
-    and the explicit factors of other tails are first summed into one net
-    exponent per (sign, base), and both they and the powers of E(q^s) are
-    carried by `_frobenius`.  The powers of E(q^s) form the starting series;
+    and the explicit factors of other tails are summed into one net
+    exponent per base, and both they and the powers of E(q^s) are carried
+    by `_frobenius`.  The powers of E(q^s) form the starting series;
     polynomial factors and what is left of the tails are applied to it in
     turn, then the net binomials."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
     m = modulus.value
-    binomials = {}  # (sign, base) -> net exponent
-    euler = {}  # (-1, s) -> net exponent of E(q^s)
+    binomials = {}  # base -> net exponent of (1-q^base)
+    euler = {}  # s -> net exponent of E(q^s)
     others = []
+    minus = []
     for factor in spec.factors:
+        plus = isinstance(factor, (BinomialFactor, TailFamily)) and factor.sign > 0
+        minus.extend(plus_to_minus(factor) if plus else (factor,))
+    for factor in minus:
         if isinstance(factor, BinomialFactor):
-            key = (factor.sign, factor.base)
-            binomials[key] = binomials.get(key, 0) + factor.exponent
+            binomials[factor.base] = binomials.get(factor.base, 0) + factor.exponent
         elif isinstance(factor, TailFamily) and not (factor.exp_scale or factor.offset % factor.scale):
             _add_euler_tail(factor, length, binomials, euler)
         elif isinstance(factor, TailFamily):
@@ -656,7 +654,7 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
     euler = _frobenius(euler, modulus, length)
     arr = _euler_product(euler, length, m)
-    stride = math.gcd(0, *(s for _, s in euler))
+    stride = math.gcd(0, *euler)
     for factor in others:
         if isinstance(factor, PolyFactor):
             arr = _apply_poly(arr, factor, m)
@@ -677,8 +675,7 @@ def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None
     bound = length if tail.exp_scale else min(max(32, math.isqrt(length)), length)
     n = tail.start
     while tail.base(n) < bound:
-        key = (tail.sign, tail.base(n))
-        binomials[key] = binomials.get(key, 0) + tail.exponent(n)
+        binomials[tail.base(n)] = binomials.get(tail.base(n), 0) + tail.exponent(n)
         n += 1
     if tail.base(n) >= length:
         return None
@@ -686,24 +683,17 @@ def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None
 
 
 def _fold_tail(arr, tail: TailFamily, m) -> None:
-    """Multiply arr by a constant-exponent tail whose first base is at least
-    sqrt(len(arr)), in place: the tail's unit power (exponent +-1) is folded
-    by `_fold_parts`, into arr when |e| = 1, else into a unit series that
-    is raised to |e| by `_pow_mod` and multiplied in."""
+    """Multiply arr by a constant-exponent minus tail whose first base is at
+    least sqrt(len(arr)), in place: the tail's unit power (exponent +-1) is
+    folded by `_fold_parts`, into arr when |e| = 1, else into a unit series
+    that is raised to |e| by `_pow_mod` and multiplied in."""
     step, first, e = tail.scale, tail.base(tail.start), tail.exp_offset
     n = arr.size
     folded = arr
     if abs(e) != 1:
         folded = np.zeros(n, dtype=np.int64)
         folded[0] = 1 % m
-    if tail.sign < 0 and e < 0:
-        _fold_parts(folded, step, first, m, distinct=False)
-    elif e > 0:
-        _fold_parts(folded, step, first, m, distinct=True, factor_sign=tail.sign)
-    else:
-        # (1+q^B)^-1 = (1-q^B) / (1-q^(2B)) termwise over the progression
-        _fold_parts(folded, step, first, m, distinct=True, factor_sign=-1)
-        _fold_parts(folded, 2 * step, 2 * first, m, distinct=False)
+    _fold_parts(folded, step, first, m, distinct=e > 0)
     if folded is not arr:
         arr[:] = _mul_mod(arr, _pow_mod(folded, abs(e), m, n), m, n)
 
@@ -719,7 +709,7 @@ def frobenius_step(base: int, exponent: int, modulus: Modulus):
 
 
 def _frobenius(exponents: dict, modulus: Modulus, length: int) -> dict:
-    """Net exponents keyed by (sign, base), each carried: e = r + ell^N t,
+    """Net exponents keyed by base, each carried: e = r + ell^N t,
     with r of e's sign and |r| < ell^N, keeps r at its base and moves
     ell^N t to ell times it by `frobenius_step`.  So (1-q^b)^-7 mod 2 is
     (1-q^b)^-1 (1-q^2b)^-1 (1-q^4b)^-1, three passes instead of seven.
@@ -728,27 +718,27 @@ def _frobenius(exponents: dict, modulus: Modulus, length: int) -> dict:
     increasing order merges every carry before its base is carried in
     turn."""
     q = modulus.value
-    net = {key: e for key, e in exponents.items() if key[1] < length}
+    net = {base: e for base, e in exponents.items() if base < length}
     heap = list(net)
     heapq.heapify(heap)
     out = {}
     while heap:
-        sign, base = heapq.heappop(heap)
-        e = net.pop((sign, base))
+        base = heapq.heappop(heap)
+        e = net.pop(base)
         r = e % q if e >= 0 else -(-e % q)
         step = frobenius_step(base, e - r, modulus)
         if step is not None and step[0] < length:
-            moved = (sign, step[0])
+            moved, t = step
             if moved not in net:
                 heapq.heappush(heap, moved)
-            net[moved] = net.get(moved, 0) + step[1]
+            net[moved] = net.get(moved, 0) + t
         if r:
-            out[(sign, base)] = r
+            out[base] = r
     return out
 
 
 def _euler_product(euler: dict, length: int, m: int) -> np.ndarray:
-    """prod over s of E(q^s)^e, keyed (-1, s) with s < length, to `length`
+    """prod over s of E(q^s)^e, keyed s with s < length, to `length`
     coefficients mod m.  With g the gcd of the scales the product is
     H(q^g), and H is taken at length ceil(length/g): the product of the
     powers E(q^s)^e, each at its own length ceil(length/s), spread to
@@ -758,12 +748,12 @@ def _euler_product(euler: dict, length: int, m: int) -> np.ndarray:
         arr = np.zeros(length, dtype=np.int64)
         arr[0] = 1 % m
         return arr
-    g = math.gcd(*(s for _, s in euler))
+    g = math.gcd(*euler)
     n = -(-length // g)
-    negative = [s for (_, s), e in euler.items() if e < 0]
+    negative = [s for s, e in euler.items() if e < 0]
     inverse = _euler_inverse(-(-length // min(negative)), m) if negative else None
     h = None
-    for (_, s), e in euler.items():
+    for s, e in euler.items():
         k = -(-length // s)
         power = _pow_mod(_euler(k, m), e, m, k) if e > 0 else _pow_mod(inverse[:k], -e, m, k)
         if s > g:

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import shlex
 import sys
 
 import pytest
@@ -697,12 +699,21 @@ class TestMalformedInput:
             (THREE_ROWED, ["search"], "search needs --max-terms or a max_terms key"),
             (None, ["expand"], "expand needs --instance or --target/--prime/--power"),
             (None, ["oracle", "--counter", "multiset", "--n", "3"], "oracle multiset needs --multiset"),
+            (None, ["oracle", "--counter", "partitions", "--n", "-1"], "--n must be >= 0"),
+            (None, ["oracle", "--counter", "multiset", "--n", "-1", "--multiset", "1"],
+             "--n must be >= 0"),
+            (None, ["oracle", "--counter", "maxpart", "--n", "-1"], "--n must be >= 0"),
+            (None, ["oracle", "--counter", "plane_rowed", "--n", "-1"], "--n must be >= 0"),
+            (None, ["oracle", "--counter", "overpartitions", "--n", "-1"], "--n must be >= 0"),
+            (None, ["oracle", "--counter", "overplane_rowed", "--n", "-1"], "--n must be >= 0"),
         ],
         ids=[
             "factor", "empty-raw", "target", "multiset", "raw-base", "tail-exponent", "plane-head",
             "key-value", "duplicate", "integer", "zero-right", "delta", "family",
             "certify-no-family", "spot-check-no-family", "table-no-family", "n-max", "max-terms",
-            "expand", "oracle-multiset",
+            "expand", "oracle-multiset", "oracle-n-partitions", "oracle-n-multiset",
+            "oracle-n-maxpart", "oracle-n-plane-rowed", "oracle-n-overpartitions",
+            "oracle-n-overplane-rowed",
         ],
     )
     def test_exits_two_with_message(self, instance, argv, message, capsys, instance_path):
@@ -713,3 +724,36 @@ class TestMalformedInput:
         code, out = run(argv)
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block of README.md after the first line that
+    starts with `heading`."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    after = text[text.index("\n" + heading) :]
+    start = after.index(f"```{lang}\n") + len(lang) + 4
+    return after[start : after.index("```", start)]
+
+
+README_COMMANDS = [
+    shlex.split(line, comments=True) for line in _readme_block("Subcommands", "sh").splitlines()
+]
+
+
+class TestReadmeExamples:
+    """The README's examples run as written."""
+
+    def test_library_example_prints_its_bounds(self, capsys):
+        exec(_readme_block("## Library example", "python"), {})
+        assert capsys.readouterr().out == "3360 420 89\n"
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a[1:]) for a in README_COMMANDS])
+    def test_subcommand_exits_zero(self, argv, monkeypatch):
+        monkeypatch.chdir(os.path.dirname(README))
+        assert argv[0] == "congcert"
+        code, _ = run(argv[1:])
+        assert code == 0

@@ -12,7 +12,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .decompose import GFKind, build_spec
 from .errors import CongcertError, InvalidParameter, ParseError, SemanticError
@@ -46,20 +46,6 @@ from .series import (
 # module-level name of this module, finds it.
 from .prover import certify  # noqa: F401
 
-_KNOWN_KEYS = {
-    "prime",
-    "exponent",
-    "delta",
-    "target",
-    "family",
-    "max_terms",
-    "allow_zero_right",
-    "n_max",
-    "cap",
-}
-
-_INT_KEYS = {"prime", "exponent", "delta", "max_terms", "n_max", "cap"}
-
 _FACTOR_RE = re.compile(r"\(1([+-])q\^(\d+)\)\^(-?\d+)")
 _TAIL_RE = re.compile(
     r"tail\(\(1([+-])q\^(?:(\d+)\*?n|n)(?:\+(\d+))?\)\^(-?\d+),\s*from=(\d+)\)"
@@ -80,6 +66,13 @@ class InstanceFile:
     allow_zero_right: bool = True
     n_max: int | None = None
     cap: int | None = None
+
+
+# The optional keys are InstanceFile's fields after `families`; each is an
+# integer unless its default is a bool.
+_OPTIONAL = fields(InstanceFile)[4:]
+_BOOL_KEYS = {f.name for f in _OPTIONAL if isinstance(f.default, bool)}
+_KNOWN_KEYS = {"prime", "exponent", "delta", "target", "family"} | {f.name for f in _OPTIONAL}
 
 
 def _parse_raw_spec(text: str, where: str) -> ProductSpec:
@@ -174,21 +167,23 @@ def parse_instance_file(text: str) -> InstanceFile:
 
     parsed = {}
     for key, (line_no, value) in values.items():
-        if key in _INT_KEYS:
-            try:
-                parsed[key] = int(value)
-            except ValueError:
-                raise ParseError(f"line {line_no}: {key} must be an integer") from None
-        elif key == "allow_zero_right":
+        if key == "target":
+            continue
+        if key in _BOOL_KEYS:
             if value not in ("true", "false"):
-                raise ParseError(f"line {line_no}: allow_zero_right must be true or false")
+                raise ParseError(f"line {line_no}: {key} must be true or false")
             parsed[key] = value == "true"
+            continue
+        try:
+            parsed[key] = int(value)
+        except ValueError:
+            raise ParseError(f"line {line_no}: {key} must be an integer") from None
 
     try:
-        modulus = Modulus(parsed["prime"], parsed["exponent"])
+        modulus = Modulus(parsed.pop("prime"), parsed.pop("exponent"))
     except InvalidParameter as exc:
         raise SemanticError(str(exc)) from None
-    delta = parsed["delta"]
+    delta = parsed.pop("delta")
     if delta < 1:
         raise SemanticError("delta must be >= 1")
     target = _parse_target(values["target"][1], f"line {values['target'][0]}")
@@ -205,16 +200,8 @@ def parse_instance_file(text: str) -> InstanceFile:
         except InvalidParameter as exc:
             raise SemanticError(f"line {line_no}: {exc}") from None
 
-    return InstanceFile(
-        modulus=modulus,
-        delta=delta,
-        target=target,
-        families=tuple(families),
-        max_terms=parsed.get("max_terms"),
-        allow_zero_right=parsed.get("allow_zero_right", True),
-        n_max=parsed.get("n_max"),
-        cap=parsed.get("cap"),
-    )
+    # what is left in `parsed` are the optional keys
+    return InstanceFile(modulus, delta, target, tuple(families), **parsed)
 
 
 def _render_multiset(multiset: PartMultiset) -> str:
@@ -251,16 +238,11 @@ def render_instance(instance: InstanceFile) -> str:
         f"delta = {instance.delta}",
         f"target = {_render_target(instance.target)}",
     ]
-    for fam in instance.families:
-        lines.append(f"family = {fam}")
-    if instance.max_terms is not None:
-        lines.append(f"max_terms = {instance.max_terms}")
-    if not instance.allow_zero_right:
-        lines.append("allow_zero_right = false")
-    for key in ("n_max", "cap"):
-        value = getattr(instance, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
+    lines += [f"family = {fam}" for fam in instance.families]
+    for f in _OPTIONAL:
+        value = getattr(instance, f.name)
+        if value != f.default:
+            lines.append(f"{f.name} = {str(value).lower()}")  # a bool as true/false
     return "\n".join(lines) + "\n"
 
 

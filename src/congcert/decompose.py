@@ -51,17 +51,39 @@ from .series import (
     series_from_spec,
 )
 
-_BUILDERS = {
-    "partitions": 0,
-    "plane": 0,
-    "plane_box": 2,
-    "plane_rowed": 1,
-    "plane_head": 1,
-    "overpartitions": 0,
-    "overplane_rowed": 1,
-    "maxpart": 1,
-    "multiset": None,  # takes a PartMultiset
-    "raw": None,  # takes a ProductSpec
+
+def _plane_rowed(rows):
+    head = tuple(BinomialFactor(-1, n, -n) for n in range(1, rows))
+    return head + (TailFamily(sign=-1, start=rows, exp_offset=-rows),)
+
+
+def _overplane_rowed(rows):
+    head = tuple(
+        f for n in range(1, rows) for f in (BinomialFactor(1, n, n), BinomialFactor(-1, n, -n))
+    )
+    return head + (
+        TailFamily(sign=1, start=rows, exp_offset=rows),
+        TailFamily(sign=-1, start=rows, exp_offset=-rows),
+    )
+
+
+# Each named target kind: the factors of its product from its integer
+# parameters, whose count is the kind's arity.  `multiset` and `raw` carry
+# their product as a payload instead.
+_KINDS = {
+    "partitions": lambda: (TailFamily(sign=-1, start=1, exp_offset=-1),),
+    "plane": lambda: (TailFamily(sign=-1, start=1, exp_offset=0, exp_scale=-1),),
+    "plane_box": lambda rows, cols: tuple(
+        BinomialFactor(-1, t, -min(t, rows, cols, rows + cols - t)) for t in range(1, rows + cols)
+    ),
+    "plane_rowed": _plane_rowed,
+    "plane_head": lambda ell: tuple(BinomialFactor(-1, n, -n) for n in range(1, ell)),
+    "overpartitions": lambda: (
+        TailFamily(sign=1, start=1, exp_offset=1),
+        TailFamily(sign=-1, start=1, exp_offset=-1),
+    ),
+    "overplane_rowed": _overplane_rowed,
+    "maxpart": lambda max_part: tuple(BinomialFactor(-1, n, -1) for n in range(1, max_part + 1)),
 }
 
 
@@ -75,13 +97,14 @@ class GFKind:
     spec: ProductSpec | None = None
 
     def __post_init__(self):
-        if self.name not in _BUILDERS:
+        if self.name in _KINDS:
+            arity = _KINDS[self.name].__code__.co_argcount
+            if len(self.params) != arity:
+                raise InvalidParameter(
+                    f"{self.name} takes {arity} parameter(s), got {len(self.params)}"
+                )
+        elif self.name not in ("multiset", "raw"):
             raise InvalidParameter(f"unknown generating function {self.name!r}")
-        arity = _BUILDERS[self.name]
-        if arity is not None and len(self.params) != arity:
-            raise InvalidParameter(
-                f"{self.name} takes {arity} parameter(s), got {len(self.params)}"
-            )
         if any(p < 1 for p in self.params):
             raise InvalidParameter(f"{self.name} parameters must be positive")
         if self.name == "plane_head" and self.params[0] < 2:
@@ -143,53 +166,11 @@ class GFKind:
 
 def build_spec(kind: GFKind) -> ProductSpec:
     """The exact symbolic factor product for a target."""
-    name = kind.name
-    if name == "partitions":
-        return ProductSpec((TailFamily(sign=-1, start=1, exp_offset=-1),))
-    if name == "plane":
-        return ProductSpec((TailFamily(sign=-1, start=1, exp_offset=0, exp_scale=-1),))
-    if name == "plane_rowed":
-        (r,) = kind.params
-        head = tuple(BinomialFactor(-1, n, -n) for n in range(1, r))
-        return ProductSpec(head + (TailFamily(sign=-1, start=r, exp_offset=-r),))
-    if name == "plane_head":
-        (ell,) = kind.params
-        return ProductSpec(tuple(BinomialFactor(-1, n, -n) for n in range(1, ell)))
-    if name == "plane_box":
-        r, c = kind.params
-        factors = []
-        for t in range(1, r + c):
-            mult = min(t, r, c, r + c - t)
-            factors.append(BinomialFactor(-1, t, -mult))
-        return ProductSpec(tuple(factors))
-    if name == "overpartitions":
-        return ProductSpec(
-            (
-                TailFamily(sign=1, start=1, exp_offset=1),
-                TailFamily(sign=-1, start=1, exp_offset=-1),
-            )
-        )
-    if name == "overplane_rowed":
-        (k,) = kind.params
-        head = []
-        for n in range(1, k):
-            head.append(BinomialFactor(1, n, n))
-            head.append(BinomialFactor(-1, n, -n))
-        return ProductSpec(
-            tuple(head)
-            + (
-                TailFamily(sign=1, start=k, exp_offset=k),
-                TailFamily(sign=-1, start=k, exp_offset=-k),
-            )
-        )
-    if name == "maxpart":
-        (m,) = kind.params
-        return ProductSpec(tuple(BinomialFactor(-1, n, -1) for n in range(1, m + 1)))
-    if name == "multiset":
+    if kind.name == "multiset":
         return kind.multiset.to_product_spec()
-    if name == "raw":
+    if kind.name == "raw":
         return kind.spec
-    raise InvalidParameter(f"unknown generating function {name!r}")
+    return ProductSpec(_KINDS[kind.name](*kind.params))
 
 
 # ---------------------------------------------------------------------------

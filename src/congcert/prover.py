@@ -31,6 +31,7 @@ expanded for what a reader checks by hand: the sums reported in a witness
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -73,6 +74,8 @@ class CongruenceFamily:
     def __post_init__(self):
         if self.delta < 1:
             raise InvalidParameter("delta must be >= 1")
+        if self.delta > sys.maxsize:  # before `_signed_counts` allocates delta counts
+            raise InvalidParameter(f"delta {self.delta} exceeds the largest list size")
         left, right = [], []
         for r, c in enumerate(_signed_counts(self.delta, self.left, self.right)):
             if c > 0:

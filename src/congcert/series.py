@@ -82,6 +82,11 @@ from .errors import (
 
 # Keep m*m and m*rows inside int64 during convolution and cumulative sums.
 KERNEL_MODULUS_LIMIT = 1 << 31
+# Every prime power with an exponent past this exceeds the limit.  Such an
+# exponent is rejected before prime**exponent, which for a 20-digit exponent
+# would not end; a smaller one keeps the message that names the modulus.
+_EXPONENT_LIMIT = 64
+_MAX_LENGTH = np.iinfo(np.intp).max  # the largest array numpy can index
 
 
 def is_prime(n: int) -> bool:
@@ -109,10 +114,20 @@ class Modulus:
     value: int = field(init=False, compare=False)
 
     def __post_init__(self):
+        # the prime is bounded before is_prime's trial division
+        if self.prime > KERNEL_MODULUS_LIMIT:
+            raise InvalidParameter(
+                f"modulus base {self.prime} exceeds the kernel limit {KERNEL_MODULUS_LIMIT}"
+            )
         if not is_prime(self.prime):
             raise InvalidParameter(f"modulus base {self.prime} is not prime")
         if self.exponent < 1:
             raise InvalidParameter("modulus exponent must be >= 1")
+        if self.exponent > _EXPONENT_LIMIT:
+            raise InvalidParameter(
+                f"modulus exponent {self.exponent} puts {self.prime}^{self.exponent}"
+                f" past the kernel limit {KERNEL_MODULUS_LIMIT}"
+            )
         value = self.prime**self.exponent
         if value > KERNEL_MODULUS_LIMIT:
             raise InvalidParameter(
@@ -631,6 +646,8 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
     turn, then the net binomials."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
+    if length > _MAX_LENGTH:
+        raise InvalidParameter(f"length {length} exceeds the largest array size")
     m = modulus.value
     binomials = {}  # base -> net exponent of (1-q^base)
     euler = {}  # s -> net exponent of E(q^s)

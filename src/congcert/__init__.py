@@ -12,7 +12,6 @@ from .decompose import (
     validate_B_certificate,
 )
 from .errors import (
-    CertificateFailed,
     ComplexityGuard,
     CongcertError,
     EmptyMultiset,
@@ -53,7 +52,6 @@ from .prover import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
     PROVED,
-    SPLIT_ERRORS,
     Certificate,
     CongruenceFamily,
     Plan,

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .decompose import GFKind, build_spec
-from .errors import CongcertError, InvalidParameter, ParseError, SemanticError
+from .errors import CongcertError, InvalidParameter, ParseError, SemanticError, SplitFailed
 from .oracles import (
     count_overpartitions,
     count_partitions,
@@ -28,7 +28,6 @@ from .periods import PartMultiset, empirical_min_period, kwong_period
 from .prover import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
-    SPLIT_ERRORS,
     CongruenceFamily,
     certify_all,
     spot_check,
@@ -50,7 +49,8 @@ _FACTOR_RE = re.compile(r"\(1([+-])q\^(\d+)\)\^(-?\d+)")
 _TAIL_RE = re.compile(
     r"tail\(\(1([+-])q\^(?:(\d+)\*?n|n)(?:\+(\d+))?\)\^(-?\d+),\s*from=(\d+)\)"
 )
-_FAMILY_RE = re.compile(r"^\{([\d,\s]*)\}\s*==\s*(\{([\d,\s]*)\}|0)$")
+_RESIDUES = r"\s*(?:\d+(?:\s*,\s*\d+)*\s*)?"  # comma-separated integers, or none
+_FAMILY_RE = re.compile(rf"^\{{({_RESIDUES})\}}\s*==\s*(\{{({_RESIDUES})\}}|0)$")
 _TARGET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 
 
@@ -306,8 +306,17 @@ def _given(*values):
 
 
 def _load_instance(path: str) -> InstanceFile:
-    with open(path, encoding="utf-8") as handle:
-        return parse_instance_file(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_instance_file(text)
+
+
+# `period` refuses to print a longer period: 10^5 digits convert in a fifth
+# of a second, and the cost of int-to-str grows quadratically with the length
+_PERIOD_DIGITS = 100_000
 
 
 def _int_text(value: int) -> str:
@@ -328,6 +337,11 @@ def _cmd_period(args, out) -> int:
         raise SemanticError("--window must be >= 2")
     multiset = PartMultiset.parse(args.multiset)
     info = kwong_period(multiset, args.prime, args.power)
+    if info.period >= 10**_PERIOD_DIGITS:
+        raise SemanticError(
+            f"the period has {info.period.bit_length()} bits, past the"
+            f" {_PERIOD_DIGITS}-digit print limit"
+        )
     print(_int_text(info.period), file=out)
     if args.empirical:
         modulus = Modulus(args.prime, args.power)
@@ -535,7 +549,9 @@ def run_command(argv, out=None) -> int:
         return 2 if exc.code else 0
     try:
         return _HANDLERS[args.command](args, out)
-    except (ParseError, SemanticError, InvalidParameter, *SPLIT_ERRORS, FileNotFoundError) as exc:
+    except BrokenPipeError:  # an OSError, but the reader is gone: no message
+        return 2
+    except (ParseError, SemanticError, InvalidParameter, SplitFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CongcertError as exc:
@@ -543,8 +559,6 @@ def run_command(argv, out=None) -> int:
         return 2
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
         return 2
 
 

@@ -9,18 +9,19 @@ The split produces:
        coefficients vanish mod ell^N away from multiples of delta for ALL
        indices, not only the numerically checked prefix.
 
-Every rewrite application is validated numerically: both sides are expanded
-mod ell^N to the validation length and compared exactly.  A mismatch aborts
-the whole decomposition, since it would mean an unsound rule.
+Numeric guards, mod ell^N to the validation length, check each peel, ratio,
+power-reduce and expand step, B's support and A*B against the input.  A
+failed guard raises RuleValidationFailed, never a verdict; a target that
+does not split raises SplitFailed.
 
-`split_AB` rewrites by three validated `_Workspace` steps:
+`split_AB` rewrites by three `_Workspace` steps:
   power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
                    mod ell^N, on a binomial or a constant-exponent tail;
   expand        -- a binomial with a positive exponent as its polynomial
                    mod ell^N;
   plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
                    the identity is `series.plus_to_minus`, which expansion
-                   also applies to every plus factor.
+                   also applies to every plus factor (so it has no guard).
 It also peels tails into explicit factors and, mod 2^N, cancels matching
 plus/minus tail pairs (the ratio rule).
 """
@@ -32,12 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    CertificateFailed,
-    InvalidParameter,
-    RuleValidationFailed,
-    SplitFailed,
-)
+from .errors import InvalidParameter, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, ord_prime
 from .series import (
     BinomialFactor,
@@ -180,8 +176,8 @@ def build_spec(kind: GFKind) -> ProductSpec:
 @dataclass
 class _Workspace:
     """Mutable factor inventory during a split, and the rewrite steps on it.
-    A step validates its rewrite with `apply_rule` and returns the new
-    factor(s), or None when it does not apply."""
+    A step records its rewrite, validated by `apply_rule` except for
+    plus-to-minus, and returns the new factor(s), or None if none applies."""
 
     modulus: Modulus
     validation_length: int
@@ -242,10 +238,10 @@ class _Workspace:
         return poly
 
     def plus_to_minus(self, factor):
-        """`series.plus_to_minus` as a validated step: the pair (doubled,
-        inverse)."""
+        """`series.plus_to_minus` as a step: the pair (doubled, inverse).
+        Unvalidated: expansion makes the same call, so both sides agree."""
         doubled, inverse = plus_to_minus(factor)
-        self.apply_rule(f"plus-to-minus: {factor} -> {doubled} * {inverse}", [factor], [doubled, inverse])
+        self.derivation.append(f"plus-to-minus: {factor} -> {doubled} * {inverse}")
         return doubled, inverse
 
 
@@ -338,8 +334,8 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     """Split a product into a periodic pure-denominator head A and a
     delta-supported tail B, congruent to the input mod ell^N.
 
-    Raises SplitFailed when some factor is neither head material nor provably
-    delta-supported, CertificateFailed when the numeric guard on B fails."""
+    Raises SplitFailed when the product does not split, RuleValidationFailed
+    when a guard fails (see the module docstring)."""
     if delta < 1:
         raise InvalidParameter("delta must be >= 1")
     validation_length = default_validation_length(spec, delta)
@@ -476,11 +472,9 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
 
     for f in b_spec.factors:
         if not _structurally_supported(f, delta):
-            raise SplitFailed(f"factor {f} escaped the support check")
+            raise RuleValidationFailed(f"factor {f} escaped the support check")
     if not validate_B_certificate(b_spec, modulus, delta, validation_length):
-        raise CertificateFailed(
-            f"B fails the numeric support check below {validation_length}"
-        )
+        raise RuleValidationFailed(f"B fails the numeric support check below {validation_length}")
 
     combined = series_from_spec(a_spec * b_spec, modulus, validation_length)
     original = series_from_spec(spec, modulus, validation_length)

@@ -34,16 +34,13 @@ class NoPeriodFound(CongcertError):
 
 
 class RuleValidationFailed(CongcertError):
-    """A rewrite produced a series that differs from its input. Unsound; abort."""
+    """A guard of the split or of a witness failed: congcert itself is wrong,
+    so no verdict is given; abort."""
 
 
 class SplitFailed(CongcertError):
-    """A factor is neither a periodic-head denominator nor provably supported
-    on multiples of the progression modulus."""
-
-
-class CertificateFailed(CongcertError):
-    """The numeric tail-support check failed below the validation length."""
+    """The target does not split into a periodic head and a tail supported
+    on multiples of the progression modulus: the only INAPPLICABLE."""
 
 
 class SpaceTooLarge(CongcertError):

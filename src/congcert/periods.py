@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMultiset, InvalidParameter, InvalidWindow, NoPeriodFound
-from .series import BinomialFactor, ModSeries, ProductSpec, is_prime
+from .series import KERNEL_MODULUS_LIMIT, BinomialFactor, ModSeries, ProductSpec, is_prime
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,10 @@ def ord_prime(n: int, ell: int) -> int:
     """Largest e with ell^e dividing n."""
     if n < 1:
         raise InvalidParameter("n must be >= 1")
+    if ell > KERNEL_MODULUS_LIMIT:  # before is_prime's trial division, as in Modulus
+        raise InvalidParameter(
+            f"modulus base {ell} exceeds the kernel limit {KERNEL_MODULUS_LIMIT}"
+        )
     if not is_prime(ell):
         raise InvalidParameter(f"{ell} is not prime")
     e = 0

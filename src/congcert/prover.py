@@ -38,22 +38,13 @@ from itertools import chain
 import numpy as np
 
 from .decompose import Decomposition, GFKind, build_spec, split_AB
-from .errors import (
-    CertificateFailed,
-    EmptyMultiset,
-    InvalidParameter,
-    RuleValidationFailed,
-    SplitFailed,
-)
+from .errors import InvalidParameter, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, kwong_period
 from .series import Modulus, ProductSpec, series_from_spec
 
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 INAPPLICABLE = "INAPPLICABLE"
-
-# raised by `Plan.build` when the target does not split; INAPPLICABLE in `certify_all`
-SPLIT_ERRORS = (SplitFailed, CertificateFailed, EmptyMultiset)
 
 
 @dataclass(frozen=True)
@@ -221,10 +212,11 @@ class Plan:
 
     @classmethod
     def build(cls, target: GFKind, modulus: Modulus, delta: int) -> "Plan":
-        """Split the product into A*B at this modulus and delta (or raise one
-        of `SPLIT_ERRORS`), take the minimal period of A's multiset lifted to
-        a multiple of delta and the degree bound of A's rational section, and
-        expand A to the smaller of the two bounds."""
+        """Split the product into A*B at this modulus and delta (or raise
+        SplitFailed, or RuleValidationFailed when a guard fails), take the
+        minimal period of A's multiset lifted to a multiple of delta and the
+        degree bound of A's rational section, and expand A to the smaller of
+        the two bounds."""
         spec = build_spec(target)
         dec = split_AB(spec, modulus, delta)
         info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
@@ -313,7 +305,7 @@ def _require_matching(family: CongruenceFamily, modulus: Modulus, delta: int) ->
 def certify_all(target: GFKind, families) -> list:
     """Check each family on one `Plan` to min(K, period/delta) rows, which
     certifies it for all n.  The families must share one modulus and delta
-    (else InvalidParameter).  If the target does not split (a `SPLIT_ERRORS`),
+    (else InvalidParameter).  If the target does not split (SplitFailed),
     each is INAPPLICABLE with the error as its reason; other errors raise."""
     if not families:
         return []
@@ -322,7 +314,7 @@ def certify_all(target: GFKind, families) -> list:
         _require_matching(family, modulus, delta)
     try:
         plan = Plan.build(target, modulus, delta)
-    except SPLIT_ERRORS as exc:
+    except SplitFailed as exc:
         reason = f"{type(exc).__name__}: {exc}"
         return [Certificate(family, target, INAPPLICABLE, reason=reason) for family in families]
     return [plan.check(family) for family in families]

@@ -449,6 +449,16 @@ SWEEP_SPACES = (
 )
 
 
+def test_inapplicable_instances_are_split_failed(instance_path):
+    # INAPPLICABLE means only that the target does not split
+    for text in INAPPLICABLE_INSTANCES:
+        code, out = run(["certify", "--instance", instance_path(text), "--json"])
+        docs = json.loads(out)
+        assert code == 2 and docs
+        assert all(d["status"] == "INAPPLICABLE" for d in docs)
+        assert all(d["reason"].startswith("SplitFailed: ") for d in docs)
+
+
 class TestVerdictDigest:
     def test_cli_verdict_digest(self, tmp_path):
         # `certify --json` and text on every committed instance and on targets

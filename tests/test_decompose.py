@@ -404,6 +404,21 @@ class TestSplitDigest:
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
         assert digest == "5964b0403764db10"
 
+    def test_every_inapplicable_is_split_failed(self):
+        # INAPPLICABLE means only that the target does not split: on the grid
+        # no guard fails, and every other outcome is a verdict
+        from collections import Counter
+
+        from congcert import INAPPLICABLE, CongruenceFamily, certify
+
+        outcomes = Counter()
+        for target, modulus, delta in _split_grid():
+            cert = certify(target, CongruenceFamily(delta, (0,), (), modulus))
+            if cert.status == INAPPLICABLE:
+                assert cert.reason.startswith("SplitFailed: "), cert.reason
+            outcomes[cert.status] += 1
+        assert outcomes == {INAPPLICABLE: 216, "COUNTEREXAMPLE": 64}
+
 
 _FROBENIUS_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5]
 

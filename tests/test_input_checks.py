@@ -87,6 +87,8 @@ OVER_BOUND = {
     "raw-exponent": (["certify"], {"target": f"raw: (1-q^1)^-{BIG}"}),
     "raw-base": (["certify"], {"target": f"raw: (1-q^{BIG})^-1 (1-q^1)^-1"}),
     "raw-tail-scale": (["certify"], {"target": f"raw: tail((1-q^{BIG}n)^-1, from=1) (1-q^1)^-1"}),
+    "period-prime": (["period", "--multiset", "1,2", "--prime", "100000000000000000039"], None),
+    "period-digits": (["period", "--multiset", "1,2", "--prime", "2", "--power", "10000000"], None),
 }
 
 
@@ -104,6 +106,36 @@ def test_over_bound_input_exits_two_with_a_message(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# malformed instance files: the file's text, written as latin-1 (None makes a
+# directory), and the message of the one error line
+MALFORMED = {
+    "family-empty-residue": (_instance_text(family="{1,,2} == 0"), "line 5: bad family '{1,,2} == 0'"),
+    "family-trailing-comma": (_instance_text(family="{1} == {2,}"), "line 5: bad family '{1} == {2,}'"),
+    "family-no-comma": (_instance_text(family="{1 2} == 0"), "line 5: bad family '{1 2} == 0'"),
+    "directory": (None, "Is a directory"),
+    "not-utf8": (_instance_text(target="plane_rowed(\xff)"), "not UTF-8 text (byte 54)"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_instance_exits_two_with_one_error_line(case, tmp_path):
+    text, message = MALFORMED[case]
+    path = tmp_path / "instance.cfg"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text.encode("latin-1"))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "congcert.cli", "certify", "--instance", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 MOD2 = Modulus(2, 1)

@@ -27,6 +27,7 @@ from congcert import (
     build_spec,
     certify,
     certify_all,
+    decompose,
     enumerate_candidates,
     kwong_period,
     prover,
@@ -155,6 +156,39 @@ class TestWitnessGuard:
         monkeypatch.setattr(prover, "split_AB", broken_split)
         with pytest.raises(RuleValidationFailed, match="witness check"):
             certify(GFKind.plane_rowed(8), CongruenceFamily(8, (5,), (), MOD2))
+
+
+class TestGuardFailures:
+    """A failed guard of the split is an error, never a verdict: library
+    callers get RuleValidationFailed, and the CLI exits 2 and prints no
+    certificate."""
+
+    def test_b_support_check(self, monkeypatch, capsys):
+        from congcert.cli import run_command
+
+        monkeypatch.setattr(decompose, "validate_B_certificate", lambda *args: False)
+        message = "B fails the numeric support check below 500"
+        with pytest.raises(RuleValidationFailed, match="^" + message + "$"):
+            certify(GFKind.plane_rowed(4), CongruenceFamily(4, (3,), (), MOD2))
+        path = os.path.join(INSTANCE_DIR, "four_rowed_mod2.cfg")
+        assert run_command(["certify", "--instance", path, "--json"]) == 2
+        assert capsys.readouterr() == ("", f"error: RuleValidationFailed: {message}\n")
+
+    def test_wrong_plus_to_minus_is_caught_by_a_times_b(self, monkeypatch):
+        # plus-to-minus has no guard of its own; a wrong pair that still
+        # splits (the inverse's exponent doubled) fails A*B = G
+        real = decompose.plus_to_minus
+
+        def doubled_inverse(factor):
+            doubled, inverse = real(factor)
+            if isinstance(inverse, BinomialFactor):
+                return doubled, dataclasses.replace(inverse, exponent=2 * inverse.exponent)
+            return doubled, dataclasses.replace(inverse, exp_offset=2 * inverse.exp_offset)
+
+        monkeypatch.setattr(decompose, "plus_to_minus", doubled_inverse)
+        spec = build_spec(GFKind.overplane_rowed(4))
+        with pytest.raises(RuleValidationFailed, match="^A\\*B differs"):
+            split_AB(spec, Modulus(2, 2), 4)
 
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")

@@ -9,7 +9,6 @@ from congcert import (
     COUNTEREXAMPLE,
     INAPPLICABLE,
     PROVED,
-    SPLIT_ERRORS,
     BinomialFactor,
     CongruenceFamily,
     GFKind,
@@ -19,6 +18,7 @@ from congcert import (
     Plan,
     ProductSpec,
     SearchSpace,
+    SplitFailed,
     TailFamily,
     certify,
     enumerate_candidates,
@@ -265,7 +265,7 @@ class TestRawTargetAgreement:
             target = _raw_target(rng, modulus, delta)
             try:
                 plan = Plan.build(target, modulus, delta)
-            except SPLIT_ERRORS:
+            except SplitFailed:
                 continue
             if len(plan.head) > 400:
                 continue

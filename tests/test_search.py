@@ -206,7 +206,7 @@ BATCH_MODULI = (MOD2, MOD3, MOD5, MOD7, Modulus(2, 2), Modulus(2, 3), Modulus(3,
 
 class TestBatchCheck:
     def test_agrees_with_first_failure(self):
-        from congcert import SPLIT_ERRORS, Plan
+        from congcert import Plan, SplitFailed
 
         total = held = 0
         for rows in range(2, 10):
@@ -215,7 +215,7 @@ class TestBatchCheck:
                 for delta in sorted({modulus.prime, modulus.value}):
                     try:
                         plan = Plan.build(target, modulus, delta)
-                    except SPLIT_ERRORS:
+                    except SplitFailed:
                         continue
                     families = enumerate_candidates(SearchSpace(target, modulus, delta, 4))
                     batch = plan.holding_weights(plan.weight_matrix(families))

@@ -65,7 +65,6 @@ from .series import (
     BinomialFactor,
     ModSeries,
     Modulus,
-    PolyFactor,
     ProductSpec,
     TailFamily,
     coefficient,

@@ -5,20 +5,20 @@ The split produces:
   A -- a finite product of pure denominators (1-q^b)^-e, whose coefficient
        sequence has a known minimal period mod ell^N via the multiset formula;
   B -- everything else, where each factor is structurally a series in q^delta
-       (bases and polynomial supports on multiples of delta), so its
-       coefficients vanish mod ell^N away from multiples of delta for ALL
-       indices, not only the numerically checked prefix.
+       (binomial and tail bases on multiples of delta), so its coefficients
+       vanish mod ell^N away from multiples of delta for ALL indices, not
+       only the numerically checked prefix.
 
-Numeric guards, mod ell^N to the validation length, check each peel, ratio,
-power-reduce and expand step, B's support and A*B against the input.  A
-failed guard raises RuleValidationFailed, never a verdict; a target that
-does not split raises SplitFailed.
+Numeric guards, mod ell^N to the validation length, check each peel, ratio
+and power-reduce step, B's support and A*B against the input.  A failed
+guard raises RuleValidationFailed, never a verdict; a target that does not
+split raises SplitFailed.
 
-`split_AB` rewrites by three `_Workspace` steps:
+`split_AB` rewrites by two `_Workspace` steps:
   power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
-                   mod ell^N, on a binomial or a constant-exponent tail;
-  expand        -- a binomial with a positive exponent as its polynomial
-                   mod ell^N;
+                   mod ell^N, `series.frobenius_step` for as long as it
+                   applies, on a binomial or a constant-exponent tail; it
+                   also sends a positive power to B when it lands on delta*Z;
   plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
                    the identity is `series.plus_to_minus`, which expansion
                    also applies to every plus factor (so it has no guard).
@@ -38,10 +38,8 @@ from .periods import PartMultiset, ord_prime
 from .series import (
     BinomialFactor,
     Modulus,
-    PolyFactor,
     ProductSpec,
     TailFamily,
-    binomial_power,
     frobenius_step,
     plus_to_minus,
     series_from_spec,
@@ -182,7 +180,6 @@ class _Workspace:
     modulus: Modulus
     validation_length: int
     binomials: dict = field(default_factory=dict)  # (sign, base) -> exponent
-    polys: list = field(default_factory=list)
     tails: list = field(default_factory=list)
     derivation: list = field(default_factory=list)
 
@@ -198,8 +195,6 @@ class _Workspace:
         for f in spec.factors:
             if isinstance(f, BinomialFactor):
                 self.add_binomial(f)
-            elif isinstance(f, PolyFactor):
-                self.polys.append(f)
             elif isinstance(f, TailFamily):
                 self.tails.append(f)
             else:
@@ -223,19 +218,6 @@ class _Workspace:
             return None
         self.apply_rule(f"power-reduce: {factor} -> {after} (mod {self.modulus})", [factor], [after])
         return after
-
-    def expand(self, factor: BinomialFactor, delta: int):
-        """A binomial with a positive exponent, of degree within the
-        validation length, as its polynomial mod ell^N; None otherwise or
-        when the polynomial is not supported on delta*Z."""
-        if factor.exponent <= 0 or factor.base * factor.exponent > self.validation_length:
-            return None
-        coeffs = binomial_power(factor.sign, factor.base, factor.exponent, self.modulus.value)
-        poly = PolyFactor(tuple(coeffs.tolist()))
-        if not _structurally_supported(poly, delta):
-            return None
-        self.apply_rule(f"expand: {factor} -> {poly} (mod {self.modulus})", [factor], [poly])
-        return poly
 
     def plus_to_minus(self, factor):
         """`series.plus_to_minus` as a step: the pair (doubled, inverse).
@@ -261,8 +243,6 @@ def _max_base(spec: ProductSpec) -> int:
     for f in spec.factors:
         if isinstance(f, BinomialFactor):
             best = max(best, f.base)
-        elif isinstance(f, PolyFactor):
-            best = max(best, len(f.coeffs) - 1)
         elif isinstance(f, TailFamily):
             best = max(best, f.base(f.start))
     return best
@@ -323,8 +303,6 @@ def validate_B_certificate(
 def _structurally_supported(factor, delta: int) -> bool:
     if isinstance(factor, BinomialFactor):
         return factor.base % delta == 0
-    if isinstance(factor, PolyFactor):
-        return all(i % delta == 0 for i in factor.support())
     if isinstance(factor, TailFamily):
         return factor.scale % delta == 0 and factor.offset % delta == 0
     return False
@@ -411,64 +389,59 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     ws.tails = minus_tails
 
     # B's binomials are summed as they are produced, so exact cancellations
-    # inside B merge; its other factors keep their order.
+    # inside B merge; its tails keep their order.
     b_binomials = Counter()
-    b_others = []
+    b_tails = []
 
-    # Explicit plus factors: keep when already on delta-multiples, collapse to
-    # a supported polynomial when the expansion allows, else move them to
-    # minus factors.
+    # Explicit plus factors: keep when already on delta-multiples, reduce a
+    # positive power onto them when the reduction lands there, else move them
+    # to minus factors.  The reduction stops at the smallest base the
+    # kernel's carry keeps, so it lands on delta*Z exactly when every base
+    # of that carry does.
     for factor in _by_base(ws.binomials):
         if factor.sign < 0:
             continue
         ws.add_binomial(factor, -1)
         if factor.base % delta == 0:
             b_binomials[factor.sign, factor.base] += factor.exponent
-        elif (poly := ws.expand(factor, delta)) is not None:
-            b_others.append(poly)
+        elif factor.exponent > 0 and (after := ws.power_reduce(factor, delta)) is not None:
+            b_binomials[after.sign, after.base] += after.exponent
         else:
             for f in ws.plus_to_minus(factor):
                 ws.add_binomial(f)
 
     # Classify minus factors, the only binomials the plus loop leaves: head
     # denominators stay in A unless a reduction lands them on delta-multiples.
-    # Explicit factors reduce only when the exponent is a pure prime power,
-    # preserving the head shapes used by the worked decompositions; tails
-    # must land in B or the split fails.
+    # Explicit denominators reduce only when the exponent is a pure prime
+    # power, preserving the head shapes used by the worked decompositions;
+    # numerators and tails must land in B or the split fails.
     a_parts = {}
     for before in _by_base(ws.binomials):
         base, e = before.base, before.exponent
         pure_power = abs(e) == ell ** ord_prime(abs(e), ell)
         if base % delta == 0:
             b_binomials[-1, base] += e
-        elif (N > 1 or pure_power) and (after := ws.power_reduce(before, delta)) is not None:
+        elif (N > 1 or pure_power or e > 0) and (after := ws.power_reduce(before, delta)) is not None:
             b_binomials[-1, after.base] += after.exponent
         elif e < 0:
             a_parts[base] = -e
-        elif (poly := ws.expand(before, delta)) is not None:
-            b_others.append(poly)
         else:
             raise SplitFailed(f"numerator (1-q^{base})^{e} is not supported on {delta}Z")
 
     for tail in ws.tails:
         if _structurally_supported(tail, delta):
-            b_others.append(tail)
+            b_tails.append(tail)
         elif (moved := ws.power_reduce(tail, delta)) is not None:
-            b_others.append(moved)
+            b_tails.append(moved)
         else:
             raise SplitFailed(f"tail {tail} cannot be supported on {delta}Z")
-
-    for poly in ws.polys:
-        if not _structurally_supported(poly, delta):
-            raise SplitFailed(f"polynomial {poly} is not supported on {delta}Z")
-        b_others.append(poly)
 
     if not a_parts:
         raise SplitFailed("no periodic head: every factor is delta-supported")
 
     a_multiset = PartMultiset(tuple(sorted(a_parts.items())))
     a_spec = a_multiset.to_product_spec()
-    b_spec = ProductSpec(tuple(_by_base(b_binomials)) + tuple(b_others))
+    b_spec = ProductSpec(tuple(_by_base(b_binomials)) + tuple(b_tails))
 
     for f in b_spec.factors:
         if not _structurally_supported(f, delta):

@@ -49,11 +49,9 @@ matter:
   one pass while (m-1)^2 * L < 2^50, else over limbs of residues whose
   width w satisfies (2^w-1)^2 * L < 2^50.  Each rounding is checked, and a
   product that is not exact raises instead of returning a value.
-- Series inverses, the denominator Q, and polynomial factors with negative
-  exponents use the same Newton inversion, whose step takes one cyclic
-  middle product and shares one transform of g between its two products.
-  A polynomial factor with a positive exponent is raised at its own degree
-  and applied by `_mul_poly` with s = 1.
+- Series inverses and the denominator Q use the same Newton inversion,
+  whose step takes one cyclic middle product and shares one transform of
+  g between its two products.
 
 A base offset js in such a tail only moves its start to start + j.  Tails
 with any other offset or an exponent that varies with n have no closed
@@ -230,39 +228,6 @@ class BinomialFactor:
 
 
 @dataclass(frozen=True)
-class PolyFactor:
-    """An explicit polynomial with nonzero constant term, raised to exponent."""
-
-    coeffs: tuple
-    exponent: int = 1
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs or coeffs[0] == 0:
-            raise InvalidParameter("polynomial factor needs a nonzero constant term")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def support(self):
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                terms.append(f"{c}q^{i}" if c != 1 else f"q^{i}")
-        body = "+".join(terms)
-        if self.exponent == 1:
-            return f"({body})"
-        return f"({body})^{self.exponent}"
-
-
-@dataclass(frozen=True)
 class TailFamily:
     """The infinite product over n >= start of (1 + sign*q^(scale*n+offset))^e(n)
     where e(n) = exp_scale*n + exp_offset.
@@ -311,9 +276,6 @@ class TailFamily:
         else:
             e = f"{self.exp_scale}n+{self.exp_offset}"
         return f"prod_{{n>={self.start}}}(1{s}q^{b})^{e}"
-
-
-Factor = BinomialFactor | PolyFactor | TailFamily
 
 
 def plus_to_minus(factor: BinomialFactor | TailFamily):
@@ -571,22 +533,6 @@ def _mul_poly(arr: np.ndarray, poly: np.ndarray, s: int, m: int) -> None:
         arr[s * lo : s * hi] = part[: s * (hi - lo)]
 
 
-def _apply_poly(arr, factor: PolyFactor, m) -> np.ndarray:
-    """arr times factor: a positive power is taken at its own degree and
-    applied by `_mul_poly` with no stride; a negative one through the
-    inverse."""
-    if factor.exponent == 0:
-        return arr
-    n = arr.size
-    poly = np.array([c % m for c in factor.coeffs[:n]], dtype=np.int64)
-    if factor.exponent < 0:
-        poly = _inverse(poly, n, m, shown=factor.coeffs[0])
-        return _mul_mod(arr, _pow_mod(poly, -factor.exponent, m, n), m, n)
-    size = min(n, (poly.size - 1) * factor.exponent + 1)
-    _mul_poly(arr, _pow_mod(poly, factor.exponent, m, size), 1, m)
-    return arr
-
-
 def _fold_parts(arr, step, base_min, m, distinct) -> None:
     """Multiply arr by the infinite product over the arithmetic progression
     {base_min, base_min+step, ...} of (1 - q^B)^-1 (distinct=False) or of
@@ -642,8 +588,8 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
     and the explicit factors of other tails are summed into one net
     exponent per base, and both they and the powers of E(q^s) are carried
     by `_frobenius`.  The powers of E(q^s) form the starting series;
-    polynomial factors and what is left of the tails are applied to it in
-    turn, then the net binomials."""
+    what is left of the other tails is folded into it, then the net
+    binomials are applied."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
     if length > _MAX_LENGTH:
@@ -651,7 +597,7 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
     m = modulus.value
     binomials = {}  # base -> net exponent of (1-q^base)
     euler = {}  # s -> net exponent of E(q^s)
-    others = []
+    folded = []
     minus = []
     for factor in spec.factors:
         plus = isinstance(factor, (BinomialFactor, TailFamily)) and factor.sign > 0
@@ -662,23 +608,17 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
         elif isinstance(factor, TailFamily) and not (factor.exp_scale or factor.offset % factor.scale):
             _add_euler_tail(factor, length, binomials, euler)
         elif isinstance(factor, TailFamily):
-            folded = _add_explicit_tail(factor, length, binomials)
-            if folded is not None:
-                others.append(folded)
-        elif isinstance(factor, PolyFactor):
-            others.append(factor)
+            rest = _add_explicit_tail(factor, length, binomials)
+            if rest is not None:
+                folded.append(rest)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
     euler = _frobenius(euler, modulus, length)
     arr = _euler_product(euler, length, m)
     stride = math.gcd(0, *euler)
-    for factor in others:
-        if isinstance(factor, PolyFactor):
-            arr = _apply_poly(arr, factor, m)
-            stride = math.gcd(stride, *factor.support())
-        else:
-            _fold_tail(arr, factor, m)
-            stride = math.gcd(stride, factor.scale, factor.base(factor.start))
+    for tail in folded:
+        _fold_tail(arr, tail, m)
+        stride = math.gcd(stride, tail.scale, tail.base(tail.start))
     arr = _apply_binomials(arr, _frobenius(binomials, modulus, length), m, stride)
     return ModSeries._of_reduced(modulus, arr)
 

@@ -5,7 +5,7 @@ only at the end, so it also witnesses reduce-at-every-step equivalence.
 
 import numpy as np
 
-from congcert import BinomialFactor, PolyFactor, ProductSpec, TailFamily
+from congcert import BinomialFactor, ProductSpec, TailFamily
 
 
 def materialize(spec: ProductSpec, length: int):
@@ -38,27 +38,6 @@ def _div_binomial(coeffs, sign, base):
     return out
 
 
-def _mul_poly(coeffs, poly):
-    out = [0] * len(coeffs)
-    for pos, v in enumerate(poly):
-        if v == 0:
-            continue
-        for k in range(pos, len(coeffs)):
-            out[k] += v * coeffs[k - pos]
-    return out
-
-
-def _div_poly(coeffs, poly):
-    assert poly[0] in (1, -1), "test oracle only divides by unit constant terms"
-    out = [0] * len(coeffs)
-    for k in range(len(coeffs)):
-        s = coeffs[k]
-        for j in range(1, min(k, len(poly) - 1) + 1):
-            s -= poly[j] * out[k - j]
-        out[k] = s * poly[0]
-    return out
-
-
 def brute_expand(spec: ProductSpec, length: int, modulus=None):
     """First `length` coefficients over Z, reduced mod `modulus` when given."""
     coeffs = [0] * length
@@ -70,12 +49,6 @@ def brute_expand(spec: ProductSpec, length: int, modulus=None):
                     coeffs = _mul_binomial(coeffs, f.sign, f.base)
                 else:
                     coeffs = _div_binomial(coeffs, f.sign, f.base)
-        elif isinstance(f, PolyFactor):
-            for _ in range(abs(f.exponent)):
-                if f.exponent > 0:
-                    coeffs = _mul_poly(coeffs, f.coeffs)
-                else:
-                    coeffs = _div_poly(coeffs, f.coeffs)
         else:
             raise AssertionError(f"unexpected factor {f!r}")
     if modulus is not None:

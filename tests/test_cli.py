@@ -408,7 +408,7 @@ class TestCommittedInstances:
         proved, failed = json.loads(out)
         assert (proved["family"], proved["status"]) == ("{0} == {2}", "PROVED")
         assert (proved["period"], proved["check_bound"]) == (6, 2)
-        assert proved["derivation"] == ["expand: (1-q^1)^6 -> (1+q^3+q^6) (mod 3)"]
+        assert proved["derivation"] == ["power-reduce: (1-q^1)^6 -> (1-q^3)^2 (mod 3)"]
         assert (failed["family"], failed["status"]) == ("{1} == 0", "COUNTEREXAMPLE")
         assert failed["witness"] == {"n": 1, "left_sum": 1, "right_sum": 0}
 
@@ -459,42 +459,77 @@ def test_inapplicable_instances_are_split_failed(instance_path):
         assert all(d["reason"].startswith("SplitFailed: ") for d in docs)
 
 
+def _verdict_runs(tmp_path):
+    """`certify --json` and text on every committed instance and on targets
+    the split rejects, and `search --json --filter-redundant` on the sweep
+    spaces and on one rejected target: each run's argv, exit code, stdout
+    and stderr."""
+    import contextlib
+
+    runs = []
+    instance_dir = TestCommittedInstances.INSTANCE_DIR
+    paths = [os.path.join(instance_dir, name) for name in sorted(os.listdir(instance_dir))]
+    for k, text in enumerate(INAPPLICABLE_INSTANCES):
+        paths.append(tmp_path / f"inapplicable_{k}.cfg")
+        paths[-1].write_text(text)
+    for path in paths:
+        runs.append(["certify", "--instance", str(path), "--json"])
+        runs.append(["certify", "--instance", str(path)])
+    for k, (prime, exponent, delta, target, max_terms) in enumerate(SWEEP_SPACES):
+        path = tmp_path / f"space_{k}.cfg"
+        path.write_text(f"prime = {prime}\nexponent = {exponent}\ndelta = {delta}\n"
+                        f"target = {target}\nmax_terms = {max_terms}\n")
+        runs.append(["search", "--instance", str(path), "--json", "--filter-redundant"])
+    rejected = ["search", "--instance", str(paths[-2]), "--json", "--filter-redundant"]
+    runs.append(rejected + ["--max-terms", "2"])
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(argv)
+        yield argv, code, out, err.getvalue()
+
+
+def _verdict_digest(runs) -> str:
+    import hashlib
+
+    records = [
+        f"{argv[0]} {os.path.basename(argv[2])} {argv[3:]}: exit {code}\n{out}{err}"
+        for argv, code, out, err in runs
+    ]
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
+
+
+def _without_derivation(out: str) -> str:
+    """A `--json` run's stdout with the "derivation" key taken out of every
+    document; the line `search` prints before the JSON is kept."""
+    head, bracket, body = out.partition("[")
+    if not bracket:
+        return out
+    docs = json.loads(bracket + body)
+    for doc in docs:
+        del doc["derivation"]
+    return head + json.dumps(docs, indent=2) + "\n"
+
+
 class TestVerdictDigest:
     def test_cli_verdict_digest(self, tmp_path):
-        # `certify --json` and text on every committed instance and on targets
-        # the split rejects, and `search --json --filter-redundant` on the
-        # sweep spaces and on one rejected target: exit code, stdout and
-        # stderr of each.  Any change to a verdict, witness, bound, reason or
-        # error message changes the digest.
-        import contextlib
-        import hashlib
-        import os
+        # Any change to a verdict, witness, bound, reason, derivation or
+        # error message changes the digest; re-recorded when power-reduce
+        # replaced the polynomial expand step, which changed only
+        # derivations.
+        assert _verdict_digest(_verdict_runs(tmp_path)) == "de24de59876d3555"
 
-        runs = []
-        instance_dir = TestCommittedInstances.INSTANCE_DIR
-        paths = [os.path.join(instance_dir, name) for name in sorted(os.listdir(instance_dir))]
-        for k, text in enumerate(INAPPLICABLE_INSTANCES):
-            paths.append(tmp_path / f"inapplicable_{k}.cfg")
-            paths[-1].write_text(text)
-        for path in paths:
-            runs.append(["certify", "--instance", str(path), "--json"])
-            runs.append(["certify", "--instance", str(path)])
-        for k, (prime, exponent, delta, target, max_terms) in enumerate(SWEEP_SPACES):
-            path = tmp_path / f"space_{k}.cfg"
-            path.write_text(f"prime = {prime}\nexponent = {exponent}\ndelta = {delta}\n"
-                            f"target = {target}\nmax_terms = {max_terms}\n")
-            runs.append(["search", "--instance", str(path), "--json", "--filter-redundant"])
-        rejected = ["search", "--instance", str(paths[-2]), "--json", "--filter-redundant"]
-        runs.append(rejected + ["--max-terms", "2"])
-        records = []
-        for argv in runs:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code, out = run(argv)
-            name = os.path.basename(argv[2])
-            records.append(f"{argv[0]} {name} {argv[3:]}: exit {code}\n{out}{err.getvalue()}")
-        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "e1df17af226a6c83"
+    def test_cli_verdict_digest_without_derivations(self, tmp_path):
+        # The same runs with no derivation in the JSON, recorded before
+        # power-reduce replaced the polynomial expand step: a change to how
+        # a rewrite
+        # is written leaves it alone, any change to a verdict, witness,
+        # bound, reason or error message changes it.
+        runs = [
+            (argv, code, _without_derivation(out) if "--json" in argv else out, err)
+            for argv, code, out, err in _verdict_runs(tmp_path)
+        ]
+        assert _verdict_digest(runs) == "fa4f2f0b0e04e320"
 
 
 class TestUsage:

@@ -26,7 +26,6 @@ from congcert.series import (
     BinomialFactor,
     ModSeries,
     Modulus,
-    PolyFactor,
     ProductSpec,
     TailFamily,
     series_from_spec,
@@ -163,8 +162,6 @@ CHECKS = {
     "series-empty": (lambda: ModSeries(MOD2, []), InvalidParameter,
                      "a series stores at least one coefficient"),
     "binomial-sign": (lambda: BinomialFactor(0, 1, 1), InvalidParameter, "sign must be +1 or -1"),
-    "poly-constant": (lambda: PolyFactor((0, 1)), InvalidParameter,
-                      "polynomial factor needs a nonzero constant term"),
     "tail-sign": (lambda: TailFamily(sign=0, start=1, exp_offset=-1), InvalidParameter,
                   "sign must be +1 or -1"),
     "tail-scale": (lambda: TailFamily(sign=-1, start=1, exp_offset=-1, scale=0), InvalidParameter,

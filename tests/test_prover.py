@@ -218,6 +218,56 @@ class TestSoundnessDrill:
         assert drill.ok, drill.failure
 
 
+# Positive powers of degree past the split's validation length, whose
+# reduction lands on delta multiples: (target, modulus, delta, head, degree
+# bound, reason, [(left, right, status, witness)]).
+PAST_VALIDATION_LENGTH = [
+    (
+        ProductSpec((BinomialFactor(1, 1, 2000), BinomialFactor(-1, 1, -1))), MOD2, 2, "1", 1,
+        None,
+        [
+            ((0,), (), COUNTEREXAMPLE, (0, 1, 0)),
+            ((1,), (), COUNTEREXAMPLE, (0, 1, 0)),
+            ((0,), (1,), PROVED, None),
+        ],
+    ),
+    (
+        ProductSpec((BinomialFactor(-1, 1, 10**30), BinomialFactor(-1, 2, -1))), MOD2, 2, None,
+        None, "SplitFailed: no periodic head: every factor is delta-supported",
+        [((0,), (1,), INAPPLICABLE, None)],
+    ),
+    (
+        ProductSpec((BinomialFactor(1, 3, 1000), BinomialFactor(-1, 1, -2))), MOD4, 4, "1^2", 2,
+        None,
+        [
+            ((0,), (), COUNTEREXAMPLE, (0, 1, 0)),
+            ((3,), (), PROVED, None),
+            ((0,), (1,), COUNTEREXAMPLE, (0, 1, 2)),
+            ((0,), (2,), COUNTEREXAMPLE, (0, 1, 3)),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,modulus,delta,head,degree_bound,reason,families",
+    PAST_VALIDATION_LENGTH,
+    ids=["plus-2000-mod2", "minus-1e30-mod2", "plus-1000-mod4"],
+)
+def test_positive_power_has_no_length_limit(spec, modulus, delta, head, degree_bound, reason, families):
+    # power-reduce takes a positive power to B whatever its degree, and every
+    # verdict agrees with the direct check to n = 50
+    target = GFKind.from_raw(spec)
+    for left, right, status, witness in families:
+        family = CongruenceFamily(delta, left, right, modulus)
+        cert = certify(target, family)
+        assert (cert.status, cert.witness, cert.reason) == (status, witness, reason)
+        got_head = None if cert.a_multiset is None else str(cert.a_multiset)
+        assert (got_head, cert.degree_bound) == (head, degree_bound)
+        if status != INAPPLICABLE:
+            assert spot_check(target, family, 50).failure == witness
+
+
 def _raw_target(rng, modulus, delta):
     """A raw product of 1-4 binomials of either sign, sometimes times one
     constant-exponent tail, with bases and exponents drawn near the shapes

@@ -13,7 +13,6 @@ from congcert import (
     Modulus,
     ModulusMismatch,
     NonUnitConstantTerm,
-    PolyFactor,
     ProductSpec,
     TailFamily,
     coefficient,
@@ -83,10 +82,6 @@ class TestFromSpec:
         s = expand(spec, BIG, 5)
         assert list(s) == [1, 2, 4, 8, 14]
         assert coefficient(s, 4) == 14
-
-    def test_rejects_non_unit_poly_inverse(self):
-        with pytest.raises(NonUnitConstantTerm):
-            expand([PolyFactor((2, 1), exponent=-1)], MOD4, 8)
 
 
 class TestArithmetic:
@@ -160,15 +155,12 @@ def random_spec(rng, max_factors=5):
     factors = []
     for _ in range(rng.randint(0, max_factors)):
         kind = rng.random()
-        if kind < 0.55:
+        if kind < 0.7:
             factors.append(
                 BinomialFactor(
                     rng.choice([1, -1]), rng.randint(1, 8), rng.choice([-3, -2, -1, 1, 2, 3])
                 )
             )
-        elif kind < 0.75:
-            coeffs = [rng.choice([1, -1])] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 4))]
-            factors.append(PolyFactor(tuple(coeffs), rng.choice([-1, 1, 2])))
         else:
             factors.append(
                 TailFamily(
@@ -193,20 +185,6 @@ class TestAgainstBruteForce:
             got = list(series_from_spec(spec, modulus, length))
             want = brute_expand(spec, length, modulus.value)
             assert got == want, f"{spec} mod {modulus} len {length}"
-
-    @pytest.mark.parametrize("modulus", [MOD5, Modulus(2, 3), Modulus(3, 2)], ids=str)
-    def test_positive_polynomial_powers_match_dense_expansion(self, modulus):
-        # a power e >= 3 is built by squaring, and a square can be shorter
-        # than the power asked for: (1+2q+2q^2)^3 squares to 5 of its 7
-        # coefficients, and `_mul_mod` pads the rest with zeros
-        for coeffs in [(1, 2, 2), (1, -1, 0, 3), (2, 1)]:
-            for e in (3, 4, 5):
-                for rest in [(), (BinomialFactor(-1, 2, -3),)]:
-                    spec = ProductSpec((PolyFactor(coeffs, e),) + rest)
-                    for length in (1, 5, 7, 8, 40):
-                        got = list(series_from_spec(spec, modulus, length))
-                        want = brute_expand(spec, length, modulus.value)
-                        assert got == want, f"{spec} mod {modulus} len {length}"
 
     @pytest.mark.parametrize(
         "modulus", [MOD2, MOD4, MOD3, Modulus(5, 2), Modulus(2, 30)], ids=str
@@ -686,7 +664,7 @@ ROUTES = {
 
 def _route_spec(rng):
     """Net binomials with |e| <= 80 and bases <= 60, sometimes on top of an
-    Euler-shaped tail or a polynomial factor."""
+    Euler-shaped tail."""
     factors = [
         BinomialFactor(
             rng.choice([1, -1]), rng.randint(1, 60), rng.choice([-1, 1]) * rng.randint(1, 80)
@@ -696,8 +674,6 @@ def _route_spec(rng):
     if rng.random() < 0.3:
         sign, start = rng.choice([1, -1]), rng.randint(1, 3)
         factors.append(TailFamily(sign=sign, start=start, exp_offset=rng.choice([-2, -1, 1])))
-    if rng.random() < 0.2:
-        factors.append(PolyFactor((1, rng.randint(-2, 2), 0, 1), rng.choice([-1, 2])))
     return ProductSpec(tuple(factors))
 
 
@@ -864,8 +840,8 @@ class TestSectionedProduct:
         assert got == series_from_spec(spec, Modulus(prime, 1), 4000)
 
     def test_strided_specs_match_unit_passes(self, monkeypatch):
-        # Euler tails of scale s and polynomials on sZ keep the series on a
-        # stride; the unit passes are the reference
+        # Euler tails of scale s keep the series on a stride; the unit
+        # passes are the reference
         import congcert.series as series
 
         rng = random.Random(1313)
@@ -874,11 +850,6 @@ class TestSectionedProduct:
             s = rng.randint(2, 9)
             sign, e = rng.choice([1, -1]), rng.choice([-3, -1, 2])
             factors = [TailFamily(sign=sign, start=1, exp_offset=e, scale=s)]
-            if rng.random() < 0.3:  # 1 + c q^s
-                coeffs = (1,) + (0,) * (s - 1) + (rng.randint(1, 4),)
-                factors.append(PolyFactor(coeffs, rng.choice([-1, 2])))
-            if rng.random() < 0.2:  # 1 + c q, off the stride
-                factors.append(PolyFactor((1, rng.randint(1, 4)), rng.choice([-1, 2])))
             if rng.random() < 0.3:  # folded past sqrt(L): bases on sZ, or not
                 scale, offset = rng.choice([(s, 1), (2 * s, s)])
                 e = rng.choice([-1, 1])
@@ -909,10 +880,11 @@ class TestSectionedProduct:
 
 class TestExpansionDigest:
     def test_expansion_grid_digest(self):
-        # recorded before the blocked and sectioned products became one
-        # `_mul_poly`; any change to a coefficient on this grid changes the
-        # digest.  The ladder lengths put L/5 either side of the 8,192
-        # coefficients of a product block.
+        # any change to a coefficient on this grid changes the digest;
+        # recorded by running this generator, which no longer draws
+        # polynomial factors, on the kernel from before they were removed.
+        # The ladder lengths put L/5 either side of the 8,192 coefficients
+        # of a product block.
         import hashlib
 
         from congcert import GFKind, build_spec
@@ -934,7 +906,7 @@ class TestExpansionDigest:
             length = rng.choice([rng.randint(1, 2000), rng.randint(2000, 20000)])
             got = series_from_spec(spec, rng.choice(moduli), length)
             h.update(got.array().astype("<i8").tobytes())
-        assert h.hexdigest()[:16] == "defcde0a579fc82a"
+        assert h.hexdigest()[:16] == "5e16789158bb47c3"
 
 
     def test_ladder_spot_check_digest(self):

@@ -9,10 +9,10 @@ The split produces:
        vanish mod ell^N away from multiples of delta for ALL indices, not
        only the numerically checked prefix.
 
-Numeric guards, mod ell^N to the validation length, check each peel, ratio
-and power-reduce step, B's support and A*B against the input.  A failed
-guard raises RuleValidationFailed, never a verdict; a target that does not
-split raises SplitFailed.
+Numeric guards, mod ell^N to the validation length, check each peel and
+power-reduce step, B's support and A*B against the input.  A failed guard
+raises RuleValidationFailed, never a verdict; a target that does not split
+raises SplitFailed.
 
 `split_AB` rewrites by two `_Workspace` steps:
   power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
@@ -22,13 +22,16 @@ split raises SplitFailed.
   plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
                    the identity is `series.plus_to_minus`, which expansion
                    also applies to every plus factor (so it has no guard).
-It also peels tails into explicit factors and, mod 2^N, cancels matching
-plus/minus tail pairs (the ratio rule).
+It peels tails into explicit factors, then makes one pass over the factors
+merged by shape, least first: a factor on delta*Z goes to B; a plus factor
+goes to B by power-reduce when it is a positive power that lands there, else
+to two minus factors; a minus tail is reduced as far as it goes and merged
+back; a minus binomial goes to B by power-reduce, else to A, and a numerator
+fails the split.  So a plus/minus tail pair cancels as binomials do.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -171,34 +174,56 @@ def build_spec(kind: GFKind) -> ProductSpec:
 # rewrite machinery
 
 
+# The inventory keys a factor by its shape, as a plain tuple that sorts in
+# the split's pass order: binomials before tails, each by first base, plus
+# before minus.  A binomial is (0, base, minus), a constant-exponent tail
+# (1, first base, minus, scale, offset, start), with minus = sign < 0.
+# Every rewrite of the pass adds only shapes later in that order.
+
+
+def _shape(factor):
+    """A factor's inventory key and net exponent."""
+    if isinstance(factor, BinomialFactor):
+        return (0, factor.base, factor.sign < 0), factor.exponent
+    first = factor.base(factor.start)
+    return (1, first, factor.sign < 0, factor.scale, factor.offset, factor.start), factor.exp_offset
+
+
+def _factor(key, exponent):
+    sign = -1 if key[2] else 1
+    if key[0] == 0:
+        return BinomialFactor(sign, key[1], exponent)
+    _, _, _, scale, offset, start = key
+    return TailFamily(sign=sign, start=start, exp_offset=exponent, scale=scale, offset=offset)
+
+
+def _merge(inventory: dict, factor) -> None:
+    """Add a factor's exponent to its shape's, dropping a shape that cancels."""
+    key, e = _shape(factor)
+    e += inventory.pop(key, 0)
+    if e:
+        inventory[key] = e
+
+
 @dataclass
 class _Workspace:
-    """Mutable factor inventory during a split, and the rewrite steps on it.
-    A step records its rewrite, validated by `apply_rule` except for
-    plus-to-minus, and returns the new factor(s), or None if none applies."""
+    """The factors of a split, merged by shape (key -> net exponent), and
+    the rewrite steps on them.  A step records its rewrite, validated by
+    `apply_rule` except for plus-to-minus, and returns the new factor(s),
+    or None if none applies."""
 
     modulus: Modulus
     validation_length: int
-    binomials: dict = field(default_factory=dict)  # (sign, base) -> exponent
-    tails: list = field(default_factory=list)
+    inventory: dict = field(default_factory=dict)
     derivation: list = field(default_factory=list)
-
-    def add_binomial(self, factor: BinomialFactor, times: int = 1):
-        key = (factor.sign, factor.base)
-        e = self.binomials.get(key, 0) + times * factor.exponent
-        if e == 0:
-            self.binomials.pop(key, None)
-        else:
-            self.binomials[key] = e
 
     def load(self, spec: ProductSpec):
         for f in spec.factors:
-            if isinstance(f, BinomialFactor):
-                self.add_binomial(f)
-            elif isinstance(f, TailFamily):
-                self.tails.append(f)
-            else:
+            if isinstance(f, TailFamily) and f.exp_scale != 0:
+                raise SplitFailed(f"tail {f} has a base-dependent exponent; no finite head exists")
+            if not isinstance(f, (BinomialFactor, TailFamily)):
                 raise InvalidParameter(f"unknown factor type {type(f).__name__}")
+            _merge(self.inventory, f)
 
     def apply_rule(self, label, before, after):
         """Record a rewrite after confirming both sides expand identically."""
@@ -225,17 +250,6 @@ class _Workspace:
         doubled, inverse = plus_to_minus(factor)
         self.derivation.append(f"plus-to-minus: {factor} -> {doubled} * {inverse}")
         return doubled, inverse
-
-
-def _by_base(binomials: dict) -> list:
-    """Binomial factors from (sign, base) -> exponent, zero exponents dropped,
-    by base with ties in insertion order: a snapshot, so the caller may
-    change the dict while iterating."""
-    return [
-        BinomialFactor(sign, base, e)
-        for (sign, base), e in sorted(binomials.items(), key=lambda kv: kv[0][1])
-        if e
-    ]
 
 
 def _max_base(spec: ProductSpec) -> int:
@@ -303,9 +317,7 @@ def validate_B_certificate(
 def _structurally_supported(factor, delta: int) -> bool:
     if isinstance(factor, BinomialFactor):
         return factor.base % delta == 0
-    if isinstance(factor, TailFamily):
-        return factor.scale % delta == 0 and factor.offset % delta == 0
-    return False
+    return factor.scale % delta == 0 and factor.offset % delta == 0
 
 
 def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
@@ -321,127 +333,71 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     ws.load(spec)
     ell, N = modulus.prime, modulus.exponent
 
-    for tail in ws.tails:
-        if tail.exp_scale != 0:
-            raise SplitFailed(
-                f"tail {tail} has a base-dependent exponent; no finite head exists"
-            )
-
     # Peel enough of every tail that plus-factor rewrites find their partners:
     # (1+q^j) pairs with base 2j, so materialize tail factors up to twice the
     # largest explicit plus base.
-    plus_bases = [b for (s, b) in ws.binomials if s > 0 and b % delta != 0]
+    plus_bases = [b for kind, b, minus, *_ in ws.inventory if kind == 0 and not minus and b % delta]
     peel_to = 2 * max(plus_bases, default=0)
-    if peel_to and ws.tails:
-        peeled = []
-        for tail in ws.tails:
-            n = tail.start
-            explicit = []
-            while tail.base(n) <= peel_to:
-                explicit.append(BinomialFactor(tail.sign, tail.base(n), tail.exp_offset))
-                n += 1
-            if explicit:
-                moved = replace(tail, start=n)
-                ws.apply_rule(
-                    f"peel: {tail} -> {' '.join(str(f) for f in explicit)} * {moved}",
-                    [tail],
-                    explicit + [moved],
-                )
-                for f in explicit:
-                    ws.add_binomial(f)
-                tail = moved
-            peeled.append(tail)
-        ws.tails = peeled
+    for key in sorted(key for key in ws.inventory if key[0] == 1 and key[1] <= peel_to):
+        tail = _factor(key, ws.inventory.pop(key))
+        n = tail.start
+        explicit = []
+        while tail.base(n) <= peel_to:
+            explicit.append(BinomialFactor(tail.sign, tail.base(n), tail.exp_offset))
+            n += 1
+        moved = replace(tail, start=n)
+        ws.apply_rule(
+            f"peel: {tail} -> {' '.join(str(f) for f in explicit)} * {moved}",
+            [tail],
+            explicit + [moved],
+        )
+        for f in explicit + [moved]:
+            _merge(ws.inventory, f)
 
-    # Tail ratio rule: over a 2-power modulus, (1+q^n)^e/(1-q^n)^e = 1 whenever
-    # 2^(N-1) divides e, because ((1+q^n)/(1-q^n))^(2^(N-1)) = (1+2x)^(2^(N-1))
-    # with x = q^n/(1-q^n).
-    if ell == 2:
-        unit_exp = 2 ** (N - 1)
-        remaining = []
-        by_shape = {}
-        for tail in ws.tails:
-            key = (tail.scale, tail.offset, tail.start)
-            by_shape.setdefault(key, []).append(tail)
-        for key, group in by_shape.items():
-            plus = [t for t in group if t.sign > 0 and t.exp_offset > 0]
-            minus = [t for t in group if t.sign < 0 and t.exp_offset < 0]
-            if (
-                len(group) == 2
-                and len(plus) == 1
-                and len(minus) == 1
-                and plus[0].exp_offset == -minus[0].exp_offset
-                and plus[0].exp_offset % unit_exp == 0
-            ):
-                ws.apply_rule(
-                    f"ratio: {plus[0]} * {minus[0]} -> 1 (mod {modulus})",
-                    [plus[0], minus[0]],
-                    [],
-                )
-            else:
-                remaining.extend(group)
-        ws.tails = remaining
-
-    # Surviving plus tails become minus tails.
-    minus_tails = []
-    for tail in ws.tails:
-        minus_tails.extend(ws.plus_to_minus(tail) if tail.sign > 0 else (tail,))
-    ws.tails = minus_tails
-
-    # B's binomials are summed as they are produced, so exact cancellations
-    # inside B merge; its tails keep their order.
-    b_binomials = Counter()
-    b_tails = []
-
-    # Explicit plus factors: keep when already on delta-multiples, reduce a
-    # positive power onto them when the reduction lands there, else move them
-    # to minus factors.  The reduction stops at the smallest base the
-    # kernel's carry keeps, so it lands on delta*Z exactly when every base
-    # of that carry does.
-    for factor in _by_base(ws.binomials):
-        if factor.sign < 0:
-            continue
-        ws.add_binomial(factor, -1)
-        if factor.base % delta == 0:
-            b_binomials[factor.sign, factor.base] += factor.exponent
-        elif factor.exponent > 0 and (after := ws.power_reduce(factor, delta)) is not None:
-            b_binomials[after.sign, after.base] += after.exponent
-        else:
-            for f in ws.plus_to_minus(factor):
-                ws.add_binomial(f)
-
-    # Classify minus factors, the only binomials the plus loop leaves: head
-    # denominators stay in A unless a reduction lands them on delta-multiples.
-    # Explicit denominators reduce only when the exponent is a pure prime
-    # power, preserving the head shapes used by the worked decompositions;
-    # numerators and tails must land in B or the split fails.
+    # One pass, least shape first, so each shape has merged all it will
+    # receive when it is taken.  B is a second inventory.
     a_parts = {}
-    for before in _by_base(ws.binomials):
-        base, e = before.base, before.exponent
-        pure_power = abs(e) == ell ** ord_prime(abs(e), ell)
-        if base % delta == 0:
-            b_binomials[-1, base] += e
-        elif (N > 1 or pure_power or e > 0) and (after := ws.power_reduce(before, delta)) is not None:
-            b_binomials[-1, after.base] += after.exponent
+    b = {}
+    while ws.inventory:
+        key = min(ws.inventory)
+        e = ws.inventory.pop(key)
+        factor = _factor(key, e)
+        if _structurally_supported(factor, delta):
+            _merge(b, factor)
+        elif factor.sign > 0:
+            # a positive power goes to B when its reduction lands on delta*Z:
+            # that stops at the smallest base the kernel's carry keeps, so
+            # it does when every base of that carry does
+            if e > 0 and (after := ws.power_reduce(factor, delta)) is not None:
+                _merge(b, after)
+            else:
+                for f in ws.plus_to_minus(factor):
+                    _merge(ws.inventory, f)
+        elif isinstance(factor, TailFamily):
+            # reduced as far as it goes, and taken again after what merges
+            # into its new shape
+            if (after := ws.power_reduce(factor, 1)) is None:
+                raise SplitFailed(f"tail {factor} cannot be supported on {delta}Z")
+            _merge(ws.inventory, after)
+        # Head denominators stay in A unless a reduction lands them on
+        # delta-multiples; they reduce only when the exponent is a pure prime
+        # power, preserving the head shapes of the worked decompositions.
+        # A numerator must land in B or the split fails.
+        elif (N > 1 or e > 0 or -e == ell ** ord_prime(-e, ell)) and (
+            after := ws.power_reduce(factor, delta)
+        ) is not None:
+            _merge(b, after)
         elif e < 0:
-            a_parts[base] = -e
+            a_parts[factor.base] = -e
         else:
-            raise SplitFailed(f"numerator (1-q^{base})^{e} is not supported on {delta}Z")
-
-    for tail in ws.tails:
-        if _structurally_supported(tail, delta):
-            b_tails.append(tail)
-        elif (moved := ws.power_reduce(tail, delta)) is not None:
-            b_tails.append(moved)
-        else:
-            raise SplitFailed(f"tail {tail} cannot be supported on {delta}Z")
+            raise SplitFailed(f"numerator {factor} is not supported on {delta}Z")
 
     if not a_parts:
         raise SplitFailed("no periodic head: every factor is delta-supported")
 
     a_multiset = PartMultiset(tuple(sorted(a_parts.items())))
     a_spec = a_multiset.to_product_spec()
-    b_spec = ProductSpec(tuple(_by_base(b_binomials)) + tuple(b_tails))
+    b_spec = ProductSpec(tuple(_factor(key, e) for key, e in sorted(b.items())))
 
     for f in b_spec.factors:
         if not _structurally_supported(f, delta):

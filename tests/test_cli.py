@@ -433,7 +433,7 @@ class TestCommittedInstances:
 
 
 # Targets the split rejects, each written as an instance with one family:
-# an unsupported numerator, and a ratio rule that cancels every factor.
+# an unsupported numerator, and plus and minus tails that cancel.
 INAPPLICABLE_INSTANCES = (
     "prime = 2\nexponent = 1\ndelta = 2\n"
     "target = raw: (1-q^1)^1 (1-q^3)^-1\nfamily = {0} == {1}\n",
@@ -514,10 +514,11 @@ def _without_derivation(out: str) -> str:
 class TestVerdictDigest:
     def test_cli_verdict_digest(self, tmp_path):
         # Any change to a verdict, witness, bound, reason, derivation or
-        # error message changes the digest; re-recorded when power-reduce
-        # replaced the polynomial expand step, which changed only
-        # derivations.
-        assert _verdict_digest(_verdict_runs(tmp_path)) == "de24de59876d3555"
+        # error message changes the digest; re-recorded when the split
+        # became one pass over factors merged by shape, which changed only
+        # derivations (a plus/minus tail pair now cancels by plus-to-minus
+        # and power-reduce).
+        assert _verdict_digest(_verdict_runs(tmp_path)) == "ddc19a4db5ca4bfc"
 
     def test_cli_verdict_digest_without_derivations(self, tmp_path):
         # The same runs with no derivation in the JSON, recorded before

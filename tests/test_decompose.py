@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -328,10 +330,17 @@ class TestDerivationSoundness:
         assert ws.derivation == []
 
     def test_split_records_validated_steps(self):
+        # the plus/minus tail pair cancels by the two rules the binomials
+        # take: plus-to-minus, then power-reduce of the merged minus tail
         dec = split_AB(build_spec(GFKind.overplane_rowed(4)), MOD4, 4)
-        assert dec.derivation, "expected a nonempty derivation"
-        assert any("ratio" in step for step in dec.derivation)
-        assert any("plus-to-minus" in step for step in dec.derivation)
+        assert any(
+            step.startswith("plus-to-minus: prod_{n>=7}(1+q^n)^4 -> ") for step in dec.derivation
+        )
+        assert (
+            "power-reduce: prod_{n>=7}(1-q^n)^-8 -> prod_{n>=7}(1-q^4n)^-2 (mod 2^2)"
+            in dec.derivation
+        )
+        assert not any(isinstance(f, TailFamily) for f in dec.b_spec.factors)
 
     def test_validation_against_independent_expansion(self):
         # A*B must equal the original by the brute-force dense expansion too
@@ -346,7 +355,7 @@ class TestDerivationSoundness:
 
 def _split_grid():
     """Named targets and offset tails of either sign over a few moduli and
-    deltas: between them they reach every split rewrite (peel, ratio,
+    deltas: between them they reach every split rewrite (peel,
     plus-to-minus, power-reduce of binomials and of tails)."""
     targets = [GFKind.plane_rowed(r) for r in (2, 3, 4, 5, 6)]
     targets += [GFKind.overplane_rowed(k) for k in (2, 3, 4)]
@@ -365,14 +374,16 @@ def _split_grid():
 
 
 def _split_record(target, modulus, delta, labels=True):
-    """The split's outcome as text; without `labels` it leaves out B and
-    the derivation, whose text depends on how a rewrite writes factors."""
+    """The split's outcome as text; without `labels` it leaves out B, the
+    derivation and the tail a "cannot be supported" reason names, whose
+    text depends on how a rewrite writes factors."""
     from congcert import CongcertError
 
     try:
         dec = split_AB(build_spec(target), modulus, delta)
     except CongcertError as exc:
-        return f"{target} mod {modulus} delta {delta}: {type(exc).__name__}: {exc}"
+        reason = str(exc) if labels else re.sub(r"^tail \S+ cannot", "tail cannot", str(exc))
+        return f"{target} mod {modulus} delta {delta}: {type(exc).__name__}: {reason}"
     if not labels:
         return (
             f"{target} mod {modulus} delta {delta}: A {dec.a_spec!r} "
@@ -387,26 +398,28 @@ def _split_record(target, modulus, delta, labels=True):
 class TestSplitDigest:
     def test_split_grid_digest(self):
         # any change to a spec, head, derivation or error message on this
-        # grid changes the digest; re-recorded when power-reduce replaced
-        # the polynomial expand step, which changed only B and derivations
-        # (the digest below, which leaves both out, did not change)
+        # grid changes the digest; re-recorded when the split became one
+        # pass over factors merged by shape, which changed only B, the
+        # derivations and the tail a "cannot be supported" reason names
+        # (the digest below, which leaves those out, did not change)
         import hashlib
 
         records = [_split_record(*case) for case in _split_grid()]
         assert len(records) == 280
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "51ea2f9a0e3edb62"
+        assert digest == "7ddb93baa869a339"
 
     def test_split_grid_verdict_digest(self):
-        # recorded before power-reduce replaced the polynomial expand step,
-        # with B and the derivation left out: a change to the form a rewrite
-        # gives B leaves it alone, any change to a head, A, the validation
-        # length or an error message on this grid changes it
+        # recorded before the split became one pass over factors merged by
+        # shape, with B, the derivation and the tail a "cannot be supported"
+        # reason names left out: a change to the form a rewrite gives a
+        # factor leaves it alone, any change to a head, A, the validation
+        # length or any other error message on this grid changes it
         import hashlib
 
         records = [_split_record(*case, labels=False) for case in _split_grid()]
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "42c0b65c7d4d77e6"
+        assert digest == "7665eb3009535c31"
 
     def test_every_inapplicable_is_split_failed(self):
         # INAPPLICABLE means only that the target does not split: on the grid
@@ -422,6 +435,84 @@ class TestSplitDigest:
                 assert cert.reason.startswith("SplitFailed: "), cert.reason
             outcomes[cert.status] += 1
         assert outcomes == {INAPPLICABLE: 216, "COUNTEREXAMPLE": 64}
+
+
+def _rewritten(spec):
+    """The same product written two other ways: its factors reversed, and
+    each constant exponent e with |e| >= 2 split between two factors of
+    its shape."""
+
+    def halves(f):
+        name = "exponent" if isinstance(f, BinomialFactor) else "exp_offset"
+        e = getattr(f, name)
+        if abs(e) < 2:
+            return (f,)
+        return dataclasses.replace(f, **{name: e // 2}), dataclasses.replace(f, **{name: e - e // 2})
+
+    return ProductSpec(spec.factors[::-1]), ProductSpec(tuple(h for f in spec.factors for h in halves(f)))
+
+
+def _split_outcome(spec, modulus, delta):
+    from congcert import CongcertError
+
+    try:
+        dec = split_AB(spec, modulus, delta)
+    except CongcertError as exc:
+        return type(exc).__name__, str(exc)
+    return dec.a_spec, dec.b_spec, dec.derivation
+
+
+class TestWrittenForm:
+    """A split sees only the net exponent of each factor shape, not how the
+    product is written."""
+
+    def test_grid_rewritten_two_ways(self):
+        for target, modulus, delta in _split_grid():
+            spec = build_spec(target)
+            want = _split_outcome(spec, modulus, delta)
+            for written in _rewritten(spec):
+                got = _split_outcome(written, modulus, delta)
+                assert got == want, (str(target), str(modulus), delta, str(written))
+
+    def test_one_tail_written_as_two(self):
+        from congcert import PROVED, CongruenceFamily, certify
+
+        head = (BinomialFactor(-1, 1, -1),)
+        for tails in ((-2,), (-1, -1)):
+            spec = ProductSpec(head + tuple(TailFamily(sign=-1, start=2, exp_offset=e) for e in tails))
+            cert = certify(GFKind.from_raw(spec), CongruenceFamily(2, (0,), (1,), MOD2))
+            assert cert.status == PROVED, (tails, cert.reason)
+
+
+class TestTailPairs:
+    def test_unequal_exponents_cancel_by_the_two_rules(self):
+        # raw: (1-q^1)^-1 (1+q^3)^1 tail((1+q^2n)^1, from=2)
+        # tail((1-q^2n)^-3, from=2) mod 2 at delta 4: plus-to-minus leaves
+        # the minus tail (1-q^2n)^-4, which power-reduce sends to 8Z
+        from congcert import COUNTEREXAMPLE, PROVED, CongruenceFamily, certify, spot_check
+
+        target = GFKind.from_raw(
+            ProductSpec(
+                (
+                    BinomialFactor(-1, 1, -1),
+                    BinomialFactor(1, 3, 1),
+                    TailFamily(sign=1, start=2, exp_offset=1, scale=2),
+                    TailFamily(sign=-1, start=2, exp_offset=-3, scale=2),
+                )
+            )
+        )
+        verdicts = {
+            ((3,), ()): (PROVED, None),
+            ((0,), (1,)): (PROVED, None),
+            ((1,), ()): (COUNTEREXAMPLE, (0, 1, 0)),
+        }
+        for (left, right), (status, witness) in verdicts.items():
+            family = CongruenceFamily(4, left, right, MOD2)
+            cert = certify(target, family)
+            assert str(cert.a_multiset) == "1 3 6^3"
+            assert (cert.period_used, cert.check_bound, cert.degree_bound) == (24, 6, 8)
+            assert (cert.status, cert.witness) == (status, witness)
+            assert spot_check(target, family, 200).failure == witness
 
 
 _FROBENIUS_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5]

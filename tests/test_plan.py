@@ -176,7 +176,8 @@ class TestGuardFailures:
 
     def test_wrong_plus_to_minus_is_caught_by_a_times_b(self, monkeypatch):
         # plus-to-minus has no guard of its own; a wrong pair that still
-        # splits (the inverse's exponent doubled) fails A*B = G
+        # splits (the inverse's exponent doubled) fails A*B = G.  At delta 2,
+        # since at delta 4 the wrong pair leaves a tail off 4Z: SplitFailed
         real = decompose.plus_to_minus
 
         def doubled_inverse(factor):
@@ -188,7 +189,7 @@ class TestGuardFailures:
         monkeypatch.setattr(decompose, "plus_to_minus", doubled_inverse)
         spec = build_spec(GFKind.overplane_rowed(4))
         with pytest.raises(RuleValidationFailed, match="^A\\*B differs"):
-            split_AB(spec, Modulus(2, 2), 4)
+            split_AB(spec, Modulus(2, 2), 2)
 
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")

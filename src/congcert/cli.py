@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -32,26 +31,12 @@ from .prover import (
     certify_all,
     spot_check,
 )
-from .search import DEFAULT_CANDIDATE_CAP, SearchSpace, enumerate_candidates, search_certified
-from .series import (
-    BinomialFactor,
-    Modulus,
-    ProductSpec,
-    TailFamily,
-    series_from_spec,
-)
+from .search import SearchSpace, enumerate_candidates, search_certified
+from .series import Modulus, series_from_spec
 
 # Unused here; bound so that perfbench/tracing.py, which wraps this
 # module-level name of this module, finds it.
 from .prover import certify  # noqa: F401
-
-_FACTOR_RE = re.compile(r"\(1([+-])q\^(\d+)\)\^(-?\d+)")
-_TAIL_RE = re.compile(
-    r"tail\(\(1([+-])q\^(?:(\d+)\*?n|n)(?:\+(\d+))?\)\^(-?\d+),\s*from=(\d+)\)"
-)
-_RESIDUES = r"\s*(?:\d+(?:\s*,\s*\d+)*\s*)?"  # comma-separated integers, or none
-_FAMILY_RE = re.compile(rf"^\{{({_RESIDUES})\}}\s*==\s*(\{{({_RESIDUES})\}}|0)$")
-_TARGET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 
 
 @dataclass(frozen=True)
@@ -63,81 +48,24 @@ class InstanceFile:
     target: GFKind
     families: tuple = ()
     max_terms: int | None = None
-    allow_zero_right: bool = True
     n_max: int | None = None
-    cap: int | None = None
 
 
-# The optional keys are InstanceFile's fields after `families`; each is an
-# integer unless its default is a bool.
+# The optional keys, each an integer, are InstanceFile's fields after `families`.
 _OPTIONAL = fields(InstanceFile)[4:]
-_BOOL_KEYS = {f.name for f in _OPTIONAL if isinstance(f.default, bool)}
 _KNOWN_KEYS = {"prime", "exponent", "delta", "target", "family"} | {f.name for f in _OPTIONAL}
 
 
-def _parse_raw_spec(text: str, where: str) -> ProductSpec:
-    factors = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TAIL_RE.match(text, pos)
-        if m:
-            sign = 1 if m.group(1) == "+" else -1
-            scale = int(m.group(2)) if m.group(2) else 1
-            offset = int(m.group(3)) if m.group(3) else 0
-            exponent = int(m.group(4))
-            start = int(m.group(5))
-            try:
-                factors.append(
-                    TailFamily(sign=sign, start=start, exp_offset=exponent, scale=scale, offset=offset)
-                )
-            except InvalidParameter as exc:
-                raise SemanticError(f"{where}: {exc}") from None
-            pos = m.end()
-            continue
-        m = _FACTOR_RE.match(text, pos)
-        if m:
-            sign = 1 if m.group(1) == "+" else -1
-            try:
-                factors.append(BinomialFactor(sign, int(m.group(2)), int(m.group(3))))
-            except InvalidParameter as exc:
-                raise SemanticError(f"{where}: {exc}") from None
-            pos = m.end()
-            continue
-        raise ParseError(f"{where}: cannot parse factor at ...{text[pos:pos+24]!r}")
-    if not factors:
-        raise ParseError(f"{where}: empty raw product")
-    return ProductSpec(tuple(factors))
-
-
-def _parse_target(value: str, where: str) -> GFKind:
-    value = value.strip()
-    if value.startswith("raw:"):
-        return GFKind.from_raw(_parse_raw_spec(value[4:], where))
-    m = _TARGET_RE.match(value)
-    if not m:
-        raise ParseError(f"{where}: bad target {value!r}")
-    name, args = m.group(1), m.group(2)
-    if name == "multiset" and not args:
-        raise SemanticError(f"{where}: multiset target needs entries")
+def _parse(where: str, parse, *args):
+    """`parse(*args)`, a value's own parser, with `where` (`line N` or a
+    flag) before its message: text it cannot read stays a ParseError, a
+    value it refuses becomes a SemanticError."""
     try:
-        if name == "multiset":
-            return GFKind.from_multiset(PartMultiset.parse(args))
-        return GFKind(name, tuple(int(a) for a in args.split(",")) if args else ())
+        return parse(*args)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
     except InvalidParameter as exc:
         raise SemanticError(f"{where}: {exc}") from None
-    except ValueError:  # int() of a parameter
-        raise ParseError(f"{where}: {name} parameters must be integers, got {args!r}") from None
-
-
-def _parse_residues(text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.split(","))
 
 
 def parse_instance_file(text: str) -> InstanceFile:
@@ -169,11 +97,6 @@ def parse_instance_file(text: str) -> InstanceFile:
     for key, (line_no, value) in values.items():
         if key == "target":
             continue
-        if key in _BOOL_KEYS:
-            if value not in ("true", "false"):
-                raise ParseError(f"line {line_no}: {key} must be true or false")
-            parsed[key] = value == "true"
-            continue
         try:
             parsed[key] = int(value)
         except ValueError:
@@ -186,48 +109,14 @@ def parse_instance_file(text: str) -> InstanceFile:
     delta = parsed.pop("delta")
     if delta < 1:
         raise SemanticError("delta must be >= 1")
-    target = _parse_target(values["target"][1], f"line {values['target'][0]}")
-
-    families = []
-    for line_no, value in families_raw:
-        m = _FAMILY_RE.match(value)
-        if not m:
-            raise ParseError(f"line {line_no}: bad family {value!r}")
-        left = _parse_residues(m.group(1))
-        right = _parse_residues(m.group(3)) if m.group(3) is not None else ()
-        try:
-            families.append(CongruenceFamily(delta, left, right, modulus))
-        except InvalidParameter as exc:
-            raise SemanticError(f"line {line_no}: {exc}") from None
-
-    # what is left in `parsed` are the optional keys
-    return InstanceFile(modulus, delta, target, tuple(families), **parsed)
-
-
-def _render_multiset(multiset: PartMultiset) -> str:
-    return ",".join(
-        f"{v}:{mult}" if mult > 1 else str(v) for v, mult in multiset
+    line_no, value = values["target"]
+    target = _parse(f"line {line_no}", GFKind.parse, value)
+    families = tuple(
+        _parse(f"line {line_no}", CongruenceFamily.parse, value, delta, modulus)
+        for line_no, value in families_raw
     )
-
-
-def _render_factor(factor) -> str:
-    if isinstance(factor, BinomialFactor):
-        return str(factor)
-    if isinstance(factor, TailFamily) and factor.exp_scale == 0:
-        sign = "+" if factor.sign > 0 else "-"
-        base = "n" if factor.scale == 1 else f"{factor.scale}n"
-        if factor.offset:
-            base += f"+{factor.offset}"
-        return f"tail((1{sign}q^{base})^{factor.exp_offset}, from={factor.start})"
-    raise SemanticError(f"factor {factor} has no instance-file syntax")
-
-
-def _render_target(target: GFKind) -> str:
-    if target.name == "multiset":
-        return f"multiset({_render_multiset(target.multiset)})"
-    if target.name == "raw":
-        return "raw: " + " ".join(_render_factor(f) for f in target.spec.factors)
-    return str(target)
+    # what is left in `parsed` are the optional keys
+    return InstanceFile(modulus, delta, target, families, **parsed)
 
 
 def render_instance(instance: InstanceFile) -> str:
@@ -236,17 +125,18 @@ def render_instance(instance: InstanceFile) -> str:
         f"prime = {instance.modulus.prime}",
         f"exponent = {instance.modulus.exponent}",
         f"delta = {instance.delta}",
-        f"target = {_render_target(instance.target)}",
+        f"target = {instance.target}",
     ]
     lines += [f"family = {fam}" for fam in instance.families]
     for f in _OPTIONAL:
-        value = getattr(instance, f.name)
-        if value != f.default:
-            lines.append(f"{f.name} = {str(value).lower()}")  # a bool as true/false
+        if (value := getattr(instance, f.name)) is not None:
+            lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def certificate_doc(cert) -> dict:
+    """The JSON object of one certificate, as `certify --json` and
+    `search --json` print it."""
     doc = {
         "status": cert.status,
         "prime": cert.family.modulus.prime,
@@ -263,15 +153,8 @@ def certificate_doc(cert) -> dict:
         doc["witness"] = {"n": n, "left_sum": left_sum, "right_sum": right_sum}
     if cert.reason is not None:
         doc["reason"] = cert.reason
+    doc["degree_bound"] = cert.degree_bound
     return doc
-
-
-def _json_docs(certs) -> str:
-    """The JSON that `certify --json` and `search --json` print: each
-    certificate's `certificate_doc`, whose key set is fixed, followed by its
-    degree bound."""
-    docs = [certificate_doc(c) | {"degree_bound": c.degree_bound} for c in certs]
-    return json.dumps(docs, indent=2)
 
 
 def _print_certificate(cert, out):
@@ -362,7 +245,7 @@ def _cmd_expand(args, out) -> int:
     else:
         if args.target is None or args.prime is None:
             raise SemanticError("expand needs --instance or --target/--prime/--power")
-        target = _parse_target(args.target, "--target")
+        target = _parse("--target", GFKind.parse, args.target)
         modulus = Modulus(args.prime, args.power)
     series = series_from_spec(build_spec(target), modulus, args.length)
     print(",".join(str(c) for c in series), file=out)
@@ -375,7 +258,7 @@ def _cmd_certify(args, out) -> int:
         raise SemanticError("instance declares no families to certify")
     certs = certify_all(instance.target, instance.families)
     if args.json:
-        print(_json_docs(certs), file=out)
+        print(json.dumps([certificate_doc(c) for c in certs], indent=2), file=out)
     else:
         for cert in certs:
             _print_certificate(cert, out)
@@ -411,8 +294,6 @@ def _cmd_search(args, out) -> int:
         modulus=instance.modulus,
         delta=instance.delta,
         max_terms=max_terms,
-        allow_zero_right=instance.allow_zero_right,
-        candidate_cap=_given(args.cap, instance.cap, DEFAULT_CANDIDATE_CAP),
     )
     candidates = enumerate_candidates(space)
     print(f"candidates: {len(candidates)}", file=out)
@@ -422,7 +303,7 @@ def _cmd_search(args, out) -> int:
         candidates=candidates,
     )
     if args.json:
-        print(_json_docs(certs), file=out)
+        print(json.dumps([certificate_doc(c) for c in certs], indent=2), file=out)
     else:
         print(f"proved: {len(certs)}", file=out)
         for cert in certs:
@@ -509,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate and certify candidate families")
     p.add_argument("--instance", required=True)
     p.add_argument("--max-terms", type=int, dest="max_terms")
-    p.add_argument("--cap", type=int)
     p.add_argument("--filter-redundant", action="store_true")
     p.add_argument("--json", action="store_true")
 

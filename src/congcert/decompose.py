@@ -32,11 +32,12 @@ fails the split.  So a plus/minus tail pair cancels as binomials do.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParameter, RuleValidationFailed, SplitFailed
+from .errors import InvalidParameter, ParseError, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, ord_prime
 from .series import (
     BinomialFactor,
@@ -63,6 +64,9 @@ def _overplane_rowed(rows):
         TailFamily(sign=-1, start=rows, exp_offset=-rows),
     )
 
+
+# a target that is not `raw: ...`: a kind, with its parameters if it has any
+_TARGET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 
 # Each named target kind: the factors of its product from its integer
 # parameters, whose count is the kind's arity.  `multiset` and `raw` carry
@@ -108,8 +112,8 @@ class GFKind:
             raise InvalidParameter("plane_head needs a parameter >= 2")
         if self.name == "multiset" and (self.multiset is None or self.multiset.is_empty()):
             raise InvalidParameter("multiset target needs a nonempty multiset")
-        if self.name == "raw" and self.spec is None:
-            raise InvalidParameter("raw target needs a product spec")
+        if self.name == "raw" and (self.spec is None or not self.spec.factors):
+            raise InvalidParameter("raw target needs a product spec of at least one factor")
 
     @classmethod
     def partitions(cls):
@@ -150,6 +154,29 @@ class GFKind:
     @classmethod
     def from_raw(cls, spec: ProductSpec):
         return cls("raw", spec=spec)
+
+    @classmethod
+    def parse(cls, text: str) -> "GFKind":
+        """The target `str` prints: `name` or `name(p,...)` with integer
+        parameters, `multiset(...)` in `PartMultiset`'s syntax, or `raw: `
+        and a `ProductSpec`.  ParseError for text that is not a target,
+        InvalidParameter for a target its constructors refuse."""
+        text = text.strip()
+        if text.startswith("raw:"):
+            return cls.from_raw(ProductSpec.parse(text[4:]))
+        m = _TARGET_RE.match(text)
+        if not m:
+            raise ParseError(f"bad target {text!r}")
+        name, args = m.groups()
+        if name == "multiset":
+            if not args:
+                raise InvalidParameter("multiset target needs entries")
+            return cls.from_multiset(PartMultiset.parse(args))
+        try:
+            params = tuple(int(a) for a in args.split(",")) if args else ()
+        except ValueError:
+            raise ParseError(f"{name} parameters must be integers, got {args!r}") from None
+        return cls(name, params)
 
     def __str__(self):
         if self.name == "multiset":
@@ -208,9 +235,9 @@ def _merge(inventory: dict, factor) -> None:
 @dataclass
 class _Workspace:
     """The factors of a split, merged by shape (key -> net exponent), and
-    the rewrite steps on them.  A step records its rewrite, validated by
-    `apply_rule` except for plus-to-minus, and returns the new factor(s),
-    or None if none applies."""
+    the rewrite steps on them.  A step records its rewrite by `apply_rule`,
+    guarded except for plus-to-minus, and returns the new factor(s), or
+    None if none applies."""
 
     modulus: Modulus
     validation_length: int
@@ -220,20 +247,24 @@ class _Workspace:
     def load(self, spec: ProductSpec):
         for f in spec.factors:
             if isinstance(f, TailFamily) and f.exp_scale != 0:
-                raise SplitFailed(f"tail {f} has a base-dependent exponent; no finite head exists")
+                raise SplitFailed(f"{f} has a base-dependent exponent; no finite head exists")
             if not isinstance(f, (BinomialFactor, TailFamily)):
                 raise InvalidParameter(f"unknown factor type {type(f).__name__}")
             _merge(self.inventory, f)
 
-    def apply_rule(self, label, before, after):
-        """Record a rewrite after confirming both sides expand identically."""
-        lhs = series_from_spec(ProductSpec(tuple(before)), self.modulus, self.validation_length)
-        rhs = series_from_spec(ProductSpec(tuple(after)), self.modulus, self.validation_length)
-        if lhs != rhs:
-            raise RuleValidationFailed(
-                f"{label}: sides differ mod {self.modulus} within {self.validation_length} terms"
-            )
-        self.derivation.append(label)
+    def apply_rule(self, rule, before, after, guard=True):
+        """Record the step `rule: before -> after`, each side a product that
+        `ProductSpec.parse` reads, after the guard confirms that both sides
+        expand identically."""
+        before, after = ProductSpec(tuple(before)), ProductSpec(tuple(after))
+        step = f"{rule}: {before} -> {after}"
+        if guard:
+            lhs = series_from_spec(before, self.modulus, self.validation_length)
+            if lhs != series_from_spec(after, self.modulus, self.validation_length):
+                raise RuleValidationFailed(
+                    f"{step}: sides differ mod {self.modulus} within {self.validation_length} terms"
+                )
+        self.derivation.append(step)
 
     def power_reduce(self, factor, delta: int):
         """`_power_reduce` as a validated step; None when no step applies or
@@ -241,15 +272,15 @@ class _Workspace:
         after = _power_reduce(factor, self.modulus)
         if after is None or not _structurally_supported(after, delta):
             return None
-        self.apply_rule(f"power-reduce: {factor} -> {after} (mod {self.modulus})", [factor], [after])
+        self.apply_rule("power-reduce", [factor], [after])
         return after
 
     def plus_to_minus(self, factor):
         """`series.plus_to_minus` as a step: the pair (doubled, inverse).
-        Unvalidated: expansion makes the same call, so both sides agree."""
-        doubled, inverse = plus_to_minus(factor)
-        self.derivation.append(f"plus-to-minus: {factor} -> {doubled} * {inverse}")
-        return doubled, inverse
+        Unguarded: expansion makes the same call, so both sides agree."""
+        pair = plus_to_minus(factor)
+        self.apply_rule("plus-to-minus", [factor], pair, guard=False)
+        return pair
 
 
 def _max_base(spec: ProductSpec) -> int:
@@ -346,11 +377,7 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
             explicit.append(BinomialFactor(tail.sign, tail.base(n), tail.exp_offset))
             n += 1
         moved = replace(tail, start=n)
-        ws.apply_rule(
-            f"peel: {tail} -> {' '.join(str(f) for f in explicit)} * {moved}",
-            [tail],
-            explicit + [moved],
-        )
+        ws.apply_rule("peel", [tail], explicit + [moved])
         for f in explicit + [moved]:
             _merge(ws.inventory, f)
 
@@ -377,7 +404,7 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
             # reduced as far as it goes, and taken again after what merges
             # into its new shape
             if (after := ws.power_reduce(factor, 1)) is None:
-                raise SplitFailed(f"tail {factor} cannot be supported on {delta}Z")
+                raise SplitFailed(f"{factor} cannot be supported on {delta}Z")
             _merge(ws.inventory, after)
         # Head denominators stay in A unless a reduction lands them on
         # delta-multiples; they reduce only when the exponent is a pure prime

@@ -52,7 +52,8 @@ class ComplexityGuard(CongcertError):
 
 
 class ParseError(CongcertError, ValueError):
-    """Instance file is syntactically malformed."""
+    """Text is not in the instance syntax (an instance file, or a value's
+    `parse`)."""
 
 
 class SemanticError(CongcertError, ValueError):

@@ -36,7 +36,7 @@ class PartMultiset:
 
     @classmethod
     def parse(cls, text: str) -> "PartMultiset":
-        """Parse the CLI form 'v[:mult]' comma separated, e.g. '1,3:2,4:3'."""
+        """The form `str` prints: 'v[:mult]' comma separated, e.g. '1,3:2,4:3'."""
         pairs = []
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -77,9 +77,7 @@ class PartMultiset:
         return iter(self.entries)
 
     def __str__(self):
-        return " ".join(
-            str(v) if mult == 1 else f"{v}^{mult}" for v, mult in self.entries
-        )
+        return ",".join(str(v) if mult == 1 else f"{v}:{mult}" for v, mult in self.entries)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ expanded for what a reader checks by hand: the sums reported in a witness
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -38,13 +39,17 @@ from itertools import chain
 import numpy as np
 
 from .decompose import Decomposition, GFKind, build_spec, split_AB
-from .errors import InvalidParameter, RuleValidationFailed, SplitFailed
+from .errors import InvalidParameter, ParseError, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, kwong_period
 from .series import Modulus, ProductSpec, series_from_spec
 
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 INAPPLICABLE = "INAPPLICABLE"
+
+
+_RESIDUES = r"\s*(?:\d+(?:\s*,\s*\d+)*\s*)?"  # comma-separated integers, or none
+_FAMILY_RE = re.compile(rf"^\{{({_RESIDUES})\}}\s*==\s*(?:\{{({_RESIDUES})\}}|0)$")
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,17 @@ class CongruenceFamily:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
+    @classmethod
+    def parse(cls, text: str, delta: int, modulus: Modulus) -> "CongruenceFamily":
+        """The family `str` prints, `{a,...} == {b,...}` or `{a,...} == 0`,
+        on the progressions delta*n + r mod ell^N.  ParseError for text that
+        is not a family, InvalidParameter for one the constructor refuses."""
+        m = _FAMILY_RE.match(text)
+        if not m:
+            raise ParseError(f"bad family {text!r}")
+        left, right = m.groups()
+        return cls(delta, _residues(left), _residues(right), modulus)
+
     def weights(self) -> tuple:
         """Signed residue counts as a length-delta tuple: the family holds at n
         exactly when they weight the coefficients at delta*n + r to 0 mod ell^N."""
@@ -90,6 +106,11 @@ class CongruenceFamily:
         lhs = "{" + ",".join(str(a) for a in self.left) + "}"
         rhs = "{" + ",".join(str(b) for b in self.right) + "}" if self.right else "0"
         return f"{lhs} == {rhs}"
+
+
+def _residues(text: str | None) -> tuple:
+    """The integers of a comma-separated list; none when it is blank or absent."""
+    return tuple(int(r) for r in text.split(",")) if text and text.strip() else ()
 
 
 def _signed_counts(delta: int, left, right) -> list:

@@ -23,7 +23,8 @@ from .decompose import build_spec, split_AB  # noqa: F401
 from .periods import kwong_period  # noqa: F401
 from .series import series_from_spec  # noqa: F401
 
-DEFAULT_CANDIDATE_CAP = 10**6
+# `enumerate_candidates` raises SpaceTooLarge past this many candidates
+CANDIDATE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -38,37 +39,32 @@ class SearchSpace:
     modulus: Modulus
     delta: int
     max_terms: int
-    allow_zero_right: bool = True
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self):
         if self.delta < 1:
             raise InvalidParameter("delta must be >= 1")
         if self.max_terms < 1:
             raise InvalidParameter("max_terms must be >= 1")
-        if self.candidate_cap < 0:
-            raise InvalidParameter("candidate_cap must be >= 0")
 
 
 def enumerate_candidates(space: SearchSpace) -> list:
     """Every canonical family once: disjoint residue multisets, the
     lexicographically smaller side on the left, sizes summing to at most
     max_terms (an empty right side counting as one term)."""
-    delta, cap = space.delta, space.candidate_cap
+    delta = space.delta
     residues = range(delta)
     out = []
 
     def push(family):
-        if len(out) >= cap:
+        if len(out) >= CANDIDATE_CAP:
             raise SpaceTooLarge(
-                f"more than {cap} candidates; raise the cap to search this space"
+                f"more than {CANDIDATE_CAP} candidates; lower max_terms or delta"
             )
         out.append(family)
 
-    if space.allow_zero_right:
-        for size in range(1, space.max_terms):
-            for left in combinations_with_replacement(residues, size):
-                push(CongruenceFamily(delta, left, (), space.modulus))
+    for size in range(1, space.max_terms):
+        for left in combinations_with_replacement(residues, size):
+            push(CongruenceFamily(delta, left, (), space.modulus))
 
     for s in range(1, space.max_terms // 2 + 1):
         for t in range(s, space.max_terms - s + 1):

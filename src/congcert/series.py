@@ -66,6 +66,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +77,7 @@ from .errors import (
     InvalidParameter,
     ModulusMismatch,
     NonUnitConstantTerm,
+    ParseError,
 )
 
 # Keep m*m and m*rows inside int64 during convolution and cumulative sums.
@@ -260,22 +262,20 @@ class TailFamily:
         return self.exp_scale * n + self.exp_offset
 
     def __str__(self):
+        """`tail((1-q^4n+1)^-2, from=3)`, which `ProductSpec.parse` reads; an
+        exponent that varies with n (`-n` for `plane`) is printed in the same
+        shape but not read."""
         s = "+" if self.sign > 0 else "-"
-        if self.scale == 1 and self.offset == 0:
-            b = "n"
-        elif self.scale == 1:
-            b = f"n+{self.offset}"
-        elif self.offset == 0:
-            b = f"{self.scale}n"
-        else:
-            b = f"{self.scale}n+{self.offset}"
+        b = "n" if self.scale == 1 else f"{self.scale}n"
+        if self.offset:
+            b += f"+{self.offset}"
         if self.exp_scale == 0:
             e = str(self.exp_offset)
         elif self.exp_scale == -1 and self.exp_offset == 0:
             e = "-n"
         else:
             e = f"{self.exp_scale}n+{self.exp_offset}"
-        return f"prod_{{n>={self.start}}}(1{s}q^{b})^{e}"
+        return f"tail((1{s}q^{b})^{e}, from={self.start})"
 
 
 def plus_to_minus(factor: BinomialFactor | TailFamily):
@@ -291,6 +291,13 @@ def plus_to_minus(factor: BinomialFactor | TailFamily):
     return doubled, inverse
 
 
+# the factors of `ProductSpec.parse`, as their `__str__`s print them
+_BINOMIAL_RE = re.compile(r"\(1([+-])q\^(\d+)\)\^(-?\d+)")
+_TAIL_RE = re.compile(
+    r"tail\(\(1([+-])q\^(?:(\d+)\*?n|n)(?:\+(\d+))?\)\^(-?\d+),\s*from=(\d+)\)"
+)
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """A formal product of factors; expansion order never changes the result."""
@@ -299,6 +306,35 @@ class ProductSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+
+    @classmethod
+    def parse(cls, text: str) -> "ProductSpec":
+        """The factors `str` prints, separated by whitespace: binomials
+        `(1-q^3)^-3` and constant-exponent tails `tail((1+q^2n+1)^4, from=1)`.
+        ParseError for text that is not a product, InvalidParameter for a
+        factor that its constructor refuses."""
+        factors = []
+        pos = 0
+        text = text.strip()
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+            elif m := _TAIL_RE.match(text, pos):
+                sign, scale, offset, exponent, start = m.groups()
+                factors.append(TailFamily(
+                    sign=1 if sign == "+" else -1, start=int(start), exp_offset=int(exponent),
+                    scale=int(scale or 1), offset=int(offset or 0),
+                ))
+                pos = m.end()
+            elif m := _BINOMIAL_RE.match(text, pos):
+                sign, base, exponent = m.groups()
+                factors.append(BinomialFactor(1 if sign == "+" else -1, int(base), int(exponent)))
+                pos = m.end()
+            else:
+                raise ParseError(f"cannot parse factor at ...{text[pos:pos+24]!r}")
+        if not factors:
+            raise ParseError("empty raw product")
+        return cls(tuple(factors))
 
     def __mul__(self, other: "ProductSpec") -> "ProductSpec":
         return ProductSpec(self.factors + other.factors)

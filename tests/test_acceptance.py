@@ -165,7 +165,7 @@ def test_criterion_5_bounded_part_regressions(tmp_path):
 
 def test_criterion_6_search_reproduction():
     with _Timer("6 (two-rowed search reproduction)", 10.0):
-        space = SearchSpace(GFKind.plane_rowed(2), MOD2, 2, 2, allow_zero_right=True)
+        space = SearchSpace(GFKind.plane_rowed(2), MOD2, 2, 2)
         candidates = enumerate_candidates(space)
         assert len(candidates) == 3
         outcomes = {str(f): certify(space.target, f).status for f in candidates}

@@ -72,10 +72,10 @@ class TestParsing:
         assert parse_instance_file(render_instance(inst)) == inst
 
     def test_round_trip_with_options(self):
-        text = TWO_ROWED_SEARCH + "allow_zero_right = false\nn_max = 50\n"
+        text = TWO_ROWED_SEARCH + "n_max = 50\n"
         inst = parse_instance_file(text)
         assert parse_instance_file(render_instance(inst)) == inst
-        assert inst.max_terms == 2 and inst.n_max == 50 and not inst.allow_zero_right
+        assert inst.max_terms == 2 and inst.n_max == 50
 
     def test_round_trip_multiset_target(self):
         text = "prime = 3\nexponent = 1\ndelta = 4\ntarget = multiset(1,3:2,4:3)\n"
@@ -408,7 +408,7 @@ class TestCommittedInstances:
         proved, failed = json.loads(out)
         assert (proved["family"], proved["status"]) == ("{0} == {2}", "PROVED")
         assert (proved["period"], proved["check_bound"]) == (6, 2)
-        assert proved["derivation"] == ["power-reduce: (1-q^1)^6 -> (1-q^3)^2 (mod 3)"]
+        assert proved["derivation"] == ["power-reduce: (1-q^1)^6 -> (1-q^3)^2"]
         assert (failed["family"], failed["status"]) == ("{1} == 0", "COUNTEREXAMPLE")
         assert failed["witness"] == {"n": 1, "left_sum": 1, "right_sum": 0}
 
@@ -514,23 +514,43 @@ def _without_derivation(out: str) -> str:
 class TestVerdictDigest:
     def test_cli_verdict_digest(self, tmp_path):
         # Any change to a verdict, witness, bound, reason, derivation or
-        # error message changes the digest; re-recorded when the split
-        # became one pass over factors merged by shape, which changed only
-        # derivations (a plus/minus tail pair now cancels by plus-to-minus
-        # and power-reduce).
-        assert _verdict_digest(_verdict_runs(tmp_path)) == "ddc19a4db5ca4bfc"
+        # error message changes the digest; re-recorded when tails,
+        # multisets and derivation steps began to print in instance syntax,
+        # which changed printed forms only (`test_cli_verdict_value_digest`
+        # did not change).
+        assert _verdict_digest(_verdict_runs(tmp_path)) == "2b01e99c767f54d5"
 
     def test_cli_verdict_digest_without_derivations(self, tmp_path):
-        # The same runs with no derivation in the JSON, recorded before
-        # power-reduce replaced the polynomial expand step: a change to how
-        # a rewrite
-        # is written leaves it alone, any change to a verdict, witness,
-        # bound, reason or error message changes it.
+        # The same runs with no derivation in the JSON: a change to how a
+        # rewrite is written leaves it alone, any change to a verdict,
+        # witness, bound, reason or error message changes it.  Re-recorded
+        # when targets and head multisets began to print in instance syntax.
         runs = [
             (argv, code, _without_derivation(out) if "--json" in argv else out, err)
             for argv, code, out, err in _verdict_runs(tmp_path)
         ]
-        assert _verdict_digest(runs) == "fa4f2f0b0e04e320"
+        assert _verdict_digest(runs) == "9a4998488132b8b3"
+
+    def test_cli_verdict_value_digest(self, tmp_path):
+        # Values only, none of their printed forms: each run's exit code,
+        # whether it wrote to stderr, the text `search` prints before its
+        # JSON, and each JSON certificate's family, status, witness, period,
+        # check bound, degree bound and the exception type of its reason.
+        # Recorded before targets, multisets and derivation steps began to
+        # print in instance syntax.
+        import hashlib
+
+        records = []
+        for argv, code, out, err in _verdict_runs(tmp_path):
+            head, bracket, body = out.partition("[") if "--json" in argv else ("", "", "")
+            values = [
+                (d["family"], d["status"], d["witness"], d["period"], d["check_bound"],
+                 d["degree_bound"], d.get("reason", "").split(":")[0])
+                for d in (json.loads(bracket + body) if bracket else [])
+            ]
+            key = (argv[0], os.path.basename(argv[2]), argv[3:])
+            records.append(repr((*key, code, head, values, bool(err))))
+        assert hashlib.sha256("\n".join(records).encode()).hexdigest()[:16] == "d7506f1da9b0d680"
 
 
 class TestUsage:
@@ -555,7 +575,7 @@ class TestUsage:
         doc = certificate_doc(cert)
         assert set(doc) == {
             "status", "prime", "exponent", "delta", "family",
-            "period", "check_bound", "witness", "derivation",
+            "period", "check_bound", "witness", "derivation", "degree_bound",
         }
 
 
@@ -569,6 +589,18 @@ class TestRemovedKeys:
         code, out = run(["certify", "--instance", instance_path(THREE_ROWED + "validation_length = 500\n")])
         assert code == 2 and out == ""
         assert "unknown key 'validation_length'" in capsys.readouterr().err
+
+    def test_allow_zero_right_key_exits_two(self, capsys, instance_path):
+        # every search keeps its {a} == 0 families
+        path = instance_path(TWO_ROWED_SEARCH + "allow_zero_right = false\n")
+        code, out = run(["search", "--instance", path])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: line 6: unknown key 'allow_zero_right'\n"
+
+    def test_cap_flag_exits_two(self, instance_path):
+        # the candidate cap is the module constant search.CANDIDATE_CAP
+        code, out = run(["search", "--instance", instance_path(TWO_ROWED_SEARCH), "--cap", "10"])
+        assert code == 2 and out == ""
 
 
 class TestResourceFailures:
@@ -617,7 +649,6 @@ class TestExplicitZero:
             (["expand", "--target", "plane_rowed(4)", "--prime", "2", "--length", "0"],
              "length must be >= 1"),
             (["table", "--rows", "0"], "--rows must be >= 1"),
-            (["search", "--max-terms", "2", "--cap", "0"], "SpaceTooLarge: more than 0 candidates"),
             (["search", "--max-terms", "0"], "max_terms must be >= 1"),
             (["spot-check", "--n-max", "0"], "n_max must be >= 1"),
             (["oracle", "--counter", "maxpart", "--n", "5", "--m", "0"], "max_part must be >= 1"),
@@ -628,7 +659,7 @@ class TestExplicitZero:
             (["period", "--multiset", "1,2", "--prime", "2", "--empirical", "--window", "0"],
              "--window must be >= 2"),
         ],
-        ids=["length", "rows", "cap", "max-terms", "n-max", "m", "r", "k", "window"],
+        ids=["length", "rows", "max-terms", "n-max", "m", "r", "k", "window"],
     )
     def test_flag(self, argv, message, capsys, instance_path):
         if argv[0] in ("table", "search", "spot-check"):
@@ -653,7 +684,8 @@ class TestExplicitZero:
     @pytest.mark.parametrize(
         "key,argv,message",
         [
-            ("cap", ["search", "--max-terms", "2"], "SpaceTooLarge: more than 0 candidates"),
+            # the cap is the module constant search.CANDIDATE_CAP, not a key
+            ("cap", ["search", "--max-terms", "2"], "line 8: unknown key 'cap'"),
             ("max_terms", ["search"], "max_terms must be >= 1"),
             ("n_max", ["spot-check"], "n_max must be >= 1"),
         ],
@@ -705,11 +737,6 @@ class TestNonIntegerInput:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_negative_cap(self, capsys, instance_path):
-        code, out = run(["search", "--instance", instance_path(TWO_ROWED_SEARCH), "--cap", "-1"])
-        assert code == 2 and out == ""
-        assert capsys.readouterr().err == "error: candidate_cap must be >= 0\n"
-
 
 BARE = "prime = 3\nexponent = 1\ndelta = 3\ntarget = plane_rowed(3)\n"
 
@@ -735,7 +762,7 @@ class TestMalformedInput:
             (THREE_ROWED + "prime = 3\n", ["certify"], "line 8: duplicate key 'prime'"),
             (THREE_ROWED + "n_max = x\n", ["spot-check"], "line 8: n_max must be an integer"),
             (THREE_ROWED + "allow_zero_right = yes\n", ["search"],
-             "line 8: allow_zero_right must be true or false"),
+             "line 8: unknown key 'allow_zero_right'"),
             (THREE_ROWED.replace("delta = 3", "delta = 0"), ["certify"], "delta must be >= 1"),
             (THREE_ROWED + "family = {1} = {2}\n", ["certify"], "line 8: bad family '{1} = {2}'"),
             (BARE, ["certify"], "instance declares no families to certify"),

@@ -96,7 +96,7 @@ class TestReduceSpec:
         # where 4 no longer divides the exponent
         ws = _Workspace(MOD4, 500)
         assert ws.power_reduce(BinomialFactor(1, 3, 72), 12) == BinomialFactor(1, 12, 18)
-        assert ws.derivation == ["power-reduce: (1+q^3)^72 -> (1+q^12)^18 (mod 2^2)"]
+        assert ws.derivation == ["power-reduce: (1+q^3)^72 -> (1+q^12)^18"]
         # not on 24Z: no step, and no label
         assert ws.power_reduce(BinomialFactor(1, 3, 72), 24) is None
         assert len(ws.derivation) == 1
@@ -104,16 +104,17 @@ class TestReduceSpec:
     @pytest.mark.parametrize(
         "sign,modulus,want",
         [
-            (-1, MOD2, "prod_{n>=3}(1-q^4n+4)^-3"),
-            (-1, MOD4, "prod_{n>=3}(1-q^2n+2)^-6"),
-            (1, MOD3, "prod_{n>=3}(1+q^3n+3)^-4"),
+            (-1, MOD2, "tail((1-q^4n+4)^-3, from=3)"),
+            (-1, MOD4, "tail((1-q^2n+2)^-6, from=3)"),
+            (1, MOD3, "tail((1+q^3n+3)^-4, from=3)"),
         ],
+        ids=["minus-mod2", "minus-mod4", "plus-mod3"],
     )
     def test_tail_power_scales_every_base(self, sign, modulus, want):
         tail = TailFamily(sign=sign, start=3, exp_offset=-12, offset=1)
         ws = _Workspace(modulus, 500)
         assert str(ws.power_reduce(tail, 1)) == want
-        assert ws.derivation == [f"power-reduce: {tail} -> {want} (mod {modulus})"]
+        assert ws.derivation == [f"power-reduce: {tail} -> {want}"]
 
 
 class TestSplit:
@@ -210,7 +211,7 @@ class TestSplitBranches:
         assert str(dec.a_multiset) == "2"
         assert str(dec.a_spec) == "(1-q^2)^-1"
         assert str(dec.b_spec) == "(1-q^3)^2"
-        assert dec.derivation == ("power-reduce: (1-q^1)^6 -> (1-q^3)^2 (mod 3)",)
+        assert dec.derivation == ("power-reduce: (1-q^1)^6 -> (1-q^3)^2",)
 
     def test_supported_tail_goes_straight_to_B(self):
         tail = TailFamily(sign=-1, start=1, exp_offset=-1, scale=2)
@@ -333,12 +334,12 @@ class TestDerivationSoundness:
         # the plus/minus tail pair cancels by the two rules the binomials
         # take: plus-to-minus, then power-reduce of the merged minus tail
         dec = split_AB(build_spec(GFKind.overplane_rowed(4)), MOD4, 4)
-        assert any(
-            step.startswith("plus-to-minus: prod_{n>=7}(1+q^n)^4 -> ") for step in dec.derivation
+        assert (
+            "plus-to-minus: tail((1+q^n)^4, from=7) -> tail((1-q^2n)^4, from=7) tail((1-q^n)^-4, from=7)"
+            in dec.derivation
         )
         assert (
-            "power-reduce: prod_{n>=7}(1-q^n)^-8 -> prod_{n>=7}(1-q^4n)^-2 (mod 2^2)"
-            in dec.derivation
+            "power-reduce: tail((1-q^n)^-8, from=7) -> tail((1-q^4n)^-2, from=7)" in dec.derivation
         )
         assert not any(isinstance(f, TailFamily) for f in dec.b_spec.factors)
 
@@ -382,7 +383,7 @@ def _split_record(target, modulus, delta, labels=True):
     try:
         dec = split_AB(build_spec(target), modulus, delta)
     except CongcertError as exc:
-        reason = str(exc) if labels else re.sub(r"^tail \S+ cannot", "tail cannot", str(exc))
+        reason = str(exc) if labels else re.sub(r"^tail\(.*\) cannot", "tail cannot", str(exc))
         return f"{target} mod {modulus} delta {delta}: {type(exc).__name__}: {reason}"
     if not labels:
         return (
@@ -398,28 +399,47 @@ def _split_record(target, modulus, delta, labels=True):
 class TestSplitDigest:
     def test_split_grid_digest(self):
         # any change to a spec, head, derivation or error message on this
-        # grid changes the digest; re-recorded when the split became one
-        # pass over factors merged by shape, which changed only B, the
-        # derivations and the tail a "cannot be supported" reason names
-        # (the digest below, which leaves those out, did not change)
+        # grid changes the digest; re-recorded when tails, multisets and
+        # derivation steps began to print in instance syntax, which changed
+        # printed forms only (`test_split_grid_value_digest` did not change)
         import hashlib
 
         records = [_split_record(*case) for case in _split_grid()]
         assert len(records) == 280
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "7ddb93baa869a339"
+        assert digest == "88f117441fd83de8"
 
     def test_split_grid_verdict_digest(self):
-        # recorded before the split became one pass over factors merged by
-        # shape, with B, the derivation and the tail a "cannot be supported"
+        # with B, the derivation and the tail a "cannot be supported"
         # reason names left out: a change to the form a rewrite gives a
         # factor leaves it alone, any change to a head, A, the validation
-        # length or any other error message on this grid changes it
+        # length or any other error message on this grid changes it;
+        # re-recorded when head multisets began to print as `1,2:2`
         import hashlib
 
         records = [_split_record(*case, labels=False) for case in _split_grid()]
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "7665eb3009535c31"
+        assert digest == "769bc573020f2c06"
+
+    def test_split_grid_value_digest(self):
+        # values only, none of their printed forms: for the family {0} == 0
+        # on each case, the status, witness, period, check bound, degree
+        # bound, head multiset (by repr) and the exception type of the
+        # reason; recorded before tails, multisets and derivation steps
+        # began to print in instance syntax
+        import hashlib
+
+        from congcert import CongruenceFamily, certify
+
+        records = []
+        for target, modulus, delta in _split_grid():
+            cert = certify(target, CongruenceFamily(delta, (0,), (), modulus))
+            records.append(repr((
+                cert.status, cert.witness, cert.period_used, cert.check_bound,
+                cert.degree_bound, cert.a_multiset, (cert.reason or "").split(":")[0],
+            )))
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
+        assert digest == "ece6d8274918689f"
 
     def test_every_inapplicable_is_split_failed(self):
         # INAPPLICABLE means only that the target does not split: on the grid
@@ -509,7 +529,7 @@ class TestTailPairs:
         for (left, right), (status, witness) in verdicts.items():
             family = CongruenceFamily(4, left, right, MOD2)
             cert = certify(target, family)
-            assert str(cert.a_multiset) == "1 3 6^3"
+            assert str(cert.a_multiset) == "1,3,6:3"
             assert (cert.period_used, cert.check_bound, cert.degree_bound) == (24, 6, 8)
             assert (cert.status, cert.witness) == (status, witness)
             assert spot_check(target, family, 200).failure == witness

@@ -146,6 +146,8 @@ CHECKS = {
     "gfkind-multiset": (lambda: GFKind("multiset"), InvalidParameter,
                         "multiset target needs a nonempty multiset"),
     "gfkind-raw": (lambda: GFKind("raw"), InvalidParameter, "raw target needs a product spec"),
+    "gfkind-raw-empty": (lambda: GFKind.from_raw(ProductSpec(())), InvalidParameter,
+                         "raw target needs a product spec of at least one factor"),
     "split-factor-type": (lambda: split_AB(ProductSpec(("x",)), MOD2, 1), InvalidParameter,
                           "unknown factor type str"),
     "b-certificate-length": (lambda: validate_B_certificate(EULER, MOD2, 4, 3), InvalidParameter,

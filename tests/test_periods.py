@@ -194,7 +194,7 @@ class TestMultisetParsing:
     def test_parse_and_render(self):
         ms = PartMultiset.parse("1,3:2,4:3")
         assert ms.entries == ((1, 1), (3, 2), (4, 3))
-        assert str(ms) == "1 3^2 4^3"
+        assert str(ms) == "1,3:2,4:3"
         assert ms.total() == 6
         assert list(ms.expanded()) == [1, 3, 3, 4, 4, 4]
 

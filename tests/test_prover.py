@@ -237,7 +237,7 @@ PAST_VALIDATION_LENGTH = [
         [((0,), (1,), INAPPLICABLE, None)],
     ),
     (
-        ProductSpec((BinomialFactor(1, 3, 1000), BinomialFactor(-1, 1, -2))), MOD4, 4, "1^2", 2,
+        ProductSpec((BinomialFactor(1, 3, 1000), BinomialFactor(-1, 1, -2))), MOD4, 4, "1:2", 2,
         None,
         [
             ((0,), (), COUNTEREXAMPLE, (0, 1, 0)),

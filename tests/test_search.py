@@ -21,15 +21,14 @@ MOD7 = Modulus(7, 1)
 EXACT_MODULI = (MOD2, Modulus(2, 2), Modulus(2, 3), MOD3, Modulus(3, 2), MOD5)
 
 
-def brute_count(delta, max_terms, allow_zero_right):
+def brute_count(delta, max_terms):
     """Independent cross-count: canonical families as frozen multiset pairs,
     an empty right side counting as one term."""
     seen = set()
     residues = range(delta)
-    if allow_zero_right:
-        for size in range(1, max_terms):
-            for left in combinations_with_replacement(residues, size):
-                seen.add((left, ()))
+    for size in range(1, max_terms):
+        for left in combinations_with_replacement(residues, size):
+            seen.add((left, ()))
     for s in range(1, max_terms):
         for t in range(1, max_terms - s + 1):
             for left in combinations_with_replacement(residues, s):
@@ -62,27 +61,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("delta,max_terms", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4)])
     def test_counts_match_brute_cross_count(self, delta, max_terms):
-        for allow in (True, False):
-            space = SearchSpace(GFKind.plane_rowed(2), MOD2, delta, max_terms, allow_zero_right=allow)
-            fams = enumerate_candidates(space)
-            assert len(fams) == brute_count(delta, max_terms, allow)
-            assert len(set(fams)) == len(fams), "duplicate families"
-
-    def test_no_zero_right_when_disallowed(self):
-        space = SearchSpace(GFKind.plane_rowed(2), MOD2, 2, 2, allow_zero_right=False)
+        space = SearchSpace(GFKind.plane_rowed(2), MOD2, delta, max_terms)
         fams = enumerate_candidates(space)
-        assert [str(f) for f in fams] == ["{0} == {1}"]
+        assert len(fams) == brute_count(delta, max_terms)
+        assert len(set(fams)) == len(fams), "duplicate families"
 
-    def test_cap_enforced(self):
-        space = SearchSpace(GFKind.plane_rowed(2), MOD2, 6, 6, candidate_cap=10)
-        with pytest.raises(SpaceTooLarge):
+    def test_cap_enforced(self, monkeypatch):
+        import congcert.search
+
+        monkeypatch.setattr(congcert.search, "CANDIDATE_CAP", 10)
+        space = SearchSpace(GFKind.plane_rowed(2), MOD2, 6, 6)
+        with pytest.raises(SpaceTooLarge, match="^more than 10 candidates"):
             enumerate_candidates(space)
-
-    def test_negative_cap_rejected(self):
-        from congcert import InvalidParameter
-
-        with pytest.raises(InvalidParameter, match="candidate_cap must be >= 0"):
-            SearchSpace(GFKind.plane_rowed(2), MOD2, 2, 2, candidate_cap=-1)
 
 
 class TestSearchCertified:
@@ -142,7 +132,7 @@ class TestSearchInvariants:
 
     def test_singleton_pair_transitivity(self):
         # if {a}=={b} and {b}=={c} are proved, {a}=={c} must be proved too
-        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2, allow_zero_right=False)
+        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2)
         proved = {(c.family.left, c.family.right) for c in search_certified(space)}
         pairs = {(l[0], r[0]) for l, r in proved if len(l) == 1 and len(r) == 1}
         links = pairs | {(b, a) for a, b in pairs}
@@ -155,7 +145,7 @@ class TestSearchInvariants:
 
 class TestRedundancyFilter:
     def test_transitive_family_dropped(self):
-        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2, allow_zero_right=False)
+        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2)
         full = search_certified(space)
         filtered = search_certified(space, redundancy_filter=True)
         assert len(filtered) < len(full)
@@ -197,7 +187,7 @@ class TestRedundancyFilter:
         assert split == 24
 
     def test_default_reports_everything(self):
-        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2, allow_zero_right=False)
+        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 2)
         assert len(search_certified(space)) == len(search_certified(space, redundancy_filter=False))
 
 
@@ -235,7 +225,7 @@ class TestBatchCheck:
             search_certified(space, candidates=enumerate_candidates(space) + [stray])
 
     def test_empty_space(self):
-        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 1, allow_zero_right=False)
+        space = SearchSpace(GFKind.plane_rowed(4), MOD2, 4, 1)
         assert enumerate_candidates(space) == []
         assert search_certified(space) == []
         assert search_certified(space, redundancy_filter=True) == []

@@ -320,21 +320,30 @@ def _count_multiset(args) -> int:
     return count_partitions_multiset(args.n, PartMultiset.parse(args.multiset))
 
 
-# the `oracle --counter` choices, each with the count it prints
+# the `oracle --counter` choices, each with the flags it reads besides --n
+# and the count it prints
 _COUNTERS = {
-    "partitions": lambda a: count_partitions(a.n),
-    "multiset": _count_multiset,
-    "maxpart": lambda a: count_partitions_max_part(a.n, _given(a.m, a.n)),
-    "plane_rowed": lambda a: count_plane_partitions_rowed(a.n, _given(a.r, a.n), a.c),
-    "overpartitions": lambda a: count_overpartitions(a.n),
-    "overplane_rowed": lambda a: count_plane_overpartitions_rowed(a.n, _given(a.k, a.n)),
+    "partitions": ((), lambda a: count_partitions(a.n)),
+    "multiset": (("multiset",), _count_multiset),
+    "maxpart": (("m",), lambda a: count_partitions_max_part(a.n, _given(a.m, a.n))),
+    "plane_rowed": (("r", "c"), lambda a: count_plane_partitions_rowed(a.n, _given(a.r, a.n), a.c)),
+    "overpartitions": ((), lambda a: count_overpartitions(a.n)),
+    "overplane_rowed": (("k",), lambda a: count_plane_overpartitions_rowed(a.n, _given(a.k, a.n))),
 }
+_COUNTER_FLAGS = list(dict.fromkeys(flag for flags, _ in _COUNTERS.values() for flag in flags))
 
 
 def _cmd_oracle(args, out) -> int:
+    flags, count = _COUNTERS[args.counter]
+    unread = [f"--{f}" for f in _COUNTER_FLAGS if f not in flags and getattr(args, f) is not None]
+    if unread:
+        reads = ", ".join(f"--{f}" for f in flags) or "no flag but --n"
+        raise SemanticError(
+            f"oracle {args.counter} does not read {', '.join(unread)}; it reads {reads}"
+        )
     if args.n < 0:  # checked once, before a counter's bound defaults to n
         raise SemanticError("--n must be >= 0")
-    print(_COUNTERS[args.counter](args), file=out)
+    print(count(args), file=out)
     return 0
 
 
@@ -396,11 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force combinatorial counts")
     p.add_argument("--counter", required=True, choices=list(_COUNTERS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--multiset")
-    p.add_argument("--m", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--k", type=int)
+    for flag in _COUNTER_FLAGS:
+        p.add_argument(f"--{flag}", type=str if flag == "multiset" else int)
 
     p = sub.add_parser("table", help="residue grids for the families of an instance")
     p.add_argument("--instance", required=True)

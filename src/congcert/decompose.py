@@ -9,10 +9,14 @@ The split produces:
        vanish mod ell^N away from multiples of delta for ALL indices, not
        only the numerically checked prefix.
 
-Numeric guards, mod ell^N to the validation length, check each peel and
-power-reduce step, B's support and A*B against the input.  A failed guard
-raises RuleValidationFailed, never a verdict; a target that does not split
-raises SplitFailed.
+Guards, mod ell^N to the validation length L, check each peel and
+power-reduce step and B's support.  A step's guard compares the two sides'
+`series.normal_form`s, from which expansion alone follows, and expands both
+sides only when those differ.  The split expands B once, to L; its support
+check reads that expansion, and `prover.Plan.build` multiplies it by A's
+expansion to check A*B against the input.  A failed guard raises
+RuleValidationFailed, never a verdict; a target that does not split raises
+SplitFailed.
 
 `split_AB` rewrites by two `_Workspace` steps:
   power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
@@ -41,10 +45,12 @@ from .errors import InvalidParameter, ParseError, RuleValidationFailed, SplitFai
 from .periods import PartMultiset, ord_prime
 from .series import (
     BinomialFactor,
+    ModSeries,
     Modulus,
     ProductSpec,
     TailFamily,
     frobenius_step,
+    normal_form,
     plus_to_minus,
     series_from_spec,
 )
@@ -255,14 +261,16 @@ class _Workspace:
     def apply_rule(self, rule, before, after, guard=True):
         """Record the step `rule: before -> after`, each side a product that
         `ProductSpec.parse` reads, after the guard confirms that both sides
-        expand identically."""
+        expand identically.  Sides with one `normal_form` expand to the same
+        array, so the guard expands both only when their forms differ."""
         before, after = ProductSpec(tuple(before)), ProductSpec(tuple(after))
         step = f"{rule}: {before} -> {after}"
-        if guard:
-            lhs = series_from_spec(before, self.modulus, self.validation_length)
-            if lhs != series_from_spec(after, self.modulus, self.validation_length):
+        modulus, length = self.modulus, self.validation_length
+        if guard and normal_form(before, modulus, length) != normal_form(after, modulus, length):
+            lhs = series_from_spec(before, modulus, length)
+            if lhs != series_from_spec(after, modulus, length):
                 raise RuleValidationFailed(
-                    f"{step}: sides differ mod {self.modulus} within {self.validation_length} terms"
+                    f"{step}: sides differ mod {modulus} within {length} terms"
                 )
         self.derivation.append(step)
 
@@ -322,25 +330,25 @@ def _power_reduce(factor, modulus: Modulus):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Validated split G = A * B mod ell^N with B supported on delta-multiples."""
+    """A split G = A * B mod ell^N whose steps and B's support passed their
+    guards, with B supported on delta-multiples, and B expanded to the
+    validation length: `Plan.build` checks A*B = G with it."""
 
     a_spec: ProductSpec
     a_multiset: PartMultiset
     b_spec: ProductSpec
     derivation: tuple
     validation_length: int
+    b_series: ModSeries = field(compare=False)  # follows from b_spec
 
 
-def validate_B_certificate(
-    b_spec: ProductSpec, modulus: Modulus, delta: int, length: int
-) -> bool:
-    """Expand B mod ell^N: constant term 1 and zero at every index that is
-    not a multiple of delta, below the given length."""
-    if length < delta:
+def validate_B_certificate(b_series: ModSeries, delta: int) -> bool:
+    """B's expansion mod ell^N: constant term 1 and zero at every index that
+    is not a multiple of delta, below its length."""
+    if b_series.length < delta:
         raise InvalidParameter("validation length must be >= delta")
-    series = series_from_spec(b_spec, modulus, length)
-    data = series.array()
-    if int(data[0]) != 1 % modulus.value:
+    data = b_series.array()
+    if int(data[0]) != 1 % b_series.modulus.value:
         return False
     return not (np.flatnonzero(data) % delta).any()
 
@@ -353,7 +361,8 @@ def _structurally_supported(factor, delta: int) -> bool:
 
 def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     """Split a product into a periodic pure-denominator head A and a
-    delta-supported tail B, congruent to the input mod ell^N.
+    delta-supported tail B, congruent to the input mod ell^N once A*B = G
+    is checked on the returned B expansion (`Plan.build` does).
 
     Raises SplitFailed when the product does not split, RuleValidationFailed
     when a guard fails (see the module docstring)."""
@@ -429,13 +438,9 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     for f in b_spec.factors:
         if not _structurally_supported(f, delta):
             raise RuleValidationFailed(f"factor {f} escaped the support check")
-    if not validate_B_certificate(b_spec, modulus, delta, validation_length):
+    b_series = series_from_spec(b_spec, modulus, validation_length)
+    if not validate_B_certificate(b_series, delta):
         raise RuleValidationFailed(f"B fails the numeric support check below {validation_length}")
-
-    combined = series_from_spec(a_spec * b_spec, modulus, validation_length)
-    original = series_from_spec(spec, modulus, validation_length)
-    if combined != original:
-        raise RuleValidationFailed("A*B differs from the original product")
 
     return Decomposition(
         a_spec=a_spec,
@@ -443,4 +448,5 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
         b_spec=b_spec,
         derivation=tuple(ws.derivation),
         validation_length=validation_length,
+        b_series=b_series,
     )

@@ -23,9 +23,10 @@ B[0] = 1 and B supported on multiples of delta, the family difference of G at
 n is sum_k B[delta*k] * (difference of A at n-k): a unit-triangular
 combination of A's differences at n, n-1, ..., 0.  G and A therefore agree
 on the family below any bound, and first fail it at the same n.  G is still
-expanded for what a reader checks by hand: the sums reported in a witness
-(up to the witness index only, and guarded to fail first exactly there) and
-`spot_check`, which uses no decomposition or periodicity at all.
+expanded to the split's validation length, where `Plan.build` checks A*B
+against it, and for what a reader checks by hand: the sums reported in a
+witness (up to the witness index only, and guarded to fail first exactly
+there) and `spot_check`, which uses no decomposition or periodicity at all.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .decompose import Decomposition, GFKind, build_spec, split_AB
 from .errors import InvalidParameter, ParseError, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, kwong_period
-from .series import Modulus, ProductSpec, series_from_spec
+from .series import Modulus, ProductSpec, series_from_spec, series_mul
 
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -215,6 +216,11 @@ class Plan:
     split, the check period and bound, the degree bound, and A's first
     delta*min(degree_bound, bound) coefficients.
 
+    Building it expands three series, each once: B, in `split_AB`, to the
+    validation length L; G, to L; and A, to max(L, delta*rows).  A*B = G
+    is checked here, on A's first L coefficients times B, before any family
+    is checked, and the head is A's first delta*rows coefficients.
+
     A = N(q)/D(q^delta) with D(0) = 1, and `degree_bound` is
     K = floor(deg N / delta) + 1 (see the module docstring).  `head[n, r]` is
     A[delta*n + r] for n < min(K, bound): a family that holds on those rows
@@ -236,8 +242,9 @@ class Plan:
         """Split the product into A*B at this modulus and delta (or raise
         SplitFailed, or RuleValidationFailed when a guard fails), take the
         minimal period of A's multiset lifted to a multiple of delta and the
-        degree bound of A's rational section, and expand A to the smaller of
-        the two bounds."""
+        degree bound of A's rational section, expand A to the smaller of
+        the two bounds and at least to the validation length, and check
+        A*B = G there (RuleValidationFailed if not)."""
         spec = build_spec(target)
         dec = split_AB(spec, modulus, delta)
         info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
@@ -245,7 +252,15 @@ class Plan:
         bound = period // delta
         degree_bound = sum(e * (math.lcm(b, delta) - b) for b, e in dec.a_multiset) // delta + 1
         rows = min(degree_bound, bound)
-        head = series_from_spec(dec.a_spec, modulus, delta * rows).array().reshape(rows, delta)
+        length = dec.validation_length
+        # G before A: after A's long expansion, glibc's heap kept up to 11 MB
+        # more peak RSS for the same allocations (64-rowed, scripts/headline.py)
+        g = series_from_spec(spec, modulus, length)
+        a = series_from_spec(dec.a_spec, modulus, max(length, delta * rows))
+        # series_mul stops at the shorter length: B's, L
+        if series_mul(a, dec.b_series) != g:
+            raise RuleValidationFailed("A*B differs from the original product")
+        head = a.array()[: delta * rows].reshape(rows, delta)
         return cls(target, modulus, delta, spec, dec, period, bound, degree_bound, head)
 
     def first_failure(self, family: CongruenceFamily) -> int | None:

@@ -36,6 +36,10 @@ matter:
   ell^N.  Bases at or past L are dropped.  So (1-q^b)^-7 mod 2 is three
   passes, at b, 2b and 4b, not seven, and E^-10 mod 2 is
   E(q^2)^-1 E(q^8)^-1: one inverse and one product, at half the length.
+  The net exponents, their carries and the tails left to fold compute no
+  coefficient: together they are `normal_form`, a hashable value, and
+  `series_from_spec` expands that form and nothing else, so products with
+  one form expand to one array.
 - One routine, `_mul_poly`, multiplies the series by a polynomial, in
   place.  It takes the series as H(q^s): s > 1 when the powers of E(q^s)
   and all that was applied before are supported on sZ, else s = 1.  Then
@@ -68,6 +72,7 @@ import heapq
 import math
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -616,21 +621,36 @@ def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
         binomials[s * n] = binomials.get(s * n, 0) - e
 
 
-def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSeries:
-    """Expand a factor product to its first `length` coefficients mod m.
+class NormalForm(NamedTuple):
+    """What `series_from_spec` expands, and all it reads of the product:
+    the carried net exponents of E(q^s), keyed s, and of (1-q^base), keyed
+    base, each as (key, exponent) pairs in increasing key order; the minus
+    tails left to `_fold_tail`, in the order of their fields; and the
+    length.  Two products with equal forms expand to the same array."""
+
+    euler: tuple
+    folded: tuple
+    binomials: tuple
+    length: int
+
+
+def _tail_key(tail: TailFamily) -> tuple:
+    """A tail's fields, in the order `NormalForm.folded` sorts by."""
+    return (tail.sign, tail.start, tail.exp_offset, tail.exp_scale, tail.scale, tail.offset)
+
+
+def normal_form(spec: ProductSpec, modulus: Modulus, length: int) -> NormalForm:
+    """Everything `series_from_spec` does before any coefficient is computed.
 
     Every plus binomial or tail is first rewritten by `plus_to_minus`.
     Binomial factors, the finite heads that Euler-shaped tails divide out,
     and the explicit factors of other tails are summed into one net
     exponent per base, and both they and the powers of E(q^s) are carried
-    by `_frobenius`.  The powers of E(q^s) form the starting series;
-    what is left of the other tails is folded into it, then the net
-    binomials are applied."""
+    by `_frobenius`; what is left of the other tails is kept to be folded."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
     if length > _MAX_LENGTH:
         raise InvalidParameter(f"length {length} exceeds the largest array size")
-    m = modulus.value
     binomials = {}  # base -> net exponent of (1-q^base)
     euler = {}  # s -> net exponent of E(q^s)
     folded = []
@@ -649,13 +669,28 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
                 folded.append(rest)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
-    euler = _frobenius(euler, modulus, length)
+    return NormalForm(
+        euler=tuple(_frobenius(euler, modulus, length).items()),
+        folded=tuple(sorted(folded, key=_tail_key)),
+        binomials=tuple(_frobenius(binomials, modulus, length).items()),
+        length=length,
+    )
+
+
+def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSeries:
+    """Expand a factor product to its first `length` coefficients mod m:
+    the expansion of its `normal_form` and nothing else.  The powers of
+    E(q^s) form the starting series; the tails left are folded into it,
+    then the net binomials are applied."""
+    form = normal_form(spec, modulus, length)
+    m = modulus.value
+    euler = dict(form.euler)
     arr = _euler_product(euler, length, m)
     stride = math.gcd(0, *euler)
-    for tail in folded:
+    for tail in form.folded:
         _fold_tail(arr, tail, m)
         stride = math.gcd(stride, tail.scale, tail.base(tail.start))
-    arr = _apply_binomials(arr, _frobenius(binomials, modulus, length), m, stride)
+    arr = _apply_binomials(arr, dict(form.binomials), m, stride)
     return ModSeries._of_reduced(modulus, arr)
 
 
@@ -709,7 +744,7 @@ def _frobenius(exponents: dict, modulus: Modulus, length: int) -> dict:
     Bases at or past `length` touch no coefficient below it and are
     dropped, as are zero exponents.  Bases only grow, so visiting them in
     increasing order merges every carry before its base is carried in
-    turn."""
+    turn, and the result is keyed in increasing base order."""
     q = modulus.value
     net = {base: e for base, e in exponents.items() if base < length}
     heap = list(net)

@@ -223,15 +223,15 @@ class TestSplitBranches:
 
 class TestBCertificate:
     def test_empty_product(self):
-        assert validate_B_certificate(ProductSpec(()), MOD2, 4, 100)
+        assert validate_B_certificate(series_from_spec(ProductSpec(()), MOD2, 100), 4)
 
     def test_four_rowed_tail(self):
         dec = split_AB(build_spec(GFKind.plane_rowed(4)), MOD2, 4)
-        assert validate_B_certificate(dec.b_spec, MOD2, 4, 200)
+        assert validate_B_certificate(series_from_spec(dec.b_spec, MOD2, 200), 4)
 
     def test_unsupported_factor_fails(self):
         spec = ProductSpec((BinomialFactor(-1, 2, -1),))
-        assert not validate_B_certificate(spec, MOD2, 4, 10)
+        assert not validate_B_certificate(series_from_spec(spec, MOD2, 10), 4)
 
     def test_matches_a_loop_over_the_support(self):
         # the reference: constant term 1 and every nonzero index a multiple of delta
@@ -248,9 +248,10 @@ class TestBCertificate:
             )
             spec, modulus = ProductSpec(factors), rng.choice([MOD2, MOD3, MOD4])
             length = rng.randint(delta, 60)
-            data = series_from_spec(spec, modulus, length).array()
+            series = series_from_spec(spec, modulus, length)
+            data = series.array()
             want = int(data[0]) == 1 and all(i % delta == 0 for i in range(length) if data[i])
-            assert validate_B_certificate(spec, modulus, delta, length) == want, (spec, delta)
+            assert validate_B_certificate(series, delta) == want, (spec, delta)
             seen.add(want)
         assert seen == {True, False}
 
@@ -342,6 +343,77 @@ class TestDerivationSoundness:
             "power-reduce: tail((1-q^n)^-8, from=7) -> tail((1-q^4n)^-2, from=7)" in dec.derivation
         )
         assert not any(isinstance(f, TailFamily) for f in dec.b_spec.factors)
+
+    def test_guard_expands_only_when_normal_forms_differ(self, monkeypatch):
+        # mod 2 at L = 500 the carry keeps each residue with the sign of its
+        # exponent: (1+q^10)^10 reaches (1-q^20)(1-q^80), and (1+q^20)^5
+        # reaches (1-q^20)^-1 (1-q^40)(1-q^80), so the guard expands both
+        # sides, which agree; a step whose sides carry to one form expands
+        # nothing
+        from congcert import decompose
+        from congcert.series import normal_form
+
+        expanded = []
+        real = decompose.series_from_spec
+
+        def counted(spec, modulus, length):
+            expanded.append(spec)
+            return real(spec, modulus, length)
+
+        monkeypatch.setattr(decompose, "series_from_spec", counted)
+        ws = _Workspace(MOD2, 500)
+        before, after = BinomialFactor(1, 10, 10), BinomialFactor(1, 20, 5)
+        forms = [normal_form(ProductSpec((f,)), MOD2, 500) for f in (before, after)]
+        assert forms[0].binomials == ((20, 1), (80, 1))
+        assert forms[1].binomials == ((20, -1), (40, 1), (80, 1))
+        ws.apply_rule("power-reduce", [before], [after])
+        assert expanded == [ProductSpec((before,)), ProductSpec((after,))]
+        assert ws.derivation == ["power-reduce: (1+q^10)^10 -> (1+q^20)^5"]
+
+        expanded.clear()
+        ws.apply_rule("power-reduce", [BinomialFactor(-1, 3, -8)], [BinomialFactor(-1, 24, -1)])
+        assert expanded == []
+        assert ws.derivation[-1] == "power-reduce: (1-q^3)^-8 -> (1-q^24)^-1"
+
+    def test_guard_agrees_with_full_expansions_on_the_grid(self, monkeypatch):
+        # every guarded step of every split on the grid: the guard passes
+        # exactly when the two sides' full expansions agree, and its sides
+        # share a normal form in all but the recorded few
+        from collections import Counter
+
+        from congcert import CongcertError, decompose
+        from congcert.series import normal_form
+
+        steps = []
+        real = decompose._Workspace.apply_rule
+
+        def recorded(ws, rule, before, after, guard=True):
+            if not guard:
+                return real(ws, rule, before, after, guard)
+            sides = [ProductSpec(tuple(side)) for side in (before, after)]
+            args = (ws.modulus, ws.validation_length)
+            same_form = normal_form(sides[0], *args) == normal_form(sides[1], *args)
+            same_series = series_from_spec(sides[0], *args) == series_from_spec(sides[1], *args)
+            try:
+                real(ws, rule, before, after, guard)
+            except CongcertError:
+                steps.append((rule, same_form, same_series, False))
+                raise
+            steps.append((rule, same_form, same_series, True))
+
+        monkeypatch.setattr(decompose._Workspace, "apply_rule", recorded)
+        for target, modulus, delta in _split_grid():
+            try:
+                split_AB(build_spec(target), modulus, delta)
+            except SplitFailed:
+                pass
+        for rule, same_form, same_series, passed in steps:
+            assert passed == same_series
+            assert same_series or not same_form
+        counts = Counter((rule, same_form) for rule, same_form, _, _ in steps)
+        assert counts == {
+            ("peel", True): 74, ("power-reduce", True): 75, ("power-reduce", False): 19
+        }
 
     def test_validation_against_independent_expansion(self):
         # A*B must equal the original by the brute-force dense expansion too

@@ -150,7 +150,8 @@ CHECKS = {
                          "raw target needs a product spec of at least one factor"),
     "split-factor-type": (lambda: split_AB(ProductSpec(("x",)), MOD2, 1), InvalidParameter,
                           "unknown factor type str"),
-    "b-certificate-length": (lambda: validate_B_certificate(EULER, MOD2, 4, 3), InvalidParameter,
+    "b-certificate-length": (lambda: validate_B_certificate(series_from_spec(EULER, MOD2, 3), 4),
+                             InvalidParameter,
                              "validation length must be >= delta"),
     "split-delta": (lambda: split_AB(EULER, MOD2, 0), InvalidParameter, "delta must be >= 1"),
     "modulus-exponent": (lambda: Modulus(2, 0), InvalidParameter,
@@ -205,3 +206,48 @@ def test_argument_check_raises(case):
     call, error, message = CHECKS[case]
     with pytest.raises(error, match="^" + re.escape(message)):
         call()
+
+
+# (flags after `oracle --counter`, message): a bound flag that the counter
+# does not read is refused, not ignored, and the message names the flags
+# it reads
+UNREAD_ORACLE_FLAGS = {
+    "plane-rowed-k": (["plane_rowed", "--n", "3", "--k", "1"],
+                      "oracle plane_rowed does not read --k; it reads --r, --c"),
+    "maxpart-k": (["maxpart", "--n", "5", "--k", "2"],
+                  "oracle maxpart does not read --k; it reads --m"),
+    "overplane-rowed-r": (["overplane_rowed", "--n", "3", "--r", "1"],
+                          "oracle overplane_rowed does not read --r; it reads --k"),
+    "partitions-m": (["partitions", "--n", "5", "--m", "2"],
+                     "oracle partitions does not read --m; it reads no flag but --n"),
+    "overpartitions-multiset": (["overpartitions", "--n", "4", "--multiset", "1"],
+                                "oracle overpartitions does not read --multiset;"
+                                " it reads no flag but --n"),
+    "multiset-r-c": (["multiset", "--n", "3", "--multiset", "1,2", "--r", "2", "--c", "1"],
+                     "oracle multiset does not read --r, --c; it reads --multiset"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_ORACLE_FLAGS))
+def test_oracle_refuses_a_flag_its_counter_does_not_read(case, capsys):
+    from congcert.cli import run_command
+
+    argv, message = UNREAD_ORACLE_FLAGS[case]
+    assert run_command(["oracle", "--counter", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["plane_rowed", "--n", "3", "--r", "1"], "3"),
+        (["maxpart", "--n", "5", "--m", "2"], "3"),
+        (["overplane_rowed", "--n", "3", "--k", "1"], "8"),
+    ],
+    ids=["plane-rowed-r", "maxpart-m", "overplane-rowed-k"],
+)
+def test_oracle_reads_its_own_flags(argv, count, capsys):
+    from congcert.cli import run_command
+
+    assert run_command(["oracle", "--counter", *argv]) == 0
+    assert capsys.readouterr() == (f"{count}\n", "")

@@ -139,23 +139,40 @@ class TestPlanReuse:
         assert got == [c.family for c in search_certified(space) if c.family in some]
 
 
+def _without_factor(spec, dropped):
+    # A for 8-rowed mod 2 is (1-q)^-1 (1-q^2)^-2 ... (1-q^7)^-7 without
+    # (1-q^4)^-4; without one more factor A*B is no longer G
+    factors = spec.factors
+    assert len(factors) == 6
+    return ProductSpec(factors[:dropped] + factors[dropped + 1:])
+
+
 class TestWitnessGuard:
     @pytest.mark.parametrize("dropped", range(6))
     def test_head_missing_a_factor_raises(self, monkeypatch, dropped):
-        # A for 8-rowed mod 2 is (1-q)^-1 (1-q^2)^-2 ... (1-q^7)^-7 without
-        # (1-q^4)^-4; without one more factor A*B is no longer G
+        # Plan.build checks A*B = G on the A that gives the head, so a wrong
+        # A fails there, before any verdict
         real_split = prover.split_AB
 
         def broken_split(*args, **kwargs):
             dec = real_split(*args, **kwargs)
-            factors = dec.a_spec.factors
-            assert len(factors) == 6
-            kept = factors[:dropped] + factors[dropped + 1:]
-            return dataclasses.replace(dec, a_spec=ProductSpec(kept))
+            return dataclasses.replace(dec, a_spec=_without_factor(dec.a_spec, dropped))
 
         monkeypatch.setattr(prover, "split_AB", broken_split)
-        with pytest.raises(RuleValidationFailed, match="witness check"):
+        with pytest.raises(RuleValidationFailed, match="^A\\*B differs"):
             certify(GFKind.plane_rowed(8), CongruenceFamily(8, (5,), (), MOD2))
+
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_head_of_another_product_fails_the_witness_check(self, dropped):
+        # a head that passed no A*B check: the witness guard on G still
+        # refuses the verdict
+        plan = Plan.build(GFKind.plane_rowed(8), MOD2, 8)
+        rows = plan.head.shape[0]
+        wrong_a = _without_factor(plan.decomposition.a_spec, dropped)
+        wrong = series_from_spec(wrong_a, MOD2, 8 * rows)
+        plan = dataclasses.replace(plan, head=wrong.array().reshape(rows, 8))
+        with pytest.raises(RuleValidationFailed, match="witness check"):
+            plan.check(CongruenceFamily(8, (5,), (), MOD2))
 
 
 class TestGuardFailures:
@@ -176,7 +193,8 @@ class TestGuardFailures:
 
     def test_wrong_plus_to_minus_is_caught_by_a_times_b(self, monkeypatch):
         # plus-to-minus has no guard of its own; a wrong pair that still
-        # splits (the inverse's exponent doubled) fails A*B = G.  At delta 2,
+        # splits (the inverse's exponent doubled) fails A*B = G, which
+        # Plan.build checks on A's expansion.  At delta 2,
         # since at delta 4 the wrong pair leaves a tail off 4Z: SplitFailed
         real = decompose.plus_to_minus
 
@@ -187,9 +205,8 @@ class TestGuardFailures:
             return doubled, dataclasses.replace(inverse, exp_offset=2 * inverse.exp_offset)
 
         monkeypatch.setattr(decompose, "plus_to_minus", doubled_inverse)
-        spec = build_spec(GFKind.overplane_rowed(4))
         with pytest.raises(RuleValidationFailed, match="^A\\*B differs"):
-            split_AB(spec, Modulus(2, 2), 2)
+            Plan.build(GFKind.overplane_rowed(4), Modulus(2, 2), 2)
 
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -223,6 +240,54 @@ def instance_plan(name):
     with open(os.path.join(INSTANCE_DIR, name)) as handle:
         inst = parse_instance_file(handle.read())
     return Plan.build(inst.target, inst.modulus, inst.delta)
+
+
+# guarded steps whose two sides carry to different normal forms, each
+# expanded on both sides: a plus binomial mod 4, and a minus tail whose
+# reduction starts past L (E(q^27)^-1 against the 18 binomials it divides
+# out below L on one side, nothing on the other)
+TWO_SIDED_GUARDS = {"overplane_four_mod4.cfg": 1, "twentyseven_rowed_mod3.cfg": 1}
+
+
+class TestExpansionsPerPlan:
+    """A plan expands B (in the split) and G to the validation length L,
+    and A to max(L, delta*rows), once each; a guarded step adds two
+    expansions only when its sides reach different normal forms."""
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        calls = []
+        for module in (decompose, prover):
+            def counted(spec, modulus, length, real=module.series_from_spec, name=module.__name__):
+                calls.append((name, spec, length))
+                return real(spec, modulus, length)
+
+            monkeypatch.setattr(module, "series_from_spec", counted)
+        return calls
+
+    @staticmethod
+    def _three(plan):
+        dec, length = plan.decomposition, plan.decomposition.validation_length
+        return [
+            ("congcert.decompose", dec.b_spec, length),
+            ("congcert.prover", plan.spec, length),
+            ("congcert.prover", dec.a_spec, max(length, plan.head.size)),
+        ]
+
+    @pytest.mark.parametrize(
+        "rows,prime,delta", [rung[:3] for rung in LADDER_BOUNDS] + [(4, 2, 4)]
+    )
+    def test_ladder_rungs(self, expanded, rows, prime, delta):
+        # and plane_rowed(4) mod 2, whose 12-coefficient head is below L
+        plan = Plan.build(GFKind.plane_rowed(rows), Modulus(prime, 1), delta)
+        assert expanded == self._three(plan)
+
+    def test_every_committed_instance(self, expanded):
+        for name in INSTANCE_BOUNDS:
+            expanded.clear()
+            plan = instance_plan(name)
+            assert len(expanded) == 3 + 2 * TWO_SIDED_GUARDS.get(name, 0), name
+            assert expanded[-3:] == self._three(plan), name
 
 
 class TestDegreeBound:

@@ -225,6 +225,66 @@ class TestAgainstBruteForce:
             )
 
 
+def _rewritten_spec(rng, spec, modulus):
+    """The same product written another way, by identities that the normal
+    form sees through: factors shuffled, an exponent split in two, a plus
+    factor as its `plus_to_minus` pair, a tail's first factor peeled, a
+    binomial power carried by `frobenius_step`."""
+    from congcert.series import frobenius_step, plus_to_minus
+
+    out = []
+    for f in spec.factors:
+        tail = isinstance(f, TailFamily)
+        e = f.exp_offset if tail else f.exponent
+        step = None if tail else frobenius_step(f.base, f.exponent, modulus)
+        choice = rng.randrange(4)
+        if choice == 0 and abs(e) >= 2:
+            name = "exp_offset" if tail else "exponent"
+            out += [replace(f, **{name: e // 2}), replace(f, **{name: e - e // 2})]
+        elif choice == 1 and f.sign > 0:
+            out += plus_to_minus(f)
+        elif choice == 2 and tail:
+            out += [BinomialFactor(f.sign, f.base(f.start), e), replace(f, start=f.start + 1)]
+        elif choice == 3 and step is not None:
+            out.append(BinomialFactor(f.sign, *step))
+        else:
+            out.append(f)
+    rng.shuffle(out)
+    return ProductSpec(tuple(out))
+
+
+class TestNormalForm:
+    """`series_from_spec` is the expansion of `normal_form`: equal forms
+    give equal expansions."""
+
+    def test_equal_forms_expand_equally(self):
+        from congcert.series import normal_form
+
+        rng = random.Random(2525)
+        moduli = [MOD2, MOD3, MOD4, MOD5, Modulus(2, 3), Modulus(3, 2)]
+        equal = distinct = 0
+        for _ in range(200):
+            modulus = rng.choice(moduli)
+            length = rng.randint(1, 300)
+            x = random_spec(rng)
+            for y in (_rewritten_spec(rng, x, modulus), random_spec(rng)):
+                same = normal_form(x, modulus, length) == normal_form(y, modulus, length)
+                if same:
+                    got = series_from_spec(x, modulus, length)
+                    assert got == series_from_spec(y, modulus, length), (x, y, modulus, length)
+                    equal += 1
+                    distinct += x != y
+        assert equal >= 190 and distinct >= 100, (equal, distinct)
+
+    def test_form_is_hashable_and_keeps_the_length(self):
+        from congcert import GFKind, build_spec
+        from congcert.series import normal_form
+
+        spec = build_spec(GFKind.plane_rowed(4))
+        forms = {normal_form(spec, MOD2, length) for length in (10, 10, 11)}
+        assert sorted(form.length for form in forms) == [10, 11]
+
+
 class TestRingAxioms:
     def random_series(self, rng, modulus, length):
         return ModSeries(modulus, [rng.randrange(modulus.value) for _ in range(length)])

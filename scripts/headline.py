@@ -5,7 +5,13 @@ Each k runs in a fresh Python process, so its peak RSS is its own.  For
 each it prints K (the degree bound, the number of rows of A's head), the
 seconds `Plan.build` takes, and the process's peak RSS, imports included.
 The default `--max-rows 81` stops before the three largest targets, which
-`--max-rows 128` adds: on 2 vCPUs each takes 20-42 s and 1.8-3.4 GB.
+`--max-rows 128` adds.  On 2 vCPUs, over twelve fresh-process runs each,
+they took:
+
+    121-rowed mod 11   5.6-6.2 s    1.76 GB
+    125-rowed mod 5   10.7-11.7 s   3.40 GB
+    128-rowed mod 2    5.0-5.5 s    1.77 GB
+
 Run from the repository root:
 
     python scripts/headline.py [--max-rows 81]

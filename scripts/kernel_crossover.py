@@ -86,7 +86,7 @@ def main():
     rng = np.random.default_rng(0)
     poly = np.ones(1, dtype=np.int64)
     for b in range(1, 10):  # prod (1-q^b)^(10-b), degree 165
-        poly = _mul_mod(poly, binomial_power(-1, b, 10 - b, m), m, poly.size + b * (10 - b))
+        poly = _mul_mod(poly, binomial_power(b, 10 - b, m), m, poly.size + b * (10 - b))
     print(f"modulus {m}, least of {args.repeat} runs; routes in unit passes")
     print(
         f"{'L':>9} {'mul pass':>10} {'div pass':>10} {'product':>8} "
@@ -105,10 +105,10 @@ def main():
         half = n // 2
         merge = best(args.repeat, series, lambda a: _mul_mod(a[: half + 1], a[half:], m, n))
         inverse = best(
-            args.repeat, series, lambda a: _mul_mod(a, _inverse(poly, n, m, shown=1), m, n)
+            args.repeat, series, lambda a: _mul_mod(a, _inverse(poly, n, m), m, n)
         )
         euler = best(
-            args.repeat, _euler(n, m), lambda e: _inverse(e, n, m, shown=1, seed=seed)
+            args.repeat, _euler(n, m), lambda e: _inverse(e, n, m, seed=seed)
         )
         print(
             f"{n:>9,} {mul * 1e6:>8.1f}us {div * 1e6:>8.1f}us {product / mul:>8.1f} "

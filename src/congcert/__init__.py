@@ -15,10 +15,8 @@ from .errors import (
     ComplexityGuard,
     CongcertError,
     EmptyMultiset,
-    IndexOutOfRange,
     InvalidParameter,
     InvalidWindow,
-    ModulusMismatch,
     NonUnitConstantTerm,
     NoPeriodFound,
     ParseError,
@@ -63,17 +61,12 @@ from .prover import (
 from .search import SearchSpace, enumerate_candidates, search_certified
 from .series import (
     BinomialFactor,
-    ModSeries,
     Modulus,
     ProductSpec,
     TailFamily,
-    coefficient,
     is_prime,
-    series_add,
     series_from_spec,
-    series_inverse,
     series_mul,
-    unit_series,
 )
 
 __version__ = "0.1.0"

@@ -9,16 +9,8 @@ class InvalidParameter(CongcertError, ValueError):
     """A constructor or operation argument violates its preconditions."""
 
 
-class ModulusMismatch(CongcertError, ValueError):
-    """Two series with different moduli were combined."""
-
-
 class NonUnitConstantTerm(CongcertError, ValueError):
     """Inversion requested for a factor whose constant term is not a unit."""
-
-
-class IndexOutOfRange(CongcertError, IndexError):
-    """Coefficient index outside the stored prefix."""
 
 
 class EmptyMultiset(CongcertError, ValueError):

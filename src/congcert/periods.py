@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMultiset, InvalidParameter, InvalidWindow, NoPeriodFound
-from .series import KERNEL_MODULUS_LIMIT, BinomialFactor, ModSeries, ProductSpec, is_prime
+from .series import KERNEL_MODULUS_LIMIT, BinomialFactor, ProductSpec, is_prime
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,6 @@ class PartMultiset:
 
     def total(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    def expanded(self):
-        for value, mult in self.entries:
-            for _ in range(mult):
-                yield value
 
     def to_product_spec(self) -> ProductSpec:
         """The generating function of partitions with parts from this multiset."""
@@ -143,15 +138,15 @@ def kwong_period(multiset: PartMultiset, ell: int, exponent: int) -> PeriodInfo:
     )
 
 
-def verify_period_prefix(series: ModSeries, d: int, limit: int) -> bool:
+def verify_period_prefix(series: np.ndarray, d: int, limit: int) -> bool:
     """True iff a(n+d) = a(n) holds for all 0 <= n < limit - d."""
     if d < 1:
         raise InvalidParameter("candidate period must be >= 1")
-    if limit > series.length:
-        raise InvalidWindow(f"limit {limit} exceeds stored length {series.length}")
+    if limit > series.size:
+        raise InvalidWindow(f"limit {limit} exceeds stored length {series.size}")
     if d >= limit:
         raise InvalidWindow(f"candidate period {d} >= window {limit}")
-    data = series.array()[:limit]
+    data = series[:limit]
     return bool(np.array_equal(data[d:], data[: limit - d]))
 
 
@@ -167,7 +162,7 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def empirical_min_period(series: ModSeries, pi_formula: int, window: int = 3) -> int:
+def empirical_min_period(series: np.ndarray, pi_formula: int, window: int = 3) -> int:
     """Smallest divisor of pi_formula that is a period over a window of
     window * pi_formula coefficients.
 
@@ -178,10 +173,8 @@ def empirical_min_period(series: ModSeries, pi_formula: int, window: int = 3) ->
     if window < 2:
         raise InvalidParameter("window multiplier must be >= 2")
     limit = window * pi_formula
-    if series.length < limit:
-        raise InvalidWindow(
-            f"series length {series.length} below window {limit}"
-        )
+    if series.size < limit:
+        raise InvalidWindow(f"series length {series.size} below window {limit}")
     for d in _divisors(pi_formula):
         if d < limit and verify_period_prefix(series, d, limit):
             return d

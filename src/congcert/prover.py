@@ -163,7 +163,7 @@ def _first_failure(rows: np.ndarray, family: CongruenceFamily):
 
 def _first_failure_on_G(spec: ProductSpec, family: CongruenceFamily, count: int):
     """`_first_failure` on the full product G, to delta*count coefficients."""
-    lam = series_from_spec(spec, family.modulus, family.delta * count).array()
+    lam = series_from_spec(spec, family.modulus, family.delta * count)
     return _first_failure(lam.reshape(count, family.delta), family)
 
 
@@ -258,9 +258,9 @@ class Plan:
         g = series_from_spec(spec, modulus, length)
         a = series_from_spec(dec.a_spec, modulus, max(length, delta * rows))
         # series_mul stops at the shorter length: B's, L
-        if series_mul(a, dec.b_series) != g:
+        if not np.array_equal(series_mul(a, dec.b_series, modulus), g):
             raise RuleValidationFailed("A*B differs from the original product")
-        head = a.array()[: delta * rows].reshape(rows, delta)
+        head = a[: delta * rows].reshape(rows, delta)
         return cls(target, modulus, delta, spec, dec, period, bound, degree_bound, head)
 
     def first_failure(self, family: CongruenceFamily) -> int | None:

@@ -5,9 +5,11 @@ Every plus factor, binomial or tail, enters the expansion as the two minus
 factors of `plus_to_minus`, (1+x)^e = (1-x^2)^e (1-x)^-e, the one statement
 of that identity.  So the kernel below sees only factors (1 - q^b).
 
-Coefficients are kept fully reduced in [0, m) inside int64 arrays; every
-pass reduces before the next, and a cumulative sum whose worst-case partial
-sum could leave int64 range raises instead of running.
+A series is its coefficient array: int64, fully reduced in [0, m), and
+read-only once `series_from_spec` returns it; `series_mul` is the one
+product on such arrays.  Every pass reduces before the next, and a
+cumulative sum whose worst-case partial sum could leave int64 range raises
+instead of running.
 
 Expansion to length L is exact and quasi-linear for the products that
 matter:
@@ -53,7 +55,7 @@ matter:
   one pass while (m-1)^2 * L < 2^50, else over limbs of residues whose
   width w satisfies (2^w-1)^2 * L < 2^50.  Each rounding is checked, and a
   product that is not exact raises instead of returning a value.
-- Series inverses and the denominator Q use the same Newton inversion,
+- 1/E past the partition numbers and 1/Q use the same Newton inversion,
   whose step takes one cyclic middle product and shares one transform of
   g between its two products.
 
@@ -76,14 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CongcertError,
-    IndexOutOfRange,
-    InvalidParameter,
-    ModulusMismatch,
-    NonUnitConstantTerm,
-    ParseError,
-)
+from .errors import CongcertError, InvalidParameter, NonUnitConstantTerm, ParseError
 
 # Keep m*m and m*rows inside int64 during convolution and cumulative sums.
 KERNEL_MODULUS_LIMIT = 1 << 31
@@ -144,71 +139,6 @@ class Modulus:
         if self.exponent == 1:
             return str(self.prime)
         return f"{self.prime}^{self.exponent}"
-
-
-class ModSeries:
-    """Immutable prefix of a power series, coefficients reduced mod m."""
-
-    __slots__ = ("modulus", "_data")
-
-    def __init__(self, modulus: Modulus, coeffs):
-        data = np.array(coeffs, dtype=np.int64) % modulus.value
-        if data.ndim != 1 or data.size < 1:
-            raise InvalidParameter("a series stores at least one coefficient")
-        data.setflags(write=False)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_data", data)
-
-    @classmethod
-    def _of_reduced(cls, modulus: Modulus, data: np.ndarray) -> "ModSeries":
-        """Wrap a nonempty 1-D int64 array whose entries already lie in
-        [0, m), without copying it; the caller hands it over."""
-        series = object.__new__(cls)
-        data.setflags(write=False)
-        object.__setattr__(series, "modulus", modulus)
-        object.__setattr__(series, "_data", data)
-        return series
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModSeries is immutable")
-
-    @property
-    def length(self) -> int:
-        return int(self._data.size)
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n < self._data.size:
-            raise IndexOutOfRange(f"index {n} outside stored range [0, {self._data.size})")
-        return int(self._data[n])
-
-    def array(self) -> np.ndarray:
-        """Read-only view of the coefficient array."""
-        return self._data
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, n):
-        return self.coefficient(n)
-
-    def __iter__(self):
-        return (int(c) for c in self._data)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModSeries):
-            return NotImplemented
-        return self.modulus == other.modulus and np.array_equal(self._data, other._data)
-
-    def __repr__(self):
-        head = ",".join(str(int(c)) for c in self._data[:8])
-        tail = ",..." if self._data.size > 8 else ""
-        return f"ModSeries(mod {self.modulus}, [{head}{tail}] len {self._data.size})"
-
-
-def unit_series(modulus: Modulus, length: int) -> ModSeries:
-    data = np.zeros(length, dtype=np.int64)
-    data[0] = 1 % modulus.value
-    return ModSeries(modulus, data)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +328,15 @@ def _mul_binomial(arr: np.ndarray, base: int, m: int) -> None:
     arr %= m
 
 
-def binomial_power(
-    sign: int, base: int, exponent: int, m: int, length: int | None = None
-) -> np.ndarray:
-    """The coefficients of (1 + sign*q^base)^exponent mod m, exponent >= 0,
+def binomial_power(base: int, exponent: int, m: int, length: int | None = None) -> np.ndarray:
+    """The coefficients of (1 - q^base)^exponent mod m, exponent >= 0,
     below `length` when given: the one statement of them.  C(e, k) is
     carried exactly, as C(e, k+1) = C(e, k) (e-k)/(k+1)."""
     size = base * exponent + 1 if length is None else min(length, base * exponent + 1)
     out = np.zeros(size, dtype=np.int64)
     values, c = [], 1
     for k in range((size - 1) // base + 1):
-        values.append((-c if sign < 0 and k % 2 else c) % m)
+        values.append((-c if k % 2 else c) % m)
         c = c * (exponent - k) // (k + 1)
     out[::base] = values
     return out
@@ -481,7 +409,7 @@ def _apply_binomials(arr: np.ndarray, binomials: dict, m: int, stride: int) -> n
         if route is None:
             _unit_passes(arr, denom, m, _div_binomial)
         else:
-            inverse = _inverse(_binomial_product(denom, m, *route), n, m, shown=1)
+            inverse = _inverse(_binomial_product(denom, m, *route), n, m)
             unit = arr[0] == 1 and not arr[1:].any()
             arr = inverse if unit else _mul_mod(arr, inverse, m, n)
     return arr
@@ -529,7 +457,7 @@ def _binomial_product(factors, m: int, size: int, heap: bool) -> np.ndarray:
         out[0] = 1 % m
         _unit_passes(out, factors, m, _mul_binomial)
         return out
-    powers = (binomial_power(-1, b, e, m, size) for b, e in factors)
+    powers = (binomial_power(b, e, m, size) for b, e in factors)
     queue = [(p.size, i, p) for i, p in enumerate(powers)]
     heapq.heapify(queue)
     count = len(queue)
@@ -677,11 +605,12 @@ def normal_form(spec: ProductSpec, modulus: Modulus, length: int) -> NormalForm:
     )
 
 
-def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSeries:
-    """Expand a factor product to its first `length` coefficients mod m:
-    the expansion of its `normal_form` and nothing else.  The powers of
-    E(q^s) form the starting series; the tails left are folded into it,
-    then the net binomials are applied."""
+def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> np.ndarray:
+    """Expand a factor product to its first `length` coefficients mod m, as
+    a read-only int64 array of residues in [0, m): the expansion of its
+    `normal_form` and nothing else.  The powers of E(q^s) form the starting
+    series; the tails left are folded into it, then the net binomials are
+    applied."""
     form = normal_form(spec, modulus, length)
     m = modulus.value
     euler = dict(form.euler)
@@ -691,7 +620,8 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> ModSer
         _fold_tail(arr, tail, m)
         stride = math.gcd(stride, tail.scale, tail.base(tail.start))
     arr = _apply_binomials(arr, dict(form.binomials), m, stride)
-    return ModSeries._of_reduced(modulus, arr)
+    arr.setflags(write=False)
+    return arr
 
 
 def _add_explicit_tail(tail: TailFamily, length, binomials) -> TailFamily | None:
@@ -840,7 +770,7 @@ def _euler_inverse(n: int, m: int) -> np.ndarray:
     numbers, and Newton iteration only beyond them."""
     inverse = _partition_numbers()[:n] % m
     if n > inverse.size:
-        inverse = _inverse(_euler(n, m), n, m, shown=1, seed=inverse)
+        inverse = _inverse(_euler(n, m), n, m, seed=inverse)
     return inverse
 
 
@@ -856,11 +786,10 @@ def _pow_mod(f: np.ndarray, e: int, m: int, n: int) -> np.ndarray:
         f = _mul_mod(f, f, m, n)
 
 
-def _inverse(f: np.ndarray, n: int, m: int, shown, seed=None) -> np.ndarray:
+def _inverse(f: np.ndarray, n: int, m: int, seed=None) -> np.ndarray:
     """1/f to n coefficients mod m by Newton iteration g <- g(2 - fg), which
     doubles the number of correct coefficients each step: if fg = 1 + q^k t
-    then f g(2 - fg) = 1 - q^2k t^2.  `shown` is the constant term as the
-    caller wrote it, for the error message.  `seed`, when given, is the
+    then f g(2 - fg) = 1 - q^2k t^2.  `seed`, when given, is the
     inverse's first coefficients, already known, and Newton starts after
     them.
 
@@ -873,7 +802,7 @@ def _inverse(f: np.ndarray, n: int, m: int, shown, seed=None) -> np.ndarray:
     try:
         inv0 = pow(int(f[0]) % m, -1, m)
     except ValueError:
-        raise NonUnitConstantTerm(f"constant term {shown} is not invertible mod {m}") from None
+        raise NonUnitConstantTerm(f"constant term {int(f[0])} is not invertible mod {m}") from None
     g = np.zeros(n, dtype=np.int64)
     g[0] = inv0
     k = 1
@@ -1025,32 +954,14 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# arithmetic on expanded series
-
-
-def _common_modulus(a: ModSeries, b: ModSeries) -> Modulus:
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(f"cannot combine series mod {a.modulus} and mod {b.modulus}")
-    return a.modulus
-
-
-def series_add(a: ModSeries, b: ModSeries) -> ModSeries:
-    modulus = _common_modulus(a, b)
-    n = min(a.length, b.length)
-    return ModSeries(modulus, (a.array()[:n] + b.array()[:n]) % modulus.value)
-
-
-def series_mul(a: ModSeries, b: ModSeries) -> ModSeries:
-    modulus = _common_modulus(a, b)
-    n = min(a.length, b.length)
-    return ModSeries(modulus, _mul_mod(a.array(), b.array(), modulus.value, n))
-
-
-def series_inverse(a: ModSeries) -> ModSeries:
-    """Multiplicative inverse to the stored length: 1 divided by a."""
-    return ModSeries(a.modulus, _inverse(a.array(), a.length, a.modulus.value, shown=a[0]))
-
-
-def coefficient(a: ModSeries, n: int) -> int:
-    return a.coefficient(n)
+def series_mul(a, b, modulus: Modulus) -> np.ndarray:
+    """The first n = min(len(a), len(b)) coefficients of a*b mod m, exactly,
+    for integer sequences a and b.  Each is cut to n before it is reduced,
+    so a long input costs no copy past n."""
+    n = min(len(a), len(b))
+    if n < 1:
+        raise InvalidParameter("a series stores at least one coefficient")
+    m = modulus.value
+    x = np.asarray(a[:n], dtype=np.int64) % m
+    y = np.asarray(b[:n], dtype=np.int64) % m
+    return _mul_mod(x, y, m, n)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +50,7 @@ class TestBuilders:
     def test_box_symmetry(self):
         a = series_from_spec(build_spec(GFKind.plane_box(3, 5)), BIG, 20)
         b = series_from_spec(build_spec(GFKind.plane_box(5, 3)), BIG, 20)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_rowed_head_is_prefix_of_rowed(self):
         # plane_head(ell) carries exactly the explicit factors of plane_rowed(ell)
@@ -126,7 +127,7 @@ class TestSplit:
             (BinomialFactor(-1, 4, -1), TailFamily(sign=-1, start=4, exp_offset=-1, scale=4))
         )
         got = series_from_spec(dec.b_spec, MOD2, 300)
-        assert got == series_from_spec(want, MOD2, 300)
+        assert np.array_equal(got, series_from_spec(want, MOD2, 300))
 
     def test_nine_rowed_mod_three(self):
         dec = split_AB(build_spec(GFKind.plane_rowed(9)), MOD3, 9)
@@ -144,7 +145,9 @@ class TestSplit:
         assert kwong_period(dec.a_multiset, 2, 2).period == 96
         # B is congruent to (1+q^12)^2 (1+q^4)^2 mod 4
         closed = ProductSpec((BinomialFactor(1, 12, 2), BinomialFactor(1, 4, 2)))
-        assert series_from_spec(dec.b_spec, MOD4, 400) == series_from_spec(closed, MOD4, 400)
+        assert np.array_equal(
+            series_from_spec(dec.b_spec, MOD4, 400), series_from_spec(closed, MOD4, 400)
+        )
 
     def test_rowed_prime_targets_keep_full_head(self):
         for ell in (2, 3, 5, 7):
@@ -173,8 +176,9 @@ class TestSplit:
             lhs = series_mul(
                 series_from_spec(dec.a_spec, modulus, 500),
                 series_from_spec(dec.b_spec, modulus, 500),
+                modulus,
             )
-            assert lhs == series_from_spec(spec, modulus, 500), kind
+            assert np.array_equal(lhs, series_from_spec(spec, modulus, 500)), kind
 
     def test_unsplittable_targets(self):
         with pytest.raises(SplitFailed):
@@ -249,8 +253,7 @@ class TestBCertificate:
             spec, modulus = ProductSpec(factors), rng.choice([MOD2, MOD3, MOD4])
             length = rng.randint(delta, 60)
             series = series_from_spec(spec, modulus, length)
-            data = series.array()
-            want = int(data[0]) == 1 and all(i % delta == 0 for i in range(length) if data[i])
+            want = int(series[0]) == 1 and all(i % delta == 0 for i in range(length) if series[i])
             assert validate_B_certificate(series, delta) == want, (spec, delta)
             seen.add(want)
         assert seen == {True, False}
@@ -305,7 +308,7 @@ class TestKnownOverplaneFactorizations:
         modulus = Modulus(ell, 1)
         display = series_from_spec(OVERPLANE_SPLITS_BY_PRIME[ell], modulus, 500)
         builder = series_from_spec(build_spec(GFKind.overplane_rowed(ell)), modulus, 500)
-        assert display == builder
+        assert np.array_equal(display, builder)
 
 
 class TestOverplaneParity:
@@ -393,7 +396,9 @@ class TestDerivationSoundness:
             sides = [ProductSpec(tuple(side)) for side in (before, after)]
             args = (ws.modulus, ws.validation_length)
             same_form = normal_form(sides[0], *args) == normal_form(sides[1], *args)
-            same_series = series_from_spec(sides[0], *args) == series_from_spec(sides[1], *args)
+            same_series = np.array_equal(
+                series_from_spec(sides[0], *args), series_from_spec(sides[1], *args)
+            )
             try:
                 real(ws, rule, before, after, guard)
             except CongcertError:
@@ -422,6 +427,7 @@ class TestDerivationSoundness:
         combined = series_mul(
             series_from_spec(dec.a_spec, MOD2, 200),
             series_from_spec(dec.b_spec, MOD2, 200),
+            MOD2,
         )
         assert list(combined) == brute_expand(spec, 200, 2)
 

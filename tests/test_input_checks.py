@@ -24,11 +24,11 @@ from congcert.prover import CongruenceFamily
 from congcert.search import SearchSpace
 from congcert.series import (
     BinomialFactor,
-    ModSeries,
     Modulus,
     ProductSpec,
     TailFamily,
     series_from_spec,
+    series_mul,
 )
 
 BIG = str(10**20)
@@ -139,7 +139,7 @@ def test_malformed_instance_exits_two_with_one_error_line(case, tmp_path):
 
 MOD2 = Modulus(2, 1)
 EULER = ProductSpec((TailFamily(sign=-1, start=1, exp_offset=-1),))
-SERIES = ModSeries(MOD2, [1, 0, 1, 0])
+SERIES = series_from_spec(ProductSpec((BinomialFactor(-1, 2, -1),)), MOD2, 4)
 
 # (call, exception type, message): each argument check, called directly
 CHECKS = {
@@ -162,7 +162,7 @@ CHECKS = {
                             f"modulus base {2**31 + 11} exceeds the kernel limit 2147483648"),
     "modulus-value-limit": (lambda: Modulus(2, 40), InvalidParameter,
                             "modulus 1099511627776 exceeds the kernel limit 2147483648"),
-    "series-empty": (lambda: ModSeries(MOD2, []), InvalidParameter,
+    "series-empty": (lambda: series_mul([], [], MOD2), InvalidParameter,
                      "a series stores at least one coefficient"),
     "binomial-sign": (lambda: BinomialFactor(0, 1, 1), InvalidParameter, "sign must be +1 or -1"),
     "tail-sign": (lambda: TailFamily(sign=0, start=1, exp_offset=-1), InvalidParameter,

@@ -57,7 +57,7 @@ def g_verdicts(target, modulus, delta, families):
         return None
     head_period = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent).period
     period = math.lcm(head_period, delta)
-    grid = series_from_spec(spec, modulus, period).array().reshape(-1, delta)
+    grid = series_from_spec(spec, modulus, period).reshape(-1, delta)
     verdicts = {}
     for fam in families:
         left = grid[:, list(fam.left)].sum(axis=1) % modulus.value
@@ -170,7 +170,7 @@ class TestWitnessGuard:
         rows = plan.head.shape[0]
         wrong_a = _without_factor(plan.decomposition.a_spec, dropped)
         wrong = series_from_spec(wrong_a, MOD2, 8 * rows)
-        plan = dataclasses.replace(plan, head=wrong.array().reshape(rows, 8))
+        plan = dataclasses.replace(plan, head=wrong.reshape(rows, 8))
         with pytest.raises(RuleValidationFailed, match="witness check"):
             plan.check(CongruenceFamily(8, (5,), (), MOD2))
 
@@ -218,6 +218,11 @@ LADDER_BOUNDS = [
     (9, 3, 9, (2520, 150, 150)),
     (10, 2, 2, (5040, 83, 83)),
     (10, 5, 5, (12600, 209, 209)),
+]
+# two headline targets of scripts/headline.py, whose K the head stops at
+HEADLINE_BOUNDS = [
+    (32, 2, 32, (144403552893600, 6909, 6909)),
+    (49, 7, 49, (3099044504245996706400, 33421, 33421)),
 ]
 INSTANCE_BOUNDS = {
     "bounded_parts_mod5.cfg": (6, 7, 6),
@@ -294,7 +299,7 @@ class TestDegreeBound:
     """The head is expanded to min(K, period/delta) rows, where
     K = floor(deg N / delta) + 1 for A = N(q)/D(q^delta)."""
 
-    @pytest.mark.parametrize("rows,prime,delta,want", LADDER_BOUNDS)
+    @pytest.mark.parametrize("rows,prime,delta,want", LADDER_BOUNDS + HEADLINE_BOUNDS)
     def test_ladder_rungs(self, rows, prime, delta, want):
         plan = Plan.build(GFKind.plane_rowed(rows), Modulus(prime, 1), delta)
         assert (plan.bound, plan.degree_bound, plan.head.shape[0]) == want
@@ -339,4 +344,4 @@ class TestDegreeBound:
         length = degree + 3 * delta
         numerator = series_from_spec(plan.decomposition.a_spec * denominator, modulus, length)
         assert numerator[degree] == 1
-        assert not numerator.array()[degree + 1:].any()
+        assert not numerator[degree + 1:].any()

@@ -9,12 +9,12 @@ The split produces:
        vanish mod ell^N away from multiples of delta for ALL indices, not
        only the numerically checked prefix.
 
-Guards, mod ell^N to the validation length L, check each peel and
-power-reduce step and B's support.  A step's guard compares the two sides'
-`series.normal_form`s, from which expansion alone follows, and expands both
-sides only when those differ.  The split expands B once, to L; its support
-check reads that expansion, and `prover.Plan.build` multiplies it by A's
-expansion to check A*B against the input.  A failed guard raises
+Every step is an identity mod ell^N at all indices, and is recorded, not
+checked on its own.  The split expands B once, to the validation length L,
+and checks B's support there; `prover.Plan.build` multiplies that expansion
+by A's and checks A*B against the input to L, the one numeric check of the
+rewrites: every factor's expansion has constant term 1, so a step whose
+sides differ below L changes A*B there.  A failed check raises
 RuleValidationFailed, never a verdict; a target that does not split raises
 SplitFailed.
 
@@ -25,7 +25,7 @@ SplitFailed.
                    also sends a positive power to B when it lands on delta*Z;
   plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
                    the identity is `series.plus_to_minus`, which expansion
-                   also applies to every plus factor (so it has no guard).
+                   also applies to every plus factor.
 It peels tails into explicit factors, then makes one pass over the factors
 merged by shape, least first: a factor on delta*Z goes to B; a plus factor
 goes to B by power-reduce when it is a positive power that lands there, else
@@ -49,7 +49,6 @@ from .series import (
     ProductSpec,
     TailFamily,
     frobenius_step,
-    normal_form,
     plus_to_minus,
     series_from_spec,
 )
@@ -240,12 +239,10 @@ def _merge(inventory: dict, factor) -> None:
 @dataclass
 class _Workspace:
     """The factors of a split, merged by shape (key -> net exponent), and
-    the rewrite steps on them.  A step records its rewrite by `apply_rule`,
-    guarded except for plus-to-minus, and returns the new factor(s), or
-    None if none applies."""
+    the rewrite steps on them.  A step records its rewrite by `apply_rule`
+    and returns the new factor(s), or None if none applies."""
 
     modulus: Modulus
-    validation_length: int
     inventory: dict = field(default_factory=dict)
     derivation: list = field(default_factory=list)
 
@@ -257,25 +254,16 @@ class _Workspace:
                 raise InvalidParameter(f"unknown factor type {type(f).__name__}")
             _merge(self.inventory, f)
 
-    def apply_rule(self, rule, before, after, guard=True):
+    def apply_rule(self, rule, before, after):
         """Record the step `rule: before -> after`, each side a product that
-        `ProductSpec.parse` reads, after the guard confirms that both sides
-        expand identically.  Sides with one `normal_form` expand to the same
-        array, so the guard expands both only when their forms differ."""
+        `ProductSpec.parse` reads.  No step is checked on its own: a wrong
+        one changes A*B, which `prover.Plan.build` checks against G."""
         before, after = ProductSpec(tuple(before)), ProductSpec(tuple(after))
-        step = f"{rule}: {before} -> {after}"
-        modulus, length = self.modulus, self.validation_length
-        if guard and normal_form(before, modulus, length) != normal_form(after, modulus, length):
-            lhs = series_from_spec(before, modulus, length)
-            if not np.array_equal(lhs, series_from_spec(after, modulus, length)):
-                raise RuleValidationFailed(
-                    f"{step}: sides differ mod {modulus} within {length} terms"
-                )
-        self.derivation.append(step)
+        self.derivation.append(f"{rule}: {before} -> {after}")
 
     def power_reduce(self, factor, delta: int):
-        """`_power_reduce` as a validated step; None when no step applies or
-        the reduced factor is not supported on delta*Z."""
+        """`_power_reduce` as a step; None when no step applies or the
+        reduced factor is not supported on delta*Z."""
         after = _power_reduce(factor, self.modulus)
         if after is None or not _structurally_supported(after, delta):
             return None
@@ -283,10 +271,9 @@ class _Workspace:
         return after
 
     def plus_to_minus(self, factor):
-        """`series.plus_to_minus` as a step: the pair (doubled, inverse).
-        Unguarded: expansion makes the same call, so both sides agree."""
+        """`series.plus_to_minus` as a step: the pair (doubled, inverse)."""
         pair = plus_to_minus(factor)
-        self.apply_rule("plus-to-minus", [factor], pair, guard=False)
+        self.apply_rule("plus-to-minus", [factor], pair)
         return pair
 
 
@@ -329,9 +316,9 @@ def _power_reduce(factor, modulus: Modulus):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A split G = A * B mod ell^N whose steps and B's support passed their
-    guards, with B supported on delta-multiples, and B expanded to the
-    validation length: `Plan.build` checks A*B = G with it."""
+    """A split G = A * B mod ell^N, with B supported on delta-multiples and
+    B expanded to the validation length, where it passed its support
+    check: `Plan.build` checks A*B = G with it."""
 
     a_spec: ProductSpec
     a_multiset: PartMultiset
@@ -363,11 +350,11 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
     is checked on the returned B expansion (`Plan.build` does).
 
     Raises SplitFailed when the product does not split, RuleValidationFailed
-    when a guard fails (see the module docstring)."""
+    when B fails its support check (see the module docstring)."""
     if delta < 1:
         raise InvalidParameter("delta must be >= 1")
     validation_length = default_validation_length(spec, delta)
-    ws = _Workspace(modulus, validation_length)
+    ws = _Workspace(modulus)
     ws.load(spec)
     ell, N = modulus.prime, modulus.exponent
 

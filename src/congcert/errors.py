@@ -26,8 +26,8 @@ class NoPeriodFound(CongcertError):
 
 
 class RuleValidationFailed(CongcertError):
-    """A guard of the split or of a witness failed: congcert itself is wrong,
-    so no verdict is given; abort."""
+    """A check of the split (B's support, A*B = G) or of a witness failed:
+    congcert itself is wrong, so no verdict is given; abort."""
 
 
 class SplitFailed(CongcertError):

@@ -24,9 +24,11 @@ n is sum_k B[delta*k] * (difference of A at n-k): a unit-triangular
 combination of A's differences at n, n-1, ..., 0.  G and A therefore agree
 on the family below any bound, and first fail it at the same n.  G is still
 expanded to the split's validation length, where `Plan.build` checks A*B
-against it, and for what a reader checks by hand: the sums reported in a
-witness (up to the witness index only, and guarded to fail first exactly
-there) and `spot_check`, which uses no decomposition or periodicity at all.
+against it: the one numeric check of the split's rewrites, none of which is
+checked on its own.  G is also expanded for what a reader checks by hand:
+the sums reported in a witness (up to the witness index only, and guarded
+to fail first exactly there) and `spot_check`, which uses no decomposition
+or periodicity at all.
 """
 
 from __future__ import annotations
@@ -240,11 +242,13 @@ class Plan:
     @classmethod
     def build(cls, target: GFKind, modulus: Modulus, delta: int) -> "Plan":
         """Split the product into A*B at this modulus and delta (or raise
-        SplitFailed, or RuleValidationFailed when a guard fails), take the
-        minimal period of A's multiset lifted to a multiple of delta and the
-        degree bound of A's rational section, expand A to the smaller of
-        the two bounds and at least to the validation length, and check
-        A*B = G there (RuleValidationFailed if not)."""
+        SplitFailed, or RuleValidationFailed when B fails its support
+        check), take the minimal period of A's multiset lifted to a multiple
+        of delta and the degree bound of A's rational section, expand A to
+        the smaller of the two bounds and at least to the validation length
+        L, and check A*B = G below L (RuleValidationFailed, naming the first
+        index where they differ, if not).  That check is the only numeric
+        check of the split's rewrites."""
         spec = build_spec(target)
         dec = split_AB(spec, modulus, delta)
         info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
@@ -258,8 +262,12 @@ class Plan:
         g = series_from_spec(spec, modulus, length)
         a = series_from_spec(dec.a_spec, modulus, max(length, delta * rows))
         # series_mul stops at the shorter length: B's, L
-        if not np.array_equal(series_mul(a, dec.b_series, modulus), g):
-            raise RuleValidationFailed("A*B differs from the original product")
+        differ = np.flatnonzero(series_mul(a, dec.b_series, modulus) != g)
+        if differ.size:
+            raise RuleValidationFailed(
+                f"A*B differs from the original product at q^{differ[0]}"
+                f" (first difference in {length} coefficients mod {modulus})"
+            )
         head = a[: delta * rows].reshape(rows, delta)
         return cls(target, modulus, delta, spec, dec, period, bound, degree_bound, head)
 

@@ -7,6 +7,7 @@ those kept, tested exactly against their Howell basis."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -50,24 +51,32 @@ class SearchSpace:
 def enumerate_candidates(space: SearchSpace) -> list:
     """Every canonical family once: disjoint residue multisets, the
     lexicographically smaller side on the left, sizes summing to at most
-    max_terms (an empty right side counting as one term)."""
-    delta = space.delta
+    max_terms (an empty right side counting as one term).
+
+    The space is counted before any family is built, and SpaceTooLarge is
+    raised past CANDIDATE_CAP.  Its families on u distinct residues number
+    C(delta, u) C(T - 1, u) with an empty right side (a multiset of size
+    below T = max_terms on u given residues is a u-subset of T - 1 slots),
+    and C(delta, u) C(T, u) (2^(u-1) - 1) with two sides: a pair of
+    multisets of total size at most T, split into two nonempty parts of
+    the u residues, each pair counted once."""
+    delta, terms = space.delta, space.max_terms
+    count = 0
+    for u in range(1, min(delta, terms) + 1):
+        count += math.comb(delta, u) * (
+            math.comb(terms - 1, u) + math.comb(terms, u) * (2 ** (u - 1) - 1)
+        )
+        if count > CANDIDATE_CAP:
+            raise SpaceTooLarge(f"more than {CANDIDATE_CAP} candidates; lower max_terms or delta")
+
     residues = range(delta)
     out = []
-
-    def push(family):
-        if len(out) >= CANDIDATE_CAP:
-            raise SpaceTooLarge(
-                f"more than {CANDIDATE_CAP} candidates; lower max_terms or delta"
-            )
-        out.append(family)
-
-    for size in range(1, space.max_terms):
+    for size in range(1, terms):
         for left in combinations_with_replacement(residues, size):
-            push(CongruenceFamily(delta, left, (), space.modulus))
+            out.append(CongruenceFamily(delta, left, (), space.modulus))
 
-    for s in range(1, space.max_terms // 2 + 1):
-        for t in range(s, space.max_terms - s + 1):
+    for s in range(1, terms // 2 + 1):
+        for t in range(s, terms - s + 1):
             for left in combinations_with_replacement(residues, s):
                 lset = set(left)
                 for right in combinations_with_replacement(residues, t):
@@ -75,7 +84,7 @@ def enumerate_candidates(space: SearchSpace) -> list:
                         continue
                     if s == t and right < left:
                         continue
-                    push(CongruenceFamily(delta, left, right, space.modulus))
+                    out.append(CongruenceFamily(delta, left, right, space.modulus))
     return out
 
 

@@ -38,10 +38,6 @@ matter:
   ell^N.  Bases at or past L are dropped.  So (1-q^b)^-7 mod 2 is three
   passes, at b, 2b and 4b, not seven, and E^-10 mod 2 is
   E(q^2)^-1 E(q^8)^-1: one inverse and one product, at half the length.
-  The net exponents, their carries and the tails left to fold compute no
-  coefficient: together they are `normal_form`, a hashable value, and
-  `series_from_spec` expands that form and nothing else, so products with
-  one form expand to one array.
 - One routine, `_mul_poly`, multiplies the series by a polynomial, in
   place.  It takes the series as H(q^s): s > 1 when the powers of E(q^s)
   and all that was applied before are supported on sZ, else s = 1.  Then
@@ -59,10 +55,11 @@ matter:
   whose step takes one cyclic middle product and shares one transform of
   g between its two products.
 
-A base offset js in such a tail only moves its start to start + j.  Tails
-with any other offset or an exponent that varies with n have no closed
-form.  Their explicit factors join the net exponents: all of them below L
-when the exponent varies, else those below sqrt(L); the rest of a
+A tail is kept with its offset in [0, scale) (`TailFamily`), so it has
+Euler shape exactly when its offset is 0 and its exponent constant.  Tails
+with an offset or an exponent that varies with n have no closed form.
+Their explicit factors join the net exponents: all of them below L when
+the exponent varies, else those below sqrt(L); the rest of a
 constant-exponent tail is folded by number of parts (`_fold_parts`) at
 exponent +-1, then raised to |e|.
 """
@@ -74,7 +71,6 @@ import heapq
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -167,7 +163,8 @@ class BinomialFactor:
 @dataclass(frozen=True)
 class TailFamily:
     """The infinite product over n >= start of (1 + sign*q^(scale*n+offset))^e(n)
-    where e(n) = exp_scale*n + exp_offset.
+    where e(n) = exp_scale*n + exp_offset.  It is kept with
+    0 <= offset < scale: a tail written with another offset is the same tail.
 
     Bases strictly increase with n, so expansion to length L only ever touches
     the finitely many factors with base below L.
@@ -185,6 +182,12 @@ class TailFamily:
             raise InvalidParameter("sign must be +1 or -1")
         if self.scale < 1:
             raise InvalidParameter("base scale must be >= 1 so bases increase")
+        # one form per tail: the offset in [0, scale), the start and a
+        # varying exponent moved with it, so every base keeps its exponent
+        k = self.offset // self.scale
+        object.__setattr__(self, "start", self.start + k)
+        object.__setattr__(self, "offset", self.offset - k * self.scale)
+        object.__setattr__(self, "exp_offset", self.exp_offset - k * self.exp_scale)
         if self.base(self.start) < 1:
             raise InvalidParameter("first factor base must be >= 1")
         if self.exp_scale == 0 and self.exp_offset == 0:
@@ -534,14 +537,12 @@ def _fold_parts(arr, step, base_min, m, distinct) -> None:
 
 
 def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
-    """Record an Euler-shaped minus tail (constant exponent e, offset js:
-    bases sn from start = tail.start + j) as a power of
-    E(q^s) = prod_{n>=1}(1-q^(sn)), keyed s, and the finite head it divides
-    out:
+    """Record an Euler-shaped minus tail (constant exponent e, offset 0:
+    bases sn from n = start) as a power of E(q^s) = prod_{n>=1}(1-q^(sn)),
+    keyed s, and the finite head it divides out:
 
         prod_{n>=start}(1-q^(sn))^e = E(q^s)^e * prod_{n<start}(1-q^(sn))^-e"""
-    s, e = tail.scale, tail.exp_offset
-    start = tail.start + tail.offset // s
+    s, e, start = tail.scale, tail.exp_offset, tail.start
     if s * start >= length:
         return
     euler[s] = euler.get(s, 0) + e
@@ -549,32 +550,17 @@ def _add_euler_tail(tail: TailFamily, length, binomials, euler) -> None:
         binomials[s * n] = binomials.get(s * n, 0) - e
 
 
-class NormalForm(NamedTuple):
-    """What `series_from_spec` expands, and all it reads of the product:
-    the carried net exponents of E(q^s), keyed s, and of (1-q^base), keyed
-    base, each as (key, exponent) pairs in increasing key order; the minus
-    tails left to `_fold_tail`, in the order of their fields; and the
-    length.  Two products with equal forms expand to the same array."""
-
-    euler: tuple
-    folded: tuple
-    binomials: tuple
-    length: int
-
-
-def _tail_key(tail: TailFamily) -> tuple:
-    """A tail's fields, in the order `NormalForm.folded` sorts by."""
-    return (tail.sign, tail.start, tail.exp_offset, tail.exp_scale, tail.scale, tail.offset)
-
-
-def normal_form(spec: ProductSpec, modulus: Modulus, length: int) -> NormalForm:
-    """Everything `series_from_spec` does before any coefficient is computed.
+def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> np.ndarray:
+    """Expand a factor product to its first `length` coefficients mod m, as
+    a read-only int64 array of residues in [0, m).
 
     Every plus binomial or tail is first rewritten by `plus_to_minus`.
     Binomial factors, the finite heads that Euler-shaped tails divide out,
     and the explicit factors of other tails are summed into one net
     exponent per base, and both they and the powers of E(q^s) are carried
-    by `_frobenius`; what is left of the other tails is kept to be folded."""
+    by `_frobenius`.  Those powers form the starting series; what is left
+    of the other tails is folded into it, then the net binomials are
+    applied."""
     if length < 1:
         raise InvalidParameter("length must be >= 1")
     if length > _MAX_LENGTH:
@@ -589,7 +575,7 @@ def normal_form(spec: ProductSpec, modulus: Modulus, length: int) -> NormalForm:
     for factor in minus:
         if isinstance(factor, BinomialFactor):
             binomials[factor.base] = binomials.get(factor.base, 0) + factor.exponent
-        elif isinstance(factor, TailFamily) and not (factor.exp_scale or factor.offset % factor.scale):
+        elif isinstance(factor, TailFamily) and not (factor.exp_scale or factor.offset):
             _add_euler_tail(factor, length, binomials, euler)
         elif isinstance(factor, TailFamily):
             rest = _add_explicit_tail(factor, length, binomials)
@@ -597,29 +583,14 @@ def normal_form(spec: ProductSpec, modulus: Modulus, length: int) -> NormalForm:
                 folded.append(rest)
         else:
             raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
-    return NormalForm(
-        euler=tuple(_frobenius(euler, modulus, length).items()),
-        folded=tuple(sorted(folded, key=_tail_key)),
-        binomials=tuple(_frobenius(binomials, modulus, length).items()),
-        length=length,
-    )
-
-
-def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> np.ndarray:
-    """Expand a factor product to its first `length` coefficients mod m, as
-    a read-only int64 array of residues in [0, m): the expansion of its
-    `normal_form` and nothing else.  The powers of E(q^s) form the starting
-    series; the tails left are folded into it, then the net binomials are
-    applied."""
-    form = normal_form(spec, modulus, length)
     m = modulus.value
-    euler = dict(form.euler)
+    euler = _frobenius(euler, modulus, length)
     arr = _euler_product(euler, length, m)
     stride = math.gcd(0, *euler)
-    for tail in form.folded:
+    for tail in folded:
         _fold_tail(arr, tail, m)
         stride = math.gcd(stride, tail.scale, tail.base(tail.start))
-    arr = _apply_binomials(arr, dict(form.binomials), m, stride)
+    arr = _apply_binomials(arr, _frobenius(binomials, modulus, length), m, stride)
     arr.setflags(write=False)
     return arr
 

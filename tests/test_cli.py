@@ -247,6 +247,16 @@ class TestSearchCommand:
         code, _ = run(["search", "--instance", instance_path(text)])
         assert code == 2
 
+    def test_too_large_space_exits_two_at_once(self, capsys, instance_path):
+        # counted before any family is built: delta 20,000 with three terms
+        # has 4.0 * 10^12 candidates
+        text = TWO_ROWED_SEARCH.replace("delta = 2", "delta = 20000")
+        code, out = run(["search", "--instance", instance_path(text), "--max-terms", "3"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: SpaceTooLarge: more than 1000000 candidates; lower max_terms or delta\n"
+        )
+
     def test_threads_flag_removed(self, instance_path):
         code, out = run(["search", "--instance", instance_path(TWO_ROWED_SEARCH), "--threads", "2"])
         assert code == 2 and out == ""

@@ -78,24 +78,24 @@ class TestBuilders:
 
 class TestReduceSpec:
     """The reduction steps of a split, one rule at a time: `_power_reduce`
-    and the validated `_Workspace` steps built on it, at delta = 1."""
+    and the `_Workspace` steps built on it, at delta = 1."""
 
     def test_fourth_power_mod_two(self):
         before = BinomialFactor(-1, 1, 4)
         assert _power_reduce(before, MOD2) == BinomialFactor(-1, 4, 1)
-        ws = _Workspace(MOD2, 500)
+        ws = _Workspace(MOD2)
         assert ws.power_reduce(before, 1) == BinomialFactor(-1, 4, 1)
         assert len(ws.derivation) == 1
 
     def test_fourth_power_mod_four(self):
         before = BinomialFactor(-1, 1, 4)
         assert _power_reduce(before, MOD4) == BinomialFactor(-1, 2, 2)
-        assert _Workspace(MOD4, 500).power_reduce(before, 1) == BinomialFactor(-1, 2, 2)
+        assert _Workspace(MOD4).power_reduce(before, 1) == BinomialFactor(-1, 2, 2)
 
     def test_plus_power_reduces_onto_delta(self):
         # mod 4, (1+q^3)^72 reduces to (1+q^6)^36, then to (1+q^12)^18,
         # where 4 no longer divides the exponent
-        ws = _Workspace(MOD4, 500)
+        ws = _Workspace(MOD4)
         assert ws.power_reduce(BinomialFactor(1, 3, 72), 12) == BinomialFactor(1, 12, 18)
         assert ws.derivation == ["power-reduce: (1+q^3)^72 -> (1+q^12)^18"]
         # not on 24Z: no step, and no label
@@ -105,15 +105,16 @@ class TestReduceSpec:
     @pytest.mark.parametrize(
         "sign,modulus,want",
         [
-            (-1, MOD2, "tail((1-q^4n+4)^-3, from=3)"),
-            (-1, MOD4, "tail((1-q^2n+2)^-6, from=3)"),
-            (1, MOD3, "tail((1+q^3n+3)^-4, from=3)"),
+            (-1, MOD2, "tail((1-q^4n)^-3, from=4)"),
+            (-1, MOD4, "tail((1-q^2n)^-6, from=4)"),
+            (1, MOD3, "tail((1+q^3n)^-4, from=4)"),
         ],
         ids=["minus-mod2", "minus-mod4", "plus-mod3"],
     )
     def test_tail_power_scales_every_base(self, sign, modulus, want):
+        # bases n+1 from n = 3, kept as bases n from n = 4
         tail = TailFamily(sign=sign, start=3, exp_offset=-12, offset=1)
-        ws = _Workspace(modulus, 500)
+        ws = _Workspace(modulus)
         assert str(ws.power_reduce(tail, 1)) == want
         assert ws.derivation == [f"power-reduce: {tail} -> {want}"]
 
@@ -321,18 +322,37 @@ class TestOverplaneParity:
 
 
 class TestDerivationSoundness:
-    def test_unsound_rewrite_is_rejected(self):
-        # the validator refuses a rewrite whose sides expand differently
-        from congcert import RuleValidationFailed
+    def test_unsound_rewrite_is_rejected(self, monkeypatch):
+        # no step is checked on its own: a wrong power-reduce (its exponent
+        # tripled) or a wrong peel (a minus tail moved past a factor it did
+        # not write out) still splits, and A*B = G in Plan.build refuses it
+        from congcert import Plan, RuleValidationFailed, decompose
 
-        ws = _Workspace(MOD2, 64)
-        with pytest.raises(RuleValidationFailed):
-            ws.apply_rule(
-                "bogus",
-                [BinomialFactor(-1, 1, 2)],
-                [BinomialFactor(-1, 3, 1)],
-            )
-        assert ws.derivation == []
+        real_reduce, real_replace = decompose._power_reduce, decompose.replace
+
+        def tripled(factor, modulus):
+            after = real_reduce(factor, modulus)
+            if isinstance(after, BinomialFactor):
+                return dataclasses.replace(after, exponent=3 * after.exponent)
+            return after
+
+        def skipped(factor, **changes):
+            if changes.keys() == {"start"} and factor.sign < 0:  # the peel's moved tail
+                changes["start"] += 1
+            return real_replace(factor, **changes)
+
+        wrong_steps = [
+            ("_power_reduce", tripled, GFKind.plane_rowed(8), MOD2, 8),
+            ("_power_reduce", tripled, GFKind.plane_rowed(9), MOD3, 9),
+            ("_power_reduce", tripled, GFKind.overplane_rowed(4), MOD4, 4),
+            ("replace", skipped, GFKind.overplane_rowed(3), MOD3, 3),
+            ("replace", skipped, GFKind.overplane_rowed(4), MOD2, 4),
+        ]
+        for name, wrong, target, modulus, delta in wrong_steps:
+            with monkeypatch.context() as patch:
+                patch.setattr(decompose, name, wrong)
+                with pytest.raises(RuleValidationFailed, match="^A\\*B differs"):
+                    Plan.build(target, modulus, delta)
 
     def test_split_records_validated_steps(self):
         # the plus/minus tail pair cancels by the two rules the binomials
@@ -347,78 +367,35 @@ class TestDerivationSoundness:
         )
         assert not any(isinstance(f, TailFamily) for f in dec.b_spec.factors)
 
-    def test_guard_expands_only_when_normal_forms_differ(self, monkeypatch):
-        # mod 2 at L = 500 the carry keeps each residue with the sign of its
-        # exponent: (1+q^10)^10 reaches (1-q^20)(1-q^80), and (1+q^20)^5
-        # reaches (1-q^20)^-1 (1-q^40)(1-q^80), so the guard expands both
-        # sides, which agree; a step whose sides carry to one form expands
-        # nothing
-        from congcert import decompose
-        from congcert.series import normal_form
-
-        expanded = []
-        real = decompose.series_from_spec
-
-        def counted(spec, modulus, length):
-            expanded.append(spec)
-            return real(spec, modulus, length)
-
-        monkeypatch.setattr(decompose, "series_from_spec", counted)
-        ws = _Workspace(MOD2, 500)
-        before, after = BinomialFactor(1, 10, 10), BinomialFactor(1, 20, 5)
-        forms = [normal_form(ProductSpec((f,)), MOD2, 500) for f in (before, after)]
-        assert forms[0].binomials == ((20, 1), (80, 1))
-        assert forms[1].binomials == ((20, -1), (40, 1), (80, 1))
-        ws.apply_rule("power-reduce", [before], [after])
-        assert expanded == [ProductSpec((before,)), ProductSpec((after,))]
-        assert ws.derivation == ["power-reduce: (1+q^10)^10 -> (1+q^20)^5"]
-
-        expanded.clear()
-        ws.apply_rule("power-reduce", [BinomialFactor(-1, 3, -8)], [BinomialFactor(-1, 24, -1)])
-        assert expanded == []
-        assert ws.derivation[-1] == "power-reduce: (1-q^3)^-8 -> (1-q^24)^-1"
-
-    def test_guard_agrees_with_full_expansions_on_the_grid(self, monkeypatch):
-        # every guarded step of every split on the grid: the guard passes
-        # exactly when the two sides' full expansions agree, and its sides
-        # share a normal form in all but the recorded few
+    def test_steps_expand_equally_on_the_grid(self, monkeypatch):
+        # every step of every split on the grid: its two sides expand to the
+        # same array to the split's validation length.  The step counts per
+        # rule were recorded when each step was still checked on its own
         from collections import Counter
 
-        from congcert import CongcertError, decompose
-        from congcert.series import normal_form
+        from congcert import decompose
+        from congcert.decompose import default_validation_length
 
-        steps = []
+        counts = Counter()
         real = decompose._Workspace.apply_rule
 
-        def recorded(ws, rule, before, after, guard=True):
-            if not guard:
-                return real(ws, rule, before, after, guard)
-            sides = [ProductSpec(tuple(side)) for side in (before, after)]
-            args = (ws.modulus, ws.validation_length)
-            same_form = normal_form(sides[0], *args) == normal_form(sides[1], *args)
-            same_series = np.array_equal(
-                series_from_spec(sides[0], *args), series_from_spec(sides[1], *args)
-            )
-            try:
-                real(ws, rule, before, after, guard)
-            except CongcertError:
-                steps.append((rule, same_form, same_series, False))
-                raise
-            steps.append((rule, same_form, same_series, True))
+        def expanded_equally(ws, rule, before, after):
+            lhs, rhs = (ProductSpec(tuple(side)) for side in (before, after))
+            assert np.array_equal(
+                series_from_spec(lhs, ws.modulus, length), series_from_spec(rhs, ws.modulus, length)
+            ), (rule, before, after)
+            counts[rule] += 1
+            real(ws, rule, before, after)
 
-        monkeypatch.setattr(decompose._Workspace, "apply_rule", recorded)
+        monkeypatch.setattr(decompose._Workspace, "apply_rule", expanded_equally)
         for target, modulus, delta in _split_grid():
+            spec = build_spec(target)
+            length = default_validation_length(spec, delta)
             try:
-                split_AB(build_spec(target), modulus, delta)
+                split_AB(spec, modulus, delta)
             except SplitFailed:
                 pass
-        for rule, same_form, same_series, passed in steps:
-            assert passed == same_series
-            assert same_series or not same_form
-        counts = Counter((rule, same_form) for rule, same_form, _, _ in steps)
-        assert counts == {
-            ("peel", True): 74, ("power-reduce", True): 75, ("power-reduce", False): 19
-        }
+        assert counts == {"peel": 74, "plus-to-minus": 230, "power-reduce": 94}
 
     def test_validation_against_independent_expansion(self):
         # A*B must equal the original by the brute-force dense expansion too
@@ -479,25 +456,30 @@ class TestSplitDigest:
         # any change to a spec, head, derivation or error message on this
         # grid changes the digest; re-recorded when tails, multisets and
         # derivation steps began to print in instance syntax, which changed
-        # printed forms only (`test_split_grid_value_digest` did not change)
+        # printed forms only (`test_split_grid_value_digest` did not change),
+        # and again when every tail began to be kept with its offset below
+        # its scale, which respelled the grid's offset tails and nothing else
         import hashlib
 
         records = [_split_record(*case) for case in _split_grid()]
         assert len(records) == 280
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "88f117441fd83de8"
+        assert digest == "e15141ab89bcd33a"
 
     def test_split_grid_verdict_digest(self):
         # with B, the derivation and the tail a "cannot be supported"
         # reason names left out: a change to the form a rewrite gives a
         # factor leaves it alone, any change to a head, A, the validation
         # length or any other error message on this grid changes it;
-        # re-recorded when head multisets began to print as `1,2:2`
+        # re-recorded when head multisets began to print as `1,2:2`, and
+        # when the grid's offset tails began to print with their offset
+        # below their scale (`tail((1-q^n)^2, from=3)`, not
+        # `tail((1-q^n+1)^2, from=2)`) in the targets this names
         import hashlib
 
         records = [_split_record(*case, labels=False) for case in _split_grid()]
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
-        assert digest == "769bc573020f2c06"
+        assert digest == "c24231a469372247"
 
     def test_split_grid_value_digest(self):
         # values only, none of their printed forms: for the family {0} == 0
@@ -572,6 +554,22 @@ class TestWrittenForm:
                 got = _split_outcome(written, modulus, delta)
                 assert got == want, (str(target), str(modulus), delta, str(written))
 
+    def test_grid_tails_respelled(self):
+        # a third way: each tail's index moved one back, so its offset is
+        # one scale more and its exponent, at each base, the same
+        def respelled(f):
+            if isinstance(f, BinomialFactor):
+                return f
+            return dataclasses.replace(
+                f, start=f.start - 1, offset=f.offset + f.scale, exp_offset=f.exp_offset + f.exp_scale
+            )
+
+        for target, modulus, delta in _split_grid():
+            spec = build_spec(target)
+            written = ProductSpec(tuple(respelled(f) for f in spec.factors))
+            got = _split_outcome(written, modulus, delta)
+            assert got == _split_outcome(spec, modulus, delta), (str(target), str(modulus), delta)
+
     def test_one_tail_written_as_two(self):
         from congcert import PROVED, CongruenceFamily, certify
 
@@ -580,6 +578,23 @@ class TestWrittenForm:
             spec = ProductSpec(head + tuple(TailFamily(sign=-1, start=2, exp_offset=e) for e in tails))
             cert = certify(GFKind.from_raw(spec), CongruenceFamily(2, (0,), (1,), MOD2))
             assert cert.status == PROVED, (tails, cert.reason)
+
+    def test_one_tail_spelled_two_ways(self):
+        # bases n+1 from n = 1 are bases n from n = 2: the tails cancel
+        # either way, and the product is 1/(1-q)
+        from congcert import COUNTEREXAMPLE, PROVED, CongruenceFamily, certify
+
+        rest = " tail((1-q^n)^1, from=2)"
+        for tail in ("tail((1-q^n+1)^-1, from=1)", "tail((1-q^n)^-1, from=2)"):
+            target = GFKind.parse("raw: (1-q^1)^-1 " + tail + rest)
+            assert str(target) == "raw: (1-q^1)^-1 tail((1-q^n)^-1, from=2)" + rest
+            verdicts = [
+                certify(target, CongruenceFamily.parse(family, 2, MOD2))
+                for family in ("{0} == {1}", "{1} == 0")
+            ]
+            assert [(c.status, c.witness) for c in verdicts] == [
+                (PROVED, None), (COUNTEREXAMPLE, (0, 1, 0))
+            ], tail
 
 
 class TestTailPairs:
@@ -684,7 +699,7 @@ class TestFrobeniusRule:
         for sign in (1, -1):
             for b in range(1, 5):
                 for e in range(1, 61):
-                    after = _Workspace(modulus, 500).power_reduce(BinomialFactor(sign, b, e), 1)
+                    after = _Workspace(modulus).power_reduce(BinomialFactor(sign, b, e), 1)
                     least = min(_frobenius({b: e}, modulus, b * e + 1))
                     if e % m:
                         assert after is None and least == b, (sign, b, e)

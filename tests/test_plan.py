@@ -191,6 +191,30 @@ class TestGuardFailures:
         assert run_command(["certify", "--instance", path, "--json"]) == 2
         assert capsys.readouterr() == ("", f"error: RuleValidationFailed: {message}\n")
 
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_a_times_b_names_its_first_difference(self, monkeypatch, dropped):
+        # no step guard names a failing stage any more: the A*B check names
+        # the first power of q where the two sides differ, and L
+        real_split = prover.split_AB
+
+        def broken_split(*args, **kwargs):
+            dec = real_split(*args, **kwargs)
+            return dataclasses.replace(dec, a_spec=_without_factor(dec.a_spec, dropped))
+
+        dec = real_split(build_spec(GFKind.plane_rowed(8)), MOD2, 8)
+        wrong_a = _without_factor(dec.a_spec, dropped)
+        length = dec.validation_length
+        a_times_b = series_from_spec(wrong_a * dec.b_spec, MOD2, length)
+        g = series_from_spec(build_spec(GFKind.plane_rowed(8)), MOD2, length)
+        n = int(np.flatnonzero(a_times_b != g)[0])
+        monkeypatch.setattr(prover, "split_AB", broken_split)
+        with pytest.raises(RuleValidationFailed) as exc:
+            Plan.build(GFKind.plane_rowed(8), MOD2, 8)
+        assert str(exc.value) == (
+            f"A*B differs from the original product at q^{n}"
+            f" (first difference in {length} coefficients mod 2)"
+        )
+
     def test_wrong_plus_to_minus_is_caught_by_a_times_b(self, monkeypatch):
         # plus-to-minus has no guard of its own; a wrong pair that still
         # splits (the inverse's exponent doubled) fails A*B = G, which
@@ -247,17 +271,10 @@ def instance_plan(name):
     return Plan.build(inst.target, inst.modulus, inst.delta)
 
 
-# guarded steps whose two sides carry to different normal forms, each
-# expanded on both sides: a plus binomial mod 4, and a minus tail whose
-# reduction starts past L (E(q^27)^-1 against the 18 binomials it divides
-# out below L on one side, nothing on the other)
-TWO_SIDED_GUARDS = {"overplane_four_mod4.cfg": 1, "twentyseven_rowed_mod3.cfg": 1}
-
-
 class TestExpansionsPerPlan:
     """A plan expands B (in the split) and G to the validation length L,
-    and A to max(L, delta*rows), once each; a guarded step adds two
-    expansions only when its sides reach different normal forms."""
+    and A to max(L, delta*rows), once each, and nothing else: no step of
+    the split expands its sides."""
 
     @pytest.fixture
     def expanded(self, monkeypatch):
@@ -291,8 +308,7 @@ class TestExpansionsPerPlan:
         for name in INSTANCE_BOUNDS:
             expanded.clear()
             plan = instance_plan(name)
-            assert len(expanded) == 3 + 2 * TWO_SIDED_GUARDS.get(name, 0), name
-            assert expanded[-3:] == self._three(plan), name
+            assert expanded == self._three(plan), name
 
 
 class TestDegreeBound:

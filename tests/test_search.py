@@ -74,6 +74,36 @@ class TestEnumeration:
         with pytest.raises(SpaceTooLarge, match="^more than 10 candidates"):
             enumerate_candidates(space)
 
+    def test_cap_is_exact(self, monkeypatch):
+        # the space is counted before it is enumerated: a cap one below its
+        # size refuses it, a cap at its size does not
+        import congcert.search
+
+        for delta in range(1, 9):
+            for max_terms in range(1, 7):
+                space = SearchSpace(GFKind.plane_rowed(2), MOD2, delta, max_terms)
+                size = len(enumerate_candidates(space))
+                monkeypatch.setattr(congcert.search, "CANDIDATE_CAP", size - 1)
+                with pytest.raises(SpaceTooLarge):
+                    enumerate_candidates(space)
+                monkeypatch.setattr(congcert.search, "CANDIDATE_CAP", size)
+                assert len(enumerate_candidates(space)) == size
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "delta,max_terms", [(2000, 2), (5000, 2), (20000, 3), (10**12, 6), (1, 10**12)]
+    )
+    def test_large_space_is_refused_before_any_family_is_built(self, monkeypatch, delta, max_terms):
+        import congcert.search
+
+        def built(*args):
+            raise AssertionError("a family was built")
+
+        monkeypatch.setattr(congcert.search, "CongruenceFamily", built)
+        space = SearchSpace(GFKind.plane_rowed(2), MOD2, delta, max_terms)
+        with pytest.raises(SpaceTooLarge, match="^more than 1000000 candidates"):
+            enumerate_candidates(space)
+
 
 class TestSearchCertified:
     def test_two_rowed_search_finds_the_known_family(self):

@@ -75,6 +75,19 @@ class TestFromSpec:
         s = expand(head + tail, BIG, 3)
         assert s[2] == 3
 
+    @pytest.mark.parametrize("exp_scale", [0, -1, 2])
+    def test_tail_keeps_its_offset_below_its_scale(self, exp_scale):
+        # a tail written with any offset names the same (base, exponent)
+        # factors, and is kept with 0 <= offset < scale
+        for scale in (1, 2, 3):
+            for offset in range(-3 * scale, 3 * scale + 1):
+                start = 4
+                written = {scale * n + offset: exp_scale * n - 5 for n in range(start, start + 12)}
+                tail = TailFamily(-1, start, -5, exp_scale, scale, offset)
+                assert 0 <= tail.offset < scale
+                kept = {tail.base(n): tail.exponent(n) for n in range(tail.start, tail.start + 12)}
+                assert kept == written, (scale, offset)
+
     def test_overpartition_prefix(self):
         spec = [
             TailFamily(sign=1, start=1, exp_offset=1),
@@ -241,10 +254,10 @@ class TestAgainstBruteForce:
 
 
 def _rewritten_spec(rng, spec, modulus):
-    """The same product written another way, by identities that the normal
-    form sees through: factors shuffled, an exponent split in two, a plus
-    factor as its `plus_to_minus` pair, a tail's first factor peeled, a
-    binomial power carried by `frobenius_step`."""
+    """The same product written another way, by identities mod ell^N:
+    factors shuffled, an exponent split in two, a plus factor as its
+    `plus_to_minus` pair, a tail's first factor peeled, a binomial power
+    carried by `frobenius_step`."""
     from congcert.series import frobenius_step, plus_to_minus
 
     out = []
@@ -268,37 +281,20 @@ def _rewritten_spec(rng, spec, modulus):
     return ProductSpec(tuple(out))
 
 
-class TestNormalForm:
-    """`series_from_spec` is the expansion of `normal_form`: equal forms
-    give equal expansions."""
-
-    def test_equal_forms_expand_equally(self):
-        from congcert.series import normal_form
-
+class TestRewrittenSpec:
+    def test_rewritten_product_expands_to_the_same_array(self):
         rng = random.Random(2525)
         moduli = [MOD2, MOD3, MOD4, MOD5, Modulus(2, 3), Modulus(3, 2)]
-        equal = distinct = 0
+        distinct = 0
         for _ in range(200):
             modulus = rng.choice(moduli)
             length = rng.randint(1, 300)
             x = random_spec(rng)
-            for y in (_rewritten_spec(rng, x, modulus), random_spec(rng)):
-                same = normal_form(x, modulus, length) == normal_form(y, modulus, length)
-                if same:
-                    got = series_from_spec(x, modulus, length)
-                    want = series_from_spec(y, modulus, length)
-                    assert np.array_equal(got, want), (x, y, modulus, length)
-                    equal += 1
-                    distinct += x != y
-        assert equal >= 190 and distinct >= 100, (equal, distinct)
-
-    def test_form_is_hashable_and_keeps_the_length(self):
-        from congcert import GFKind, build_spec
-        from congcert.series import normal_form
-
-        spec = build_spec(GFKind.plane_rowed(4))
-        forms = {normal_form(spec, MOD2, length) for length in (10, 10, 11)}
-        assert sorted(form.length for form in forms) == [10, 11]
+            y = _rewritten_spec(rng, x, modulus)
+            got = series_from_spec(y, modulus, length)
+            assert np.array_equal(got, series_from_spec(x, modulus, length)), (x, y, modulus, length)
+            distinct += x != y
+        assert distinct >= 100, distinct
 
 
 class TestRingAxioms:
@@ -458,8 +454,9 @@ class TestEulerKernel:
             assert list(got) == [c % modulus.value for c in p]
 
     def offset_tail(self, rng):
-        """A tail whose offset is j != 0 times its scale, j negative where
-        the start allows, and the same tail with offset 0 from start + j."""
+        """A tail written with offset j != 0 times its scale, j negative
+        where the start allows, and the same tail written with offset 0
+        from start + j."""
         tail = self.random_tail(rng)
         j = rng.choice([j for j in range(1 - tail.start, 5) if j])
         start = tail.start - j
@@ -488,7 +485,7 @@ class TestEulerKernel:
         rng = random.Random(407)
         for _ in range(20):
             offset, shifted = self.offset_tail(rng)
-            assert offset.offset
+            assert offset == shifted  # a tail is kept with its offset below its scale
             got, want = expand([offset], MOD3, 5000), expand([shifted], MOD3, 5000)
             assert np.array_equal(got, want), str(offset)
         # the patch is live: an offset that is not a multiple of the scale folds

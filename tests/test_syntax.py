@@ -17,6 +17,7 @@ from congcert import (
     ProductSpec,
     SearchSpace,
     SplitFailed,
+    TailFamily,
     build_spec,
     enumerate_candidates,
     split_AB,
@@ -63,6 +64,15 @@ class TestRoundTrip:
                 assert ProductSpec.parse(str(spec)) == spec, str(spec)
                 checked += 1
         assert checked > 250
+
+    def test_tails_written_with_any_offset(self):
+        # a tail is kept with its offset in [0, scale), so it prints an
+        # offset `parse` reads (never `n+-2`) and reads back as itself
+        for scale in (1, 2, 3, 5):
+            for offset in range(-3 * scale, 3 * scale + 1):
+                for sign, exponent in ((-1, -2), (1, 3)):
+                    tail = TailFamily(sign=sign, start=4, exp_offset=exponent, scale=scale, offset=offset)
+                    assert ProductSpec.parse(str(tail)) == ProductSpec((tail,)), str(tail)
 
     def test_multisets(self):
         rng = random.Random(7)
@@ -117,8 +127,8 @@ def steps(monkeypatch):
     recorded = []
     apply_rule = _Workspace.apply_rule
 
-    def recording(self, rule, before, after, **kwargs):
-        apply_rule(self, rule, before, after, **kwargs)
+    def recording(self, rule, before, after):
+        apply_rule(self, rule, before, after)
         recorded.append((self.derivation[-1], tuple(before), tuple(after)))
 
     monkeypatch.setattr(_Workspace, "apply_rule", recording)

@@ -3,14 +3,7 @@ finite number of coefficient checks, discover new families by bounded
 search, and cross-validate every generating function against independent
 brute-force enumerators."""
 
-from .decompose import (
-    Decomposition,
-    GFKind,
-    build_spec,
-    default_validation_length,
-    split_AB,
-    validate_B_certificate,
-)
+from .decompose import Decomposition, GFKind, build_spec, split_AB
 from .errors import (
     ComplexityGuard,
     CongcertError,
@@ -56,7 +49,9 @@ from .prover import (
     SpotCheckResult,
     certify,
     certify_all,
+    default_validation_length,
     spot_check,
+    validate_B_certificate,
 )
 from .search import SearchSpace, enumerate_candidates, search_certified
 from .series import (

@@ -1,5 +1,5 @@
 """Generating-function builders, congruence rewrites of factor products, and
-the head/tail split into A(q) * B(q) with a machine-checked tail certificate.
+the symbolic head/tail split into A(q) * B(q).
 
 The split produces:
   A -- a finite product of pure denominators (1-q^b)^-e, whose coefficient
@@ -9,21 +9,22 @@ The split produces:
        vanish mod ell^N away from multiples of delta for ALL indices, not
        only the numerically checked prefix.
 
-Every step is an identity mod ell^N at all indices, and is recorded, not
-checked on its own.  The split expands B once, to the validation length L,
-and checks B's support there; `prover.Plan.build` multiplies that expansion
-by A's and checks A*B against the input to L, the one numeric check of the
-rewrites: every factor's expansion has constant term 1, so a step whose
-sides differ below L changes A*B there.  A failed check raises
+Every step is an identity mod ell^N at all indices, and is recorded by
+`_record`, not checked on its own.  The split expands no series:
+`prover.Plan.build` expands B to the validation length L and checks its
+support there, then checks A*B against the input to L, the one numeric
+check of the rewrites: every factor's expansion has constant term 1, so a
+step whose sides differ below L changes A*B there.  A failed check raises
 RuleValidationFailed, never a verdict; a target that does not split raises
 SplitFailed.
 
-`split_AB` rewrites by two `_Workspace` steps:
-  power_reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
+`split_AB` rewrites by two steps:
+  power-reduce  -- (1 +- q^b)^(ell^N c) = (1 +- q^(ell b))^(ell^(N-1) c)
                    mod ell^N, `series.frobenius_step` for as long as it
-                   applies, on a binomial or a constant-exponent tail; it
-                   also sends a positive power to B when it lands on delta*Z;
-  plus_to_minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
+                   applies, on a binomial or a constant-exponent tail
+                   (`_power_reduce`); it also sends a positive power to B
+                   when it lands on delta*Z;
+  plus-to-minus -- (1+x)^e = (1-x^2)^e (1-x)^-e, on a binomial or a tail;
                    the identity is `series.plus_to_minus`, which expansion
                    also applies to every plus factor.
 It peels tails into explicit factors, then makes one pass over the factors
@@ -37,9 +38,7 @@ fails the split.  So a plus/minus tail pair cancels as binomials do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .errors import InvalidParameter, ParseError, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, ord_prime
@@ -50,8 +49,11 @@ from .series import (
     TailFamily,
     frobenius_step,
     plus_to_minus,
-    series_from_spec,
 )
+
+# Unused here; bound so that perfbench/tracing.py, which wraps these
+# module-level names of this module, finds them.
+from .series import series_from_spec  # noqa: F401
 
 
 def _plane_rowed(rows):
@@ -236,59 +238,11 @@ def _merge(inventory: dict, factor) -> None:
         inventory[key] = e
 
 
-@dataclass
-class _Workspace:
-    """The factors of a split, merged by shape (key -> net exponent), and
-    the rewrite steps on them.  A step records its rewrite by `apply_rule`
-    and returns the new factor(s), or None if none applies."""
-
-    modulus: Modulus
-    inventory: dict = field(default_factory=dict)
-    derivation: list = field(default_factory=list)
-
-    def load(self, spec: ProductSpec):
-        for f in spec.factors:
-            if isinstance(f, TailFamily) and f.exp_scale != 0:
-                raise SplitFailed(f"{f} has a base-dependent exponent; no finite head exists")
-            if not isinstance(f, (BinomialFactor, TailFamily)):
-                raise InvalidParameter(f"unknown factor type {type(f).__name__}")
-            _merge(self.inventory, f)
-
-    def apply_rule(self, rule, before, after):
-        """Record the step `rule: before -> after`, each side a product that
-        `ProductSpec.parse` reads.  No step is checked on its own: a wrong
-        one changes A*B, which `prover.Plan.build` checks against G."""
-        before, after = ProductSpec(tuple(before)), ProductSpec(tuple(after))
-        self.derivation.append(f"{rule}: {before} -> {after}")
-
-    def power_reduce(self, factor, delta: int):
-        """`_power_reduce` as a step; None when no step applies or the
-        reduced factor is not supported on delta*Z."""
-        after = _power_reduce(factor, self.modulus)
-        if after is None or not _structurally_supported(after, delta):
-            return None
-        self.apply_rule("power-reduce", [factor], [after])
-        return after
-
-    def plus_to_minus(self, factor):
-        """`series.plus_to_minus` as a step: the pair (doubled, inverse)."""
-        pair = plus_to_minus(factor)
-        self.apply_rule("plus-to-minus", [factor], pair)
-        return pair
-
-
-def _max_base(spec: ProductSpec) -> int:
-    best = 1
-    for f in spec.factors:
-        if isinstance(f, BinomialFactor):
-            best = max(best, f.base)
-        elif isinstance(f, TailFamily):
-            best = max(best, f.base(f.start))
-    return best
-
-
-def default_validation_length(spec: ProductSpec, delta: int) -> int:
-    return max(2 * delta, 4 * _max_base(spec), 500)
+def _record(derivation: list, rule: str, before, after) -> None:
+    """Append the step `rule: before -> after`, each side a product that
+    `ProductSpec.parse` reads.  No step is checked on its own: a wrong one
+    changes A*B, which `prover.Plan.build` checks against G."""
+    derivation.append(f"{rule}: {ProductSpec(tuple(before))} -> {ProductSpec(tuple(after))}")
 
 
 def _power_reduce(factor, modulus: Modulus):
@@ -316,26 +270,15 @@ def _power_reduce(factor, modulus: Modulus):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A split G = A * B mod ell^N, with B supported on delta-multiples and
-    B expanded to the validation length, where it passed its support
-    check: `Plan.build` checks A*B = G with it."""
+    """A split G = A * B mod ell^N, with B supported on delta-multiples by
+    the bases of its factors, and the steps that derived it.  It holds no
+    series: `prover.Plan.build` expands B and checks its support, then
+    checks A*B = G."""
 
     a_spec: ProductSpec
     a_multiset: PartMultiset
     b_spec: ProductSpec
     derivation: tuple
-    validation_length: int
-    b_series: np.ndarray = field(compare=False)  # follows from b_spec
-
-
-def validate_B_certificate(b_series: np.ndarray, delta: int) -> bool:
-    """B's expansion mod ell^N: constant term 1 and zero at every index that
-    is not a multiple of delta, below its length."""
-    if b_series.size < delta:
-        raise InvalidParameter("validation length must be >= delta")
-    if int(b_series[0]) != 1:
-        return False
-    return not (np.flatnonzero(b_series) % delta).any()
 
 
 def _structurally_supported(factor, delta: int) -> bool:
@@ -345,43 +288,46 @@ def _structurally_supported(factor, delta: int) -> bool:
 
 
 def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
-    """Split a product into a periodic pure-denominator head A and a
-    delta-supported tail B, congruent to the input mod ell^N once A*B = G
-    is checked on the returned B expansion (`Plan.build` does).
+    """Split a product, by rewrites alone and with no series expanded,
+    into a periodic pure-denominator head A and a delta-supported tail B,
+    congruent to the input mod ell^N once `Plan.build` has checked
+    A*B = G.
 
-    Raises SplitFailed when the product does not split, RuleValidationFailed
-    when B fails its support check (see the module docstring)."""
+    Raises SplitFailed when the product does not split (see the module
+    docstring)."""
     if delta < 1:
         raise InvalidParameter("delta must be >= 1")
-    validation_length = default_validation_length(spec, delta)
-    ws = _Workspace(modulus)
-    ws.load(spec)
+    inventory, derivation = {}, []
+    for f in spec.factors:
+        if isinstance(f, TailFamily) and f.exp_scale != 0:
+            raise SplitFailed(f"{f} has a base-dependent exponent; no finite head exists")
+        _merge(inventory, f)
     ell, N = modulus.prime, modulus.exponent
 
     # Peel enough of every tail that plus-factor rewrites find their partners:
     # (1+q^j) pairs with base 2j, so materialize tail factors up to twice the
     # largest explicit plus base.
-    plus_bases = [b for kind, b, minus, *_ in ws.inventory if kind == 0 and not minus and b % delta]
+    plus_bases = [b for kind, b, minus, *_ in inventory if kind == 0 and not minus and b % delta]
     peel_to = 2 * max(plus_bases, default=0)
-    for key in sorted(key for key in ws.inventory if key[0] == 1 and key[1] <= peel_to):
-        tail = _factor(key, ws.inventory.pop(key))
+    for key in sorted(key for key in inventory if key[0] == 1 and key[1] <= peel_to):
+        tail = _factor(key, inventory.pop(key))
         n = tail.start
         explicit = []
         while tail.base(n) <= peel_to:
             explicit.append(BinomialFactor(tail.sign, tail.base(n), tail.exp_offset))
             n += 1
         moved = replace(tail, start=n)
-        ws.apply_rule("peel", [tail], explicit + [moved])
+        _record(derivation, "peel", [tail], explicit + [moved])
         for f in explicit + [moved]:
-            _merge(ws.inventory, f)
+            _merge(inventory, f)
 
     # One pass, least shape first, so each shape has merged all it will
     # receive when it is taken.  B is a second inventory.
     a_parts = {}
     b = {}
-    while ws.inventory:
-        key = min(ws.inventory)
-        e = ws.inventory.pop(key)
+    while inventory:
+        key = min(inventory)
+        e = inventory.pop(key)
         factor = _factor(key, e)
         if _structurally_supported(factor, delta):
             _merge(b, factor)
@@ -389,24 +335,35 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
             # a positive power goes to B when its reduction lands on delta*Z:
             # that stops at the smallest base the kernel's carry keeps, so
             # it does when every base of that carry does
-            if e > 0 and (after := ws.power_reduce(factor, delta)) is not None:
+            if (
+                e > 0
+                and (after := _power_reduce(factor, modulus)) is not None
+                and _structurally_supported(after, delta)
+            ):
+                _record(derivation, "power-reduce", [factor], [after])
                 _merge(b, after)
             else:
-                for f in ws.plus_to_minus(factor):
-                    _merge(ws.inventory, f)
+                pair = plus_to_minus(factor)
+                _record(derivation, "plus-to-minus", [factor], pair)
+                for f in pair:
+                    _merge(inventory, f)
         elif isinstance(factor, TailFamily):
             # reduced as far as it goes, and taken again after what merges
             # into its new shape
-            if (after := ws.power_reduce(factor, 1)) is None:
+            if (after := _power_reduce(factor, modulus)) is None:
                 raise SplitFailed(f"{factor} cannot be supported on {delta}Z")
-            _merge(ws.inventory, after)
+            _record(derivation, "power-reduce", [factor], [after])
+            _merge(inventory, after)
         # Head denominators stay in A unless a reduction lands them on
         # delta-multiples; they reduce only when the exponent is a pure prime
         # power, preserving the head shapes of the worked decompositions.
         # A numerator must land in B or the split fails.
-        elif (N > 1 or e > 0 or -e == ell ** ord_prime(-e, ell)) and (
-            after := ws.power_reduce(factor, delta)
-        ) is not None:
+        elif (
+            (N > 1 or e > 0 or -e == ell ** ord_prime(-e, ell))
+            and (after := _power_reduce(factor, modulus)) is not None
+            and _structurally_supported(after, delta)
+        ):
+            _record(derivation, "power-reduce", [factor], [after])
             _merge(b, after)
         elif e < 0:
             a_parts[factor.base] = -e
@@ -417,21 +374,8 @@ def split_AB(spec: ProductSpec, modulus: Modulus, delta: int) -> Decomposition:
         raise SplitFailed("no periodic head: every factor is delta-supported")
 
     a_multiset = PartMultiset(tuple(sorted(a_parts.items())))
-    a_spec = a_multiset.to_product_spec()
     b_spec = ProductSpec(tuple(_factor(key, e) for key, e in sorted(b.items())))
-
     for f in b_spec.factors:
         if not _structurally_supported(f, delta):
             raise RuleValidationFailed(f"factor {f} escaped the support check")
-    b_series = series_from_spec(b_spec, modulus, validation_length)
-    if not validate_B_certificate(b_series, delta):
-        raise RuleValidationFailed(f"B fails the numeric support check below {validation_length}")
-
-    return Decomposition(
-        a_spec=a_spec,
-        a_multiset=a_multiset,
-        b_spec=b_spec,
-        derivation=tuple(ws.derivation),
-        validation_length=validation_length,
-        b_series=b_series,
-    )
+    return Decomposition(a_multiset.to_product_spec(), a_multiset, b_spec, tuple(derivation))

@@ -22,10 +22,13 @@ The finite check runs on A, not on the full product G.  Since G = A*B with
 B[0] = 1 and B supported on multiples of delta, the family difference of G at
 n is sum_k B[delta*k] * (difference of A at n-k): a unit-triangular
 combination of A's differences at n, n-1, ..., 0.  G and A therefore agree
-on the family below any bound, and first fail it at the same n.  G is still
-expanded to the split's validation length, where `Plan.build` checks A*B
-against it: the one numeric check of the split's rewrites, none of which is
-checked on its own.  G is also expanded for what a reader checks by hand:
+on the family below any bound, and first fail it at the same n.
+
+The split (`decompose.split_AB`) is symbolic; `Plan.build` makes every
+expansion and every numeric check of it.  It expands B and G to the
+validation length L, checks B's support there, and checks A*B against G:
+the one numeric check of the split's rewrites, none of which is checked on
+its own.  G is also expanded for what a reader checks by hand:
 the sums reported in a witness (up to the witness index only, and guarded
 to fail first exactly there) and `spot_check`, which uses no decomposition
 or periodicity at all.
@@ -44,7 +47,7 @@ import numpy as np
 from .decompose import Decomposition, GFKind, build_spec, split_AB
 from .errors import InvalidParameter, ParseError, RuleValidationFailed, SplitFailed
 from .periods import PartMultiset, kwong_period
-from .series import Modulus, ProductSpec, series_from_spec, series_mul
+from .series import BinomialFactor, Modulus, ProductSpec, series_from_spec, series_mul
 
 PROVED = "PROVED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -212,16 +215,38 @@ def _in_span(vectors: np.ndarray, basis: np.ndarray, m: int) -> np.ndarray:
     return inside & ~v.any(axis=1)
 
 
+def _max_base(spec: ProductSpec) -> int:
+    return max(
+        (f.base if isinstance(f, BinomialFactor) else f.base(f.start) for f in spec.factors),
+        default=1,
+    )
+
+
+def default_validation_length(spec: ProductSpec, delta: int) -> int:
+    """L, the length to which `Plan.build` expands B and G and checks them."""
+    return max(2 * delta, 4 * _max_base(spec), 500)
+
+
+def validate_B_certificate(b_series: np.ndarray, delta: int) -> bool:
+    """B's expansion mod ell^N: constant term 1 and zero at every index that
+    is not a multiple of delta, below its length."""
+    if b_series.size < delta:
+        raise InvalidParameter("validation length must be >= delta")
+    if int(b_series[0]) != 1:
+        return False
+    return not (np.flatnonzero(b_series) % delta).any()
+
+
 @dataclass(frozen=True, eq=False)
 class Plan:
     """What every family on one target, modulus and delta shares: the A*B
     split, the check period and bound, the degree bound, and A's first
     delta*min(degree_bound, bound) coefficients.
 
-    Building it expands three series, each once: B, in `split_AB`, to the
-    validation length L; G, to L; and A, to max(L, delta*rows).  A*B = G
-    is checked here, on A's first L coefficients times B, before any family
-    is checked, and the head is A's first delta*rows coefficients.
+    Building it expands three series, each once and in this order: B and
+    G, to the validation length L, and A, to max(L, delta*rows).  B's
+    support and then A*B = G are checked on them before any family is
+    checked, and the head is A's first delta*rows coefficients.
 
     A = N(q)/D(q^delta) with D(0) = 1, and `degree_bound` is
     K = floor(deg N / delta) + 1 (see the module docstring).  `head[n, r]` is
@@ -242,27 +267,31 @@ class Plan:
     @classmethod
     def build(cls, target: GFKind, modulus: Modulus, delta: int) -> "Plan":
         """Split the product into A*B at this modulus and delta (or raise
-        SplitFailed, or RuleValidationFailed when B fails its support
-        check), take the minimal period of A's multiset lifted to a multiple
-        of delta and the degree bound of A's rational section, expand A to
-        the smaller of the two bounds and at least to the validation length
-        L, and check A*B = G below L (RuleValidationFailed, naming the first
-        index where they differ, if not).  That check is the only numeric
-        check of the split's rewrites."""
+        SplitFailed), expand B to the validation length L and check that it
+        is supported on delta*Z there (RuleValidationFailed if not), take
+        the minimal period of A's multiset lifted to a multiple of delta and
+        the degree bound of A's rational section, expand A to the smaller of
+        the two bounds and at least to L, and check A*B = G below L
+        (RuleValidationFailed, naming the first index where they differ, if
+        not).  That check is the only numeric check of the split's
+        rewrites."""
         spec = build_spec(target)
         dec = split_AB(spec, modulus, delta)
+        length = default_validation_length(spec, delta)
+        b_series = series_from_spec(dec.b_spec, modulus, length)
+        if not validate_B_certificate(b_series, delta):
+            raise RuleValidationFailed(f"B fails the numeric support check below {length}")
         info = kwong_period(dec.a_multiset, modulus.prime, modulus.exponent)
         period = math.lcm(info.period, delta)
         bound = period // delta
         degree_bound = sum(e * (math.lcm(b, delta) - b) for b, e in dec.a_multiset) // delta + 1
         rows = min(degree_bound, bound)
-        length = dec.validation_length
         # G before A: after A's long expansion, glibc's heap kept up to 11 MB
         # more peak RSS for the same allocations (64-rowed, scripts/headline.py)
         g = series_from_spec(spec, modulus, length)
         a = series_from_spec(dec.a_spec, modulus, max(length, delta * rows))
         # series_mul stops at the shorter length: B's, L
-        differ = np.flatnonzero(series_mul(a, dec.b_series, modulus) != g)
+        differ = np.flatnonzero(series_mul(a, b_series, modulus) != g)
         if differ.size:
             raise RuleValidationFailed(
                 f"A*B differs from the original product at q^{differ[0]}"

@@ -78,10 +78,10 @@ def enumerate_candidates(space: SearchSpace) -> list:
     for s in range(1, terms // 2 + 1):
         for t in range(s, terms - s + 1):
             for left in combinations_with_replacement(residues, s):
-                lset = set(left)
-                for right in combinations_with_replacement(residues, t):
-                    if lset & set(right):
-                        continue
+                # the residues left free, ascending, so the right sides
+                # come in the same order as from all of `residues`
+                free = sorted(set(residues).difference(left))
+                for right in combinations_with_replacement(free, t):
                     if s == t and right < left:
                         continue
                     out.append(CongruenceFamily(delta, left, right, space.modulus))

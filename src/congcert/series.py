@@ -244,6 +244,9 @@ class ProductSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        for factor in self.factors:
+            if not isinstance(factor, (BinomialFactor, TailFamily)):
+                raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
 
     @classmethod
     def parse(cls, text: str) -> "ProductSpec":
@@ -570,19 +573,14 @@ def series_from_spec(spec: ProductSpec, modulus: Modulus, length: int) -> np.nda
     folded = []
     minus = []
     for factor in spec.factors:
-        plus = isinstance(factor, (BinomialFactor, TailFamily)) and factor.sign > 0
-        minus.extend(plus_to_minus(factor) if plus else (factor,))
+        minus.extend(plus_to_minus(factor) if factor.sign > 0 else (factor,))
     for factor in minus:
         if isinstance(factor, BinomialFactor):
             binomials[factor.base] = binomials.get(factor.base, 0) + factor.exponent
-        elif isinstance(factor, TailFamily) and not (factor.exp_scale or factor.offset):
+        elif not (factor.exp_scale or factor.offset):
             _add_euler_tail(factor, length, binomials, euler)
-        elif isinstance(factor, TailFamily):
-            rest = _add_explicit_tail(factor, length, binomials)
-            if rest is not None:
-                folded.append(rest)
-        else:
-            raise InvalidParameter(f"unknown factor type {type(factor).__name__}")
+        elif (rest := _add_explicit_tail(factor, length, binomials)) is not None:
+            folded.append(rest)
     m = modulus.value
     euler = _frobenius(euler, modulus, length)
     arr = _euler_product(euler, length, m)

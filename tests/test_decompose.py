@@ -17,13 +17,14 @@ from congcert import (
     SplitFailed,
     TailFamily,
     build_spec,
+    default_validation_length,
     kwong_period,
     series_from_spec,
     series_mul,
     split_AB,
     validate_B_certificate,
 )
-from congcert.decompose import _Workspace, _power_reduce
+from congcert.decompose import _power_reduce
 from _brute import brute_expand
 
 MOD2 = Modulus(2, 1)
@@ -77,30 +78,27 @@ class TestBuilders:
 
 
 class TestReduceSpec:
-    """The reduction steps of a split, one rule at a time: `_power_reduce`
-    and the `_Workspace` steps built on it, at delta = 1."""
+    """The reduction step of a split, `_power_reduce`, and the step the
+    split records when it lands on delta*Z."""
 
     def test_fourth_power_mod_two(self):
         before = BinomialFactor(-1, 1, 4)
         assert _power_reduce(before, MOD2) == BinomialFactor(-1, 4, 1)
-        ws = _Workspace(MOD2)
-        assert ws.power_reduce(before, 1) == BinomialFactor(-1, 4, 1)
-        assert len(ws.derivation) == 1
 
     def test_fourth_power_mod_four(self):
         before = BinomialFactor(-1, 1, 4)
         assert _power_reduce(before, MOD4) == BinomialFactor(-1, 2, 2)
-        assert _Workspace(MOD4).power_reduce(before, 1) == BinomialFactor(-1, 2, 2)
 
     def test_plus_power_reduces_onto_delta(self):
         # mod 4, (1+q^3)^72 reduces to (1+q^6)^36, then to (1+q^12)^18,
         # where 4 no longer divides the exponent
-        ws = _Workspace(MOD4)
-        assert ws.power_reduce(BinomialFactor(1, 3, 72), 12) == BinomialFactor(1, 12, 18)
-        assert ws.derivation == ["power-reduce: (1+q^3)^72 -> (1+q^12)^18"]
-        # not on 24Z: no step, and no label
-        assert ws.power_reduce(BinomialFactor(1, 3, 72), 24) is None
-        assert len(ws.derivation) == 1
+        before = BinomialFactor(1, 3, 72)
+        assert _power_reduce(before, MOD4) == BinomialFactor(1, 12, 18)
+        spec = ProductSpec((BinomialFactor(-1, 1, -1), before))
+        assert split_AB(spec, MOD4, 12).derivation == ("power-reduce: (1+q^3)^72 -> (1+q^12)^18",)
+        # not on 24Z: no power-reduce step of it
+        steps = split_AB(spec, MOD4, 24).derivation
+        assert steps[0] == "plus-to-minus: (1+q^3)^72 -> (1-q^6)^72 (1-q^3)^-72"
 
     @pytest.mark.parametrize(
         "sign,modulus,want",
@@ -114,9 +112,7 @@ class TestReduceSpec:
     def test_tail_power_scales_every_base(self, sign, modulus, want):
         # bases n+1 from n = 3, kept as bases n from n = 4
         tail = TailFamily(sign=sign, start=3, exp_offset=-12, offset=1)
-        ws = _Workspace(modulus)
-        assert str(ws.power_reduce(tail, 1)) == want
-        assert ws.derivation == [f"power-reduce: {tail} -> {want}"]
+        assert str(_power_reduce(tail, modulus)) == want
 
 
 class TestSplit:
@@ -374,20 +370,19 @@ class TestDerivationSoundness:
         from collections import Counter
 
         from congcert import decompose
-        from congcert.decompose import default_validation_length
 
         counts = Counter()
-        real = decompose._Workspace.apply_rule
+        real = decompose._record
 
-        def expanded_equally(ws, rule, before, after):
+        def expanded_equally(derivation, rule, before, after):
             lhs, rhs = (ProductSpec(tuple(side)) for side in (before, after))
             assert np.array_equal(
-                series_from_spec(lhs, ws.modulus, length), series_from_spec(rhs, ws.modulus, length)
+                series_from_spec(lhs, modulus, length), series_from_spec(rhs, modulus, length)
             ), (rule, before, after)
             counts[rule] += 1
-            real(ws, rule, before, after)
+            real(derivation, rule, before, after)
 
-        monkeypatch.setattr(decompose._Workspace, "apply_rule", expanded_equally)
+        monkeypatch.setattr(decompose, "_record", expanded_equally)
         for target, modulus, delta in _split_grid():
             spec = build_spec(target)
             length = default_validation_length(spec, delta)
@@ -396,6 +391,28 @@ class TestDerivationSoundness:
             except SplitFailed:
                 pass
         assert counts == {"peel": 74, "plus-to-minus": 230, "power-reduce": 94}
+
+    def test_split_expands_nothing(self, monkeypatch):
+        # the split is symbolic: `Plan.build` makes every expansion of it
+        import types
+
+        from congcert import decompose
+
+        def refused(*args):
+            raise AssertionError("split_AB expanded a series")
+
+        monkeypatch.setattr(decompose, "series_from_spec", refused)
+        assert not any(
+            isinstance(v, types.ModuleType) and v.__name__ == "numpy" for v in vars(decompose).values()
+        )
+        splits = 0
+        for target, modulus, delta in _split_grid():
+            try:
+                split_AB(build_spec(target), modulus, delta)
+                splits += 1
+            except SplitFailed:
+                pass
+        assert splits
 
     def test_validation_against_independent_expansion(self):
         # A*B must equal the original by the brute-force dense expansion too
@@ -435,19 +452,21 @@ def _split_record(target, modulus, delta, labels=True):
     text depends on how a rewrite writes factors."""
     from congcert import CongcertError
 
+    spec = build_spec(target)
     try:
-        dec = split_AB(build_spec(target), modulus, delta)
+        dec = split_AB(spec, modulus, delta)
     except CongcertError as exc:
         reason = str(exc) if labels else re.sub(r"^tail\(.*\) cannot", "tail cannot", str(exc))
         return f"{target} mod {modulus} delta {delta}: {type(exc).__name__}: {reason}"
+    length = default_validation_length(spec, delta)
     if not labels:
         return (
             f"{target} mod {modulus} delta {delta}: A {dec.a_spec!r} "
-            f"head {dec.a_multiset} length {dec.validation_length}"
+            f"head {dec.a_multiset} length {length}"
         )
     return (
         f"{target} mod {modulus} delta {delta}: A {dec.a_spec!r} B {dec.b_spec!r} "
-        f"head {dec.a_multiset} length {dec.validation_length} " + " | ".join(dec.derivation)
+        f"head {dec.a_multiset} length {length} " + " | ".join(dec.derivation)
     )
 
 
@@ -699,7 +718,7 @@ class TestFrobeniusRule:
         for sign in (1, -1):
             for b in range(1, 5):
                 for e in range(1, 61):
-                    after = _Workspace(modulus).power_reduce(BinomialFactor(sign, b, e), 1)
+                    after = _power_reduce(BinomialFactor(sign, b, e), modulus)
                     least = min(_frobenius({b: e}, modulus, b * e + 1))
                     if e % m:
                         assert after is None and least == b, (sign, b, e)

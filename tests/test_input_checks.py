@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from congcert.cli import parse_instance_file
-from congcert.decompose import _KINDS, GFKind, split_AB, validate_B_certificate
+from congcert.decompose import _KINDS, GFKind, split_AB
 from congcert.errors import InvalidParameter, InvalidWindow, SemanticError
 from congcert.oracles import count_overpartitions, count_partitions_multiset
 from congcert.periods import (
@@ -20,7 +20,7 @@ from congcert.periods import (
     ord_prime,
     verify_period_prefix,
 )
-from congcert.prover import CongruenceFamily
+from congcert.prover import CongruenceFamily, validate_B_certificate
 from congcert.search import SearchSpace
 from congcert.series import (
     BinomialFactor,

@@ -28,6 +28,7 @@ from congcert import (
     certify,
     certify_all,
     decompose,
+    default_validation_length,
     enumerate_candidates,
     kwong_period,
     prover,
@@ -183,7 +184,7 @@ class TestGuardFailures:
     def test_b_support_check(self, monkeypatch, capsys):
         from congcert.cli import run_command
 
-        monkeypatch.setattr(decompose, "validate_B_certificate", lambda *args: False)
+        monkeypatch.setattr(prover, "validate_B_certificate", lambda *args: False)
         message = "B fails the numeric support check below 500"
         with pytest.raises(RuleValidationFailed, match="^" + message + "$"):
             certify(GFKind.plane_rowed(4), CongruenceFamily(4, (3,), (), MOD2))
@@ -203,7 +204,7 @@ class TestGuardFailures:
 
         dec = real_split(build_spec(GFKind.plane_rowed(8)), MOD2, 8)
         wrong_a = _without_factor(dec.a_spec, dropped)
-        length = dec.validation_length
+        length = default_validation_length(build_spec(GFKind.plane_rowed(8)), 8)
         a_times_b = series_from_spec(wrong_a * dec.b_spec, MOD2, length)
         g = series_from_spec(build_spec(GFKind.plane_rowed(8)), MOD2, length)
         n = int(np.flatnonzero(a_times_b != g)[0])
@@ -272,9 +273,9 @@ def instance_plan(name):
 
 
 class TestExpansionsPerPlan:
-    """A plan expands B (in the split) and G to the validation length L,
-    and A to max(L, delta*rows), once each, and nothing else: no step of
-    the split expands its sides."""
+    """A plan expands B and G to the validation length L, and A to
+    max(L, delta*rows), once each and in that order, all in `Plan.build`,
+    and nothing else: the split expands nothing."""
 
     @pytest.fixture
     def expanded(self, monkeypatch):
@@ -289,9 +290,9 @@ class TestExpansionsPerPlan:
 
     @staticmethod
     def _three(plan):
-        dec, length = plan.decomposition, plan.decomposition.validation_length
+        dec, length = plan.decomposition, default_validation_length(plan.spec, plan.delta)
         return [
-            ("congcert.decompose", dec.b_spec, length),
+            ("congcert.prover", dec.b_spec, length),
             ("congcert.prover", plan.spec, length),
             ("congcert.prover", dec.a_spec, max(length, plan.head.size)),
         ]

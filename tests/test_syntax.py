@@ -22,8 +22,8 @@ from congcert import (
     enumerate_candidates,
     split_AB,
 )
+from congcert import decompose
 from congcert.cli import parse_instance_file
-from congcert.decompose import _Workspace
 from test_cli import _verdict_runs, run
 from test_decompose import _split_grid
 from test_series import random_spec
@@ -125,13 +125,13 @@ def steps(monkeypatch):
     """Every derivation step recorded while a test runs, with the factors
     of its two sides as the split passed them."""
     recorded = []
-    apply_rule = _Workspace.apply_rule
+    record = decompose._record
 
-    def recording(self, rule, before, after):
-        apply_rule(self, rule, before, after)
-        recorded.append((self.derivation[-1], tuple(before), tuple(after)))
+    def recording(derivation, rule, before, after):
+        record(derivation, rule, before, after)
+        recorded.append((derivation[-1], tuple(before), tuple(after)))
 
-    monkeypatch.setattr(_Workspace, "apply_rule", recording)
+    monkeypatch.setattr(decompose, "_record", recording)
     return recorded
 
 

@@ -215,8 +215,22 @@ def _int_text(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def _refuse_unread(command: str, unread, reads: str):
+    """Exit 2 naming each given flag that `command` does not read."""
+    unread = [flag for flag, value in unread if value is not None]
+    if unread:
+        raise SemanticError(f"{command} does not read {', '.join(unread)}; it reads {reads}")
+
+
 def _cmd_period(args, out) -> int:
-    if args.window < 2:
+    if not args.empirical:
+        _refuse_unread(
+            "period without --empirical",
+            [("--window", args.window)],
+            "--multiset, --prime, --power",
+        )
+    window = _given(args.window, 3)
+    if window < 2:
         raise SemanticError("--window must be >= 2")
     multiset = PartMultiset.parse(args.multiset)
     info = kwong_period(multiset, args.prime, args.power)
@@ -225,13 +239,13 @@ def _cmd_period(args, out) -> int:
             f"the period has {info.period.bit_length()} bits, past the"
             f" {_PERIOD_DIGITS}-digit print limit"
         )
-    print(_int_text(info.period), file=out)
-    if args.empirical:
+    observed = None
+    if args.empirical:  # before anything is printed, so that a failure prints nothing
         modulus = Modulus(args.prime, args.power)
-        series = series_from_spec(
-            multiset.to_product_spec(), modulus, args.window * info.period
-        )
-        observed = empirical_min_period(series, info.period, args.window)
+        series = series_from_spec(multiset.to_product_spec(), modulus, window * info.period)
+        observed = empirical_min_period(series, info.period, window)
+    print(_int_text(info.period), file=out)
+    if observed is not None:
         print(f"empirical minimal period: {observed}", file=out)
         if observed != info.period:
             return 1
@@ -240,13 +254,18 @@ def _cmd_period(args, out) -> int:
 
 def _cmd_expand(args, out) -> int:
     if args.instance:
+        _refuse_unread(
+            "expand --instance",
+            [("--target", args.target), ("--prime", args.prime), ("--power", args.power)],
+            "--length and the instance's target and modulus",
+        )
         instance = _load_instance(args.instance)
         target, modulus = instance.target, instance.modulus
     else:
         if args.target is None or args.prime is None:
             raise SemanticError("expand needs --instance or --target/--prime/--power")
         target = _parse("--target", GFKind.parse, args.target)
-        modulus = Modulus(args.prime, args.power)
+        modulus = Modulus(args.prime, _given(args.power, 1))
     series = series_from_spec(build_spec(target), modulus, args.length)
     print(",".join(str(c) for c in series), file=out)
     return 0
@@ -335,12 +354,11 @@ _COUNTER_FLAGS = list(dict.fromkeys(flag for flags, _ in _COUNTERS.values() for 
 
 def _cmd_oracle(args, out) -> int:
     flags, count = _COUNTERS[args.counter]
-    unread = [f"--{f}" for f in _COUNTER_FLAGS if f not in flags and getattr(args, f) is not None]
-    if unread:
-        reads = ", ".join(f"--{f}" for f in flags) or "no flag but --n"
-        raise SemanticError(
-            f"oracle {args.counter} does not read {', '.join(unread)}; it reads {reads}"
-        )
+    _refuse_unread(
+        f"oracle {args.counter}",
+        [(f"--{f}", getattr(args, f)) for f in _COUNTER_FLAGS if f not in flags],
+        ", ".join(f"--{f}" for f in flags) or "no flag but --n",
+    )
     if args.n < 0:  # checked once, before a counter's bound defaults to n
         raise SemanticError("--n must be >= 0")
     print(count(args), file=out)
@@ -379,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--empirical", action="store_true", help="confirm on the expanded series")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=int, help="with --empirical: periods to compare (default 3)")
 
     p = sub.add_parser("expand", help="print series coefficients")
     p.add_argument("--instance")
     p.add_argument("--target")
     p.add_argument("--prime", type=int)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=int, help="with --target (default 1)")
     p.add_argument("--length", type=int, default=32)
 
     p = sub.add_parser("certify", help="certify every family in an instance file")

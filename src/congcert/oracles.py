@@ -93,18 +93,11 @@ def _rows_below(prev, remaining, max_cols):
     return out
 
 
-def count_plane_partitions_rowed(n: int, max_rows: int, max_cols: int | None = None) -> int:
-    """Plane partitions of n with at most max_rows rows (and max_cols columns
-    when given), by generating rows top-down, each dominated by the one above.
-    """
-    if max_rows < 1:
-        raise InvalidParameter("max_rows must be >= 1")
-    if max_cols is not None and max_cols < 1:
-        raise InvalidParameter("max_cols must be >= 1")
-    _guard(n, PLANE_CAP, "plane partition")
-    if n == 0:
-        return 1
-    width = max_cols if max_cols is not None else n
+def _count_rowed(n, max_rows, width, weight):
+    """Plane partitions of n with at most max_rows rows and width columns,
+    generated row by row top-down, each row dominated by the one above, and
+    each counted with the product of weight(row_above, row) over its rows
+    (row_above is None for the first row); a row of weight 0 is skipped."""
 
     @lru_cache(maxsize=None)
     def count(remaining, prev, rows_left):
@@ -114,12 +107,26 @@ def count_plane_partitions_rowed(n: int, max_rows: int, max_cols: int | None = N
             return 0
         total = 0
         for row in _rows_below(prev, remaining, width):
-            total += count(remaining - sum(row), row, rows_left - 1)
+            w = weight(prev, row)
+            if w:
+                total += w * count(remaining - sum(row), row, rows_left - 1)
         return total
 
     result = count(n, None, max_rows)
     count.cache_clear()
     return result
+
+
+def count_plane_partitions_rowed(n: int, max_rows: int, max_cols: int | None = None) -> int:
+    """Plane partitions of n with at most max_rows rows (and max_cols columns
+    when given)."""
+    if max_rows < 1:
+        raise InvalidParameter("max_rows must be >= 1")
+    if max_cols is not None and max_cols < 1:
+        raise InvalidParameter("max_cols must be >= 1")
+    _guard(n, PLANE_CAP, "plane partition")
+    width = max_cols if max_cols is not None else n
+    return _count_rowed(n, max_rows, width, lambda prev, row: 1)
 
 
 def count_plane_partitions(n: int) -> int:
@@ -152,55 +159,36 @@ def count_overpartitions(n: int) -> int:
     return total
 
 
-def _plane_partitions_rowed(n, max_rows):
-    """Yield filled shapes (tuples of rows) of every plane partition of n
-    with at most max_rows rows."""
-
-    def extend(shape, remaining, rows_left):
-        if remaining == 0:
-            yield tuple(shape)
-            return
-        if rows_left == 0:
-            return
-        prev = shape[-1] if shape else None
-        for row in _rows_below(prev, remaining, n if prev is None else len(prev)):
-            shape.append(row)
-            yield from extend(shape, remaining - sum(row), rows_left - 1)
-            shape.pop()
-
-    yield from extend([], n, max_rows)
-
-
-def _marking_count(shape) -> int:
-    """Number of valid overline markings of a filled plane partition.
+def _row_markings(prev, row) -> int:
+    """Number of valid overline markings of one row of a plane partition,
+    given the row above it (None for the first row).
 
     Row rule: only the last occurrence of a value in its row may be overlined.
     Column rule: the first occurrence of a value in its column is free, every
     later occurrence in that column must be overlined.  A cell forced by the
-    column rule but forbidden by the row rule kills the whole shape.
+    column rule but forbidden by the row rule leaves no marking.  Both rules
+    read only a cell's row and the row above, so the markings of a whole
+    shape are the product of its rows' markings.
     """
     total = 1
-    for i, row in enumerate(shape):
-        for j, v in enumerate(row):
-            row_last = j + 1 >= len(row) or row[j + 1] != v
-            col_first = i == 0 or j >= len(shape[i - 1]) or shape[i - 1][j] != v
-            if row_last and col_first:
-                total *= 2
-            elif not row_last and not col_first:
-                return 0
-            # otherwise exactly one choice is forced
+    for j, v in enumerate(row):
+        row_last = j + 1 == len(row) or row[j + 1] != v
+        col_first = prev is None or prev[j] != v
+        if row_last and col_first:
+            total *= 2
+        elif not row_last and not col_first:
+            return 0
+        # otherwise exactly one choice is forced
     return total
 
 
 def count_plane_overpartitions_rowed(n: int, max_rows: int) -> int:
-    """Plane overpartitions of n with at most max_rows rows, by enumerating
-    every plane partition shape and counting its valid markings."""
+    """Plane overpartitions of n with at most max_rows rows: plane partitions,
+    each counted with its valid markings."""
     if max_rows < 1:
         raise InvalidParameter("max_rows must be >= 1")
     _guard(n, OVERPLANE_CAP, "plane overpartition")
-    if n == 0:
-        return 1
-    return sum(_marking_count(s) for s in _plane_partitions_rowed(n, max_rows))
+    return _count_rowed(n, max_rows, n, _row_markings)
 
 
 def count_plane_overpartitions(n: int) -> int:

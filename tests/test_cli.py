@@ -789,6 +789,19 @@ class TestMalformedInput:
             (None, ["oracle", "--counter", "plane_rowed", "--n", "-1"], "--n must be >= 0"),
             (None, ["oracle", "--counter", "overpartitions", "--n", "-1"], "--n must be >= 0"),
             (None, ["oracle", "--counter", "overplane_rowed", "--n", "-1"], "--n must be >= 0"),
+            # a flag the command does not read is refused, not ignored
+            (THREE_ROWED, ["expand", "--target", "plane_rowed(3)", "--prime", "5", "--length", "8"],
+             "expand --instance does not read --target, --prime;"
+             " it reads --length and the instance's target and modulus"),
+            (THREE_ROWED, ["expand", "--power", "1"],
+             "expand --instance does not read --power;"
+             " it reads --length and the instance's target and modulus"),
+            (None, ["period", "--multiset", "1,2", "--prime", "2", "--window", "5"],
+             "period without --empirical does not read --window;"
+             " it reads --multiset, --prime, --power"),
+            # the modulus is built before the period is printed
+            (None, ["period", "--multiset", "1", "--prime", "2", "--power", "40", "--empirical"],
+             "modulus 1099511627776 exceeds the kernel limit 2147483648"),
         ],
         ids=[
             "factor", "empty-raw", "target", "multiset", "raw-base", "tail-exponent", "plane-head",
@@ -796,7 +809,8 @@ class TestMalformedInput:
             "certify-no-family", "spot-check-no-family", "table-no-family", "n-max", "max-terms",
             "expand", "oracle-multiset", "oracle-n-partitions", "oracle-n-multiset",
             "oracle-n-maxpart", "oracle-n-plane-rowed", "oracle-n-overpartitions",
-            "oracle-n-overplane-rowed",
+            "oracle-n-overplane-rowed", "expand-target-prime", "expand-power", "period-window",
+            "period-empirical-modulus",
         ],
     )
     def test_exits_two_with_message(self, instance, argv, message, capsys, instance_path):

@@ -107,6 +107,14 @@ class TestPlaneOverpartitionCounts:
         for n in range(13):
             assert count_plane_overpartitions_rowed(n, 1) == count_overpartitions(n)
 
+    def test_row_saturation(self):
+        # both plane counters share one row recursion; the unrestricted
+        # wrapper must still be the rowed count once rows reach n
+        for n in range(13):
+            want = count_plane_overpartitions(n)
+            for rows in range(max(1, n), n + 3):
+                assert count_plane_overpartitions_rowed(n, rows) == want
+
     def test_guard(self):
         with pytest.raises(ComplexityGuard):
             count_plane_overpartitions_rowed(13, 2)
@@ -160,4 +168,15 @@ class TestOracleSeriesEquivalence:
         # validates the overline marking rules against the generating function
         s = series_from_spec(build_spec(GFKind.overplane_rowed(k)), BIG, 11)
         for n in range(11):
+            assert s[n] == count_plane_overpartitions_rowed(n, k), (k, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 20])
+    def test_overplane_rowed_past_the_cap(self, k, monkeypatch):
+        from congcert import oracles
+
+        # the row recursion reaches n = 20 in well under a second; the cap
+        # is lifted only here, for the comparison
+        monkeypatch.setattr(oracles, "OVERPLANE_CAP", 20)
+        s = series_from_spec(build_spec(GFKind.overplane_rowed(k)), BIG, 21)
+        for n in range(21):
             assert s[n] == count_plane_overpartitions_rowed(n, k), (k, n)
